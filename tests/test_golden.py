@@ -1,0 +1,91 @@
+"""Golden outputs: SHA-256 of the CSV table of small pinned configs.
+
+Reruns within one process are checked elsewhere (acceptance criterion 10);
+these digests catch output drift between versions of the code. A digest may
+change only with a recorded, intentional re-baseline.
+
+``fig1`` is left out: its last digits depend on the BLAS thread count. Every
+config here gives the same digest with one and with two BLAS threads.
+"""
+
+import hashlib
+
+import pytest
+
+from grid_concentrator import experiment_harness as eh
+
+# P4 plus a chord and a line parallel to (0, 1): parallel lines exercise
+# the order in which per-line terms accumulate into one matrix entry.
+_MESH = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2], [0, 1]]}
+_MESH_PROBS = [0.5, 0.3, 0.8, 0.6, 0.25]
+_MESH_ADMITTANCES = [[0.6, -0.8], [0.5, -0.5], [1.0, 0.0], [0.3, -0.9], [0.2, -0.7]]
+
+GOLDEN = {
+    "thm2_tail_bruteforce": (
+        {"experiment": "thm2_tail", "backend": "bruteforce", "topology": _MESH,
+         "probs": _MESH_PROBS, "admittances": _MESH_ADMITTANCES},
+        "e5bd51b174133c455660b80c5fad1ee8896c6414fd940b1a6d024a1ed8a0d997"),
+    "thm2_tail_montecarlo": (
+        {"experiment": "thm2_tail", "backend": "montecarlo", "topology": _MESH,
+         "probs": _MESH_PROBS, "admittances": _MESH_ADMITTANCES,
+         "samples": 500, "seed": 5},
+        "fd67ec98a67273400e13fc2e3d174259f0fed652a608ae52628979ad2335ed14"),
+    "thm2_expectation_bruteforce": (
+        {"experiment": "thm2_expectation", "backend": "bruteforce",
+         "topology": {"name": "complete", "n": 4}, "probs": 0.4,
+         "admittances": [0.6, -0.8]},
+        "07a693b44b95c6b78f496eb103594e187ff83b2fd92d99a3cb21ef8e0b2ab037"),
+    "thm2_expectation_montecarlo": (
+        {"experiment": "thm2_expectation", "backend": "montecarlo",
+         "topology": {"name": "complete", "n": 4}, "probs": 0.4,
+         "admittances": [0.6, -0.8], "samples": 2000, "seed": 11},
+        "50a2786f98a1f109a45e9acb0f6d491d2a75d68685a9c15d9e5135c99e3a2dc2"),
+    # Default K3 model; 9000 samples: more than one 8192-row chunk.
+    "thm2_expectation_montecarlo_multichunk": (
+        {"experiment": "thm2_expectation", "backend": "montecarlo",
+         "samples": 9000, "seed": 2},
+        "91294d2f9c36d0e3ea1522ced557a20b19ff96bff0088a845c54b8044e34912c"),
+    "lcpf_bounds_k6": (
+        {"experiment": "lcpf_bounds", "topology": {"name": "complete", "n": 6},
+         "delta": 0.2, "samples": 300, "seed": 4},
+        "b39ebdc2e735b08475c6f96de18faf361e08f7228a41a2077f5f1acd1923f3b8"),
+    "lcpf_bounds_single_bus": (
+        {"experiment": "lcpf_bounds", "topology": {"n": 1, "edges": []},
+         "samples": 5, "seed": 1, "t_grid": [0.0, 0.5]},
+        "5c4664bea148238cef78d0ab654aa597527332e48d2eafa097b38bfad97e6aa9"),
+    # K30: its 60 x 60 lifted matrices fill more than one chunk at 400 samples.
+    "lcpf_bounds_k30": (
+        {"experiment": "lcpf_bounds", "topology": {"name": "complete", "n": 30},
+         "delta": 0.05, "samples": 400, "seed": 6},
+        "7f55cf942b78e99ee88bb8f952377edf2f4c1c39cedb443da1fa424c1588ea92"),
+    # 10 000 samples: more than one 8192-row chunk.
+    "lcpf_bounds_p3_multichunk": (
+        {"experiment": "lcpf_bounds", "topology": {"name": "path", "n": 3},
+         "delta": 0.1, "samples": 10000, "seed": 1},
+        "1ac339f030abdbb42bf85b6b9f218349683c00daf89de1f8b945811a302213d5"),
+    "bruteforce": (
+        {"experiment": "bruteforce", "topology": _MESH, "probs": _MESH_PROBS,
+         "admittances": _MESH_ADMITTANCES},
+        "8d28a5669e1b82bb5d2d04b6638b2a0a760c76732e499aed3364569d533f2d7b"),
+    "manifold": (
+        {"experiment": "manifold", "topology": {"name": "complete", "n": 4},
+         "samples": 20, "seed": 3, "h": 0.1},
+        "a1cb1b12e3ad9befc22de730a71da5631e8611bcf7080e5ecae64096a5c903ab"),
+}
+
+
+def table_digest(cfg: dict) -> str:
+    result = eh.run_experiment(eh.ExperimentConfig.from_dict(cfg))
+    text = eh.emit(result.records, "csv", None, result.fieldnames)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name):
+    cfg, digest = GOLDEN[name]
+    assert table_digest(cfg) == digest
+
+
+if __name__ == "__main__":
+    for name in sorted(GOLDEN):
+        print(name, table_digest(GOLDEN[name][0]))
