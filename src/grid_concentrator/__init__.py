@@ -36,6 +36,7 @@ from .admittance import (
     flat_start_lift,
     lift_real,
     sample_weights,
+    weighted_laplacians,
 )
 from .bounds import (
     BoundReport,

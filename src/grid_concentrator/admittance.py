@@ -38,6 +38,7 @@ __all__ = [
     "AdmittanceMatrix",
     "elementary_laplacian",
     "assemble_admittance",
+    "weighted_laplacians",
     "lift_real",
     "flat_start_lift",
     "admittance_block",
@@ -66,10 +67,6 @@ class LineAdmittance:
     @property
     def w(self) -> complex:
         return complex(self.g, self.b)
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.g, self.b)
 
 
 @dataclass(frozen=True)
@@ -164,16 +161,10 @@ class AdmittanceMatrix:
 def elementary_laplacian(i: int, j: int, n: int) -> np.ndarray:
     """Rank-one Laplacian (e_i - e_j)(e_i - e_j)^T of a single unit line.
 
-    Trace 2, operator norm 2, PSD.
+    Trace 2, operator norm 2, PSD. Raises ValueError for a self-loop or an
+    endpoint out of range.
     """
-    if i == j:
-        raise ValueError(f"self-loop ({i}, {i}) has no elementary Laplacian")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"endpoints ({i}, {j}) out of range for n={n}")
-    e = np.zeros((n, n))
-    e[i, i] = e[j, j] = 1.0
-    e[i, j] = e[j, i] = -1.0
-    return e
+    return weighted_laplacians(Topology(n, ((i, j),)), np.ones(1))
 
 
 def assemble_admittance(topology: Topology, weights) -> AdmittanceMatrix:
@@ -187,6 +178,26 @@ def assemble_admittance(topology: Topology, weights) -> AdmittanceMatrix:
     a = incidence_matrix(topology)
     y = a.T @ (w[:, None] * a)
     return AdmittanceMatrix(matrix=y, topology=topology)
+
+
+def weighted_laplacians(topology: Topology, weights) -> np.ndarray:
+    """sum_l w[..., l] (e_i - e_j)(e_i - e_j)^T for a (..., m) weight array.
+
+    Scatters from the edge list in line order: each entry is the same sum as
+    adding ``w_l * elementary_laplacian`` term by term, with no per-line matrix.
+    """
+    w = np.asarray(weights)
+    if w.shape[-1:] != (topology.n_edges,):
+        raise ValueError(f"weights of shape {w.shape} for {topology.n_edges} lines")
+    n = topology.n_nodes
+    y = np.zeros(w.shape[:-1] + (n, n), dtype=np.result_type(w, float))
+    for l, (i, j) in enumerate(topology.edges):
+        c = w[..., l]
+        y[..., i, i] += c
+        y[..., j, j] += c
+        y[..., i, j] -= c
+        y[..., j, i] -= c
+    return y
 
 
 def _lift(g: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:

@@ -59,20 +59,12 @@ def main(argv=None) -> int:
             if not isinstance(cfg_dict, dict):
                 raise ConfigError("config file must contain a JSON object")
         cfg_dict["experiment"] = args.experiment
-        if args.seed is not None:
-            cfg_dict["seed"] = args.seed
-        if args.samples is not None:
-            cfg_dict["samples"] = args.samples
-        if args.out is not None:
-            cfg_dict["out"] = args.out
-        if args.fmt is not None:
-            cfg_dict["format"] = args.fmt
+        overrides = {"seed": args.seed, "samples": args.samples, "out": args.out,
+                     "format": args.fmt}
+        cfg_dict.update({k: v for k, v in overrides.items() if v is not None})
         cfg = ExperimentConfig.from_dict(cfg_dict)
         result = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,10 @@ derived as ``SeedSequence((master_seed, sweep_index, sample_index))``, so any
 sample can be replayed in isolation and identical configs give byte-identical
 output files.
 
+The Monte Carlo, enumeration and ``lcpf_bounds`` runners work in bounded
+chunks of samples, each assembled by one line-order scatter and normed by one
+batched call, so their per-sample memory is O(n^2), not O(m n^2).
+
 Experiments
 -----------
 ``fig1``
@@ -41,13 +45,12 @@ import numpy as np
 from . import bounds as bnd
 from . import graph_core as gc
 from .admittance import (
-    FixedBernoulli,
     FixedDeterministic,
     LineAdmittance,
     assemble_admittance,
     max_abs_support,
+    weighted_laplacians,
 )
-from .lcpf import flat_start_jacobian
 from .manifold import expected_distance_bound, tangent_residual, tangent_step
 from .spectra import operator_norm
 
@@ -75,6 +78,7 @@ EXPERIMENT_NAMES = ("fig1", "thm2_tail", "thm2_expectation", "lcpf_bounds",
 
 BRUTE_FORCE_MAX_LINES = 20
 _ENUM_CHUNK = 8192
+_CHUNK_BYTES = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -112,12 +116,17 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENT_NAMES)}")
+        for name in ("n", "samples", "seed"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, np.integer))):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.samples is not None and self.samples < 1:
             raise ConfigError("samples must be >= 1")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.t_grid is not None:
-            grid = tuple(float(t) for t in self.t_grid)
+            grid = tuple(_finite("t_grid", t) for t in self.t_grid)
             if any(b < a for a, b in zip(grid, grid[1:])):
                 raise ConfigError("t_grid must be sorted ascending")
             object.__setattr__(self, "t_grid", grid)
@@ -125,9 +134,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
+        object.__setattr__(self, "delta", _finite("delta", self.delta))
         if self.delta < 0:
             raise ConfigError("delta must be >= 0")
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
+        object.__setattr__(self, "p_grid", tuple(_finite("p_grid", p) for p in self.p_grid))
         for p in self.p_grid:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"sweep probability {p} outside [0, 1]")
@@ -146,21 +156,25 @@ class ExperimentConfig:
         """
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(obj)
         if "topology" in kwargs and kwargs["topology"] is not None:
             kwargs["topology"] = _parse_topology(kwargs["topology"])
-        if "p_grid" in kwargs and kwargs["p_grid"] is not None:
-            kwargs["p_grid"] = tuple(kwargs["p_grid"])
         try:
             return cls(**kwargs)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _finite(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _parse_topology(obj) -> gc.Topology:
@@ -269,11 +283,14 @@ def _draw_line_weights(model: dict, m: int, rng: np.random.Generator) -> list[Li
 
 
 def _broadcast_per_line(value, m: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be numbers: {exc}") from exc
     if arr.shape == (1,):
         arr = np.full(m, float(arr[0]))
-    if arr.shape != (m,):
-        raise ConfigError(f"{name} must be a scalar or a list of {m} values")
+    if arr.shape != (m,) or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be a finite scalar or a list of {m} finite values")
     return arr
 
 
@@ -301,6 +318,8 @@ def _contingency_model(cfg: ExperimentConfig) -> tuple[gc.Topology, bnd.Continge
     m = topology.n_edges
     probs = _broadcast_per_line(cfg.probs, m, "probs")
     admittances = _parse_admittances(cfg.admittances, m)
+    if not np.all(np.isfinite(admittances)):
+        raise ConfigError("admittances must be finite")
     try:
         model = bnd.ContingencyModel(topology, probs, admittances)
     except ValueError as exc:
@@ -308,14 +327,13 @@ def _contingency_model(cfg: ExperimentConfig) -> tuple[gc.Topology, bnd.Continge
     return topology, model
 
 
-def _line_basis(topology: gc.Topology) -> np.ndarray:
-    """(m, n, n) stack of elementary Laplacians in edge order."""
-    n, m = topology.n_nodes, topology.n_edges
-    basis = np.zeros((m, n, n))
-    for l, (i, j) in enumerate(topology.edges):
-        basis[l, i, i] = basis[l, j, j] = 1.0
-        basis[l, i, j] = basis[l, j, i] = -1.0
-    return basis
+def _chunks(total: int, topology: gc.Topology):
+    """(start, stop) ranges over ``range(total)``: at most ``_ENUM_CHUNK`` rows and
+    ``_CHUNK_BYTES`` of rows of 8 n^2 + 3 m floats (lifted matrix, n x n parts, draws)."""
+    row_bytes = 8 * (8 * topology.n_nodes ** 2 + 3 * topology.n_edges)
+    rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
+    for start in range(0, total, rows):
+        yield start, min(start + rows, total)
 
 
 def _batched_operator_norms(batch: np.ndarray) -> np.ndarray:
@@ -347,8 +365,6 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
     records = []
     all_ok = True
     for sweep_index, p in enumerate(p_grid):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"sweep probability {p} outside [0, 1]")
         for sample_index in range(samples):
             rng = sample_rng(cfg.seed, sweep_index, sample_index)
             topology = gc.sample_er_topology(cfg.n, p, rng)
@@ -368,11 +384,10 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
 # exact and Monte Carlo distributions of the centered admittance norm
 # ---------------------------------------------------------------------------
 
-def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarray,
-                                 basis: np.ndarray) -> np.ndarray:
+def _centered_norms_for_patterns(topology: gc.Topology, model: bnd.ContingencyModel,
+                                 patterns: np.ndarray) -> np.ndarray:
     coeff = (patterns - model.probs) * model.admittances  # (s, m) complex
-    ytilde = np.einsum("sl,lij->sij", coeff, basis)
-    return _batched_operator_norms(ytilde)
+    return _batched_operator_norms(weighted_laplacians(topology, coeff))
 
 
 def brute_force_distribution(topology: gc.Topology, model: bnd.ContingencyModel,
@@ -389,16 +404,15 @@ def brute_force_distribution(topology: gc.Topology, model: bnd.ContingencyModel,
                          f"{BRUTE_FORCE_MAX_LINES} lines, got {m}")
     if topology is not model.topology and topology.edges != model.topology.edges:
         raise ValueError("topology does not match the contingency model")
-    basis = _line_basis(topology)
     total = 1 << m
     norms = np.empty(total)
     probs = np.empty(total)
     bit_index = np.arange(m, dtype=np.uint64)
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint64)
+    for start, stop in _chunks(total, topology):
+        idx = np.arange(start, stop, dtype=np.uint64)
         patterns = ((idx[:, None] >> bit_index) & 1).astype(float)
-        norms[start:start + len(idx)] = _centered_norms_for_patterns(model, patterns, basis)
-        probs[start:start + len(idx)] = np.prod(
+        norms[start:stop] = _centered_norms_for_patterns(topology, model, patterns)
+        probs[start:stop] = np.prod(
             np.where(patterns == 1.0, model.probs, 1.0 - model.probs), axis=1)
     total_prob = probs.sum()
     if abs(total_prob - 1.0) > 1e-12:
@@ -414,12 +428,14 @@ def monte_carlo_distribution(topology: gc.Topology, model: bnd.ContingencyModel,
                              samples: int, seed: int, thresholds=(),
                              sweep_index: int = 0) -> SampleStats:
     """Monte Carlo estimate of the ||Y - EY|| distribution (per-sample seeds)."""
-    basis = _line_basis(topology)
+    m = topology.n_edges
     norms = np.empty(samples)
-    for s in range(samples):
-        rng = sample_rng(seed, sweep_index, s)
-        pattern = (rng.random(topology.n_edges) < model.probs).astype(float)
-        norms[s] = _centered_norms_for_patterns(model, pattern[None, :], basis)[0]
+    for start, stop in _chunks(samples, topology):
+        draws = np.empty((stop - start, m))
+        for k, s in enumerate(range(start, stop)):
+            draws[k] = sample_rng(seed, sweep_index, s).random(m)
+        patterns = (draws < model.probs).astype(float)
+        norms[start:stop] = _centered_norms_for_patterns(topology, model, patterns)
     thresholds = np.asarray(thresholds, dtype=float)
     tails = np.array([float(np.mean(norms >= t)) for t in thresholds])
     stderr = float(np.std(norms, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -433,6 +449,17 @@ def _default_tail_grid(profile: bnd.CriticalityProfile, points: int = 20) -> np.
         return np.linspace(0.0, 1.0, points)
     threshold = math.sqrt(2.0 * profile.max_criticality) + 2.0 / 3.0
     return np.linspace(threshold, threshold + 3.0, points)
+
+
+def _contingency_stats(cfg: ExperimentConfig, topology: gc.Topology,
+                       model: bnd.ContingencyModel, grid=()) -> SampleStats:
+    if cfg.backend == "montecarlo":
+        samples = cfg.samples if cfg.samples is not None else 20000
+        return monte_carlo_distribution(topology, model, samples, cfg.seed, grid)
+    try:
+        return brute_force_distribution(topology, model, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 TAIL_FIELDS = ["t", "tail_empirical", "tail_bound", "tail_bound_clamped",
@@ -449,14 +476,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> RunResult:
     profile = bnd.contingency_factors(model)
     grid = np.asarray(cfg.t_grid, dtype=float) if cfg.t_grid is not None \
         else _default_tail_grid(profile)
-    if cfg.backend == "bruteforce":
-        try:
-            stats = brute_force_distribution(topology, model, grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        samples = cfg.samples if cfg.samples is not None else 20000
-        stats = monte_carlo_distribution(topology, model, samples, cfg.seed, grid)
+    stats = _contingency_stats(cfg, topology, model, grid)
     records = []
     all_ok = True
     for t, emp in zip(grid, stats.tail_frequencies):
@@ -488,14 +508,7 @@ def run_expectation_experiment(cfg: ExperimentConfig) -> RunResult:
     """
     topology, model = _contingency_model(cfg)
     profile = bnd.contingency_factors(model)
-    if cfg.backend == "bruteforce":
-        try:
-            stats = brute_force_distribution(topology, model)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        samples = cfg.samples if cfg.samples is not None else 20000
-        stats = monte_carlo_distribution(topology, model, samples, cfg.seed)
+    stats = _contingency_stats(cfg, topology, model)
     explicit = bnd.thm2_expectation_bound(profile)
     with_c1 = bnd.thm2_expectation_bound(profile, constant=1.0)
     slack = 0.0 if stats.exact else 3.0 * stats.stderr
@@ -548,18 +561,13 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
     delta = float(cfg.delta)
     _broadcast_per_line(cfg.center_g, m, "center_g")  # validated; centers drop out
     _broadcast_per_line(cfg.center_b, m, "center_b")
-    basis = _line_basis(topology)
-    g_basis = np.stack([np.kron(np.array([[1.0, 0.0], [0.0, -1.0]]), e) for e in basis]) \
-        if m else np.zeros((0, 2 * n, 2 * n))
-    b_basis = np.stack([np.kron(np.array([[0.0, -1.0], [-1.0, 0.0]]), e) for e in basis]) \
-        if m else np.zeros((0, 2 * n, 2 * n))
     norms = np.empty(samples)
-    for s in range(samples):
-        rng = sample_rng(cfg.seed, 0, s)
-        dg = rng.uniform(-delta, delta, m)
-        db = rng.uniform(-delta, delta, m)
-        noise = np.einsum("l,lij->ij", dg, g_basis) + np.einsum("l,lij->ij", db, b_basis)
-        norms[s] = float(np.max(np.abs(np.linalg.eigvalsh(noise))) if m else 0.0)
+    for start, stop in _chunks(samples, topology):
+        draws = np.empty((2, stop - start, m))
+        for k, s in enumerate(range(start, stop)):  # per sample: all of dG, then all of dB
+            draws[:, k] = sample_rng(cfg.seed, 0, s).uniform(-delta, delta, (2, m))
+        g, b = weighted_laplacians(topology, draws)
+        norms[start:stop] = _batched_operator_norms(np.block([[g, -b], [-b, -g]]))
     mean_norm = float(np.mean(norms))
     exp_bound = bnd.lcpf_expectation_bound(n, delta)
     mean_ok = bool(mean_norm <= exp_bound.value)
@@ -622,7 +630,6 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     u_flat = np.ones(topology.n_nodes, dtype=complex)
     source = bnd.thm1_expectation_bound(topology.n_nodes, gc.max_degree(topology))
     analytic = expected_distance_bound(h, source)
-    records = []
     certs = np.empty(samples)
     residual_all_ok = True
     rows = []
@@ -645,8 +652,7 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     for row in rows:
         row.update({"mean_certificate": mean_cert, "analytic_bound": analytic.value,
                     "bound_ok": bound_ok})
-        records.append(row)
-    return RunResult(records, MANIFOLD_FIELDS, bound_ok)
+    return RunResult(rows, MANIFOLD_FIELDS, bound_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -661,16 +667,15 @@ def run_bruteforce(cfg: ExperimentConfig) -> RunResult:
     topology, model = _contingency_model(cfg)
     if topology.n_edges > BRUTE_FORCE_MAX_LINES:
         raise ConfigError(f"bruteforce requires m <= {BRUTE_FORCE_MAX_LINES} lines")
+    stats = brute_force_distribution(topology, model)
     if cfg.t_grid is not None:
         grid = np.asarray(cfg.t_grid, dtype=float)
     else:
-        probe = brute_force_distribution(topology, model)
-        top = float(probe.norms.max(initial=0.0))
+        top = float(stats.norms.max(initial=0.0))
         grid = np.linspace(0.0, top if top > 0 else 1.0, 20)
-    stats = brute_force_distribution(topology, model, grid)
-    records = [{"t": float(t), "tail_exact": float(freq),
+    records = [{"t": float(t), "tail_exact": stats.tail_at(t),
                 "mean_norm": stats.mean, "n_patterns": len(stats.norms)}
-               for t, freq in zip(grid, stats.tail_frequencies)]
+               for t in grid]
     return RunResult(records, BRUTEFORCE_FIELDS, True)
 
 
@@ -694,15 +699,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def _format_cell(value) -> str:
+    value = _json_ready(value)
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def _csv_quote(cell: str) -> str:
@@ -712,15 +714,7 @@ def _csv_quote(cell: str) -> str:
 
 
 def _json_ready(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def emit(records, fmt: str = "csv", path=None, fieldnames=None):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from grid_concentrator import admittance as adm
+from grid_concentrator import bounds as bnd
+from grid_concentrator import experiment_harness as eh
 from grid_concentrator import graph_core as gc
 from grid_concentrator.lcpf import flat_start_jacobian
 from grid_concentrator.spectra import operator_norm
@@ -78,6 +80,61 @@ def test_assemble_invariants_random():
                        for la, (i, j) in zip(w, t.edges)),
                       start=np.zeros((t.n_nodes, t.n_nodes), dtype=complex))
         np.testing.assert_allclose(y.matrix, rebuilt, atol=1e-12)
+
+
+# P4 plus a chord and two more lines parallel to (0, 1)
+_PARALLEL = gc.build_topology(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 1), (1, 0)])
+
+
+def _line_order_sum(t, w):
+    """Reference: add w_l * elementary_laplacian term by term in edge order."""
+    y = np.zeros(w.shape[:-1] + (t.n_nodes, t.n_nodes), dtype=np.result_type(w, float))
+    for l, (i, j) in enumerate(t.edges):
+        y = y + w[..., l, None, None] * adm.elementary_laplacian(i, j, t.n_nodes)
+    return y
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 2)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_weighted_laplacians_bit_equal_line_order_sum(batch, dtype):
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal(batch + (_PARALLEL.n_edges,))
+    if dtype is complex:
+        w = w + 1j * rng.standard_normal(w.shape)
+    y = adm.weighted_laplacians(_PARALLEL, w)
+    assert y.shape == batch + (4, 4) and y.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(y, _line_order_sum(_PARALLEL, w))
+
+
+def test_weighted_laplacians_matches_incidence_product():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        t = gc.sample_er_topology(9, 0.5, rng)
+        w = rng.uniform(-1, 1, t.n_edges) + 1j * rng.uniform(-1, 1, t.n_edges)
+        a = gc.incidence_matrix(t)
+        np.testing.assert_allclose(adm.weighted_laplacians(t, w), a.T @ np.diag(w) @ a,
+                                   rtol=0, atol=1e-12)
+
+
+def test_weighted_laplacians_no_lines_and_bad_shape():
+    t = gc.build_topology(3, [])
+    np.testing.assert_array_equal(adm.weighted_laplacians(t, np.zeros((2, 0))),
+                                  np.zeros((2, 3, 3)))
+    with pytest.raises(ValueError):
+        adm.weighted_laplacians(gc.complete_topology(3), np.ones(2))
+
+
+def test_monte_carlo_sample_replays_alone(monkeypatch):
+    # Small chunks, so the replayed samples sit in different chunks.
+    monkeypatch.setattr(eh, "_CHUNK_BYTES", 2000)
+    t = _PARALLEL
+    model = bnd.ContingencyModel(t, np.linspace(0.2, 0.8, t.n_edges),
+                                 np.full(t.n_edges, 0.6 - 0.8j))
+    stats = eh.monte_carlo_distribution(t, model, 40, seed=17)
+    for s in (0, 9, 39):
+        pattern = eh.sample_rng(17, 0, s).random(t.n_edges) < model.probs
+        ytilde = adm.weighted_laplacians(t, (pattern - model.probs) * model.admittances)
+        assert stats.norms[s] == np.linalg.svd(ytilde, compute_uv=False)[0]
 
 
 def test_lift_real_block_structure_real_y():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,42 @@ def test_lcpf_experiment_zero_delta():
         assert rec["tail_bound"] == 0.0
 
 
+def test_lcpf_and_monte_carlo_independent_of_chunking(monkeypatch):
+    lcpf_cfg = eh.ExperimentConfig(experiment="lcpf_bounds", samples=60, seed=4,
+                                   topology=gc.complete_topology(5), delta=0.2)
+    t, model = _k3_model(0.3)
+    whole = (eh.run_lcpf_experiment(lcpf_cfg).records,
+             eh.monte_carlo_distribution(t, model, 60, seed=4).norms)
+    monkeypatch.setattr(eh, "_CHUNK_BYTES", 1)  # one sample per chunk
+    assert list(eh._chunks(3, t)) == [(0, 1), (1, 2), (2, 3)]
+    assert eh.run_lcpf_experiment(lcpf_cfg).records == whole[0]
+    np.testing.assert_array_equal(
+        eh.monte_carlo_distribution(t, model, 60, seed=4).norms, whole[1])
+
+
+def _traced_peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lcpf_and_monte_carlo_memory_is_not_per_line():
+    # A dense per-line basis takes m*n^2 floats: 1.6 GB for each lifted K100
+    # stack, 51 MB for K60. Three samples' matrices need a few MB.
+    limit = 16 * 2 ** 20
+    lcpf_cfg = eh.ExperimentConfig(experiment="lcpf_bounds", samples=3, seed=1,
+                                   topology=gc.complete_topology(100), delta=0.1)
+    assert _traced_peak_bytes(lambda: eh.run_lcpf_experiment(lcpf_cfg)) < limit
+    k60 = gc.complete_topology(60)
+    model = bnd.ContingencyModel(k60, np.full(k60.n_edges, 0.5),
+                                 np.ones(k60.n_edges, dtype=complex))
+    assert _traced_peak_bytes(
+        lambda: eh.monte_carlo_distribution(k60, model, 3, seed=1)) < limit
+
+
 def test_manifold_experiment_small():
     cfg = eh.ExperimentConfig(experiment="manifold", samples=50, seed=2,
                               topology=gc.path_topology(3), h=0.1)
@@ -339,6 +376,29 @@ def test_cli_config_error_exit_1(tmp_path):
     not_json = tmp_path / "not.json"
     not_json.write_text("{")
     assert cli.main(["fig1", "--config", str(not_json)]) == 1
+
+
+@pytest.mark.parametrize("experiment,config,field", [
+    ("lcpf_bounds", {"delta": float("nan")}, "delta"),
+    ("lcpf_bounds", {"delta": "0.1"}, "delta"),
+    ("lcpf_bounds", {"samples": 2.5}, "samples"),
+    ("lcpf_bounds", {"seed": "abc"}, "seed"),
+    ("lcpf_bounds", {"center_g": [0.5, float("nan")]}, "center_g"),
+    ("thm2_tail", {"probs": float("nan")}, "probs"),
+    ("thm2_tail", {"probs": [0.5, float("nan"), 0.5]}, "probs"),
+    ("thm2_tail", {"probs": "abc"}, "probs"),
+    ("thm2_tail", {"admittances": float("nan")}, "admittances"),
+    ("thm2_tail", {"t_grid": [1.0, float("nan")]}, "t_grid"),
+    ("thm2_tail", {"backend": "montecarlo", "samples": True}, "samples"),
+    ("fig1", {"n": True}, "n"),
+    ("fig1", {"seed": False}, "seed"),
+])
+def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))  # NaN is written as the JSON token NaN
+    assert cli.main([experiment, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} ")
 
 
 def test_cli_unknown_experiment_exit_1(capsys):
