@@ -26,8 +26,8 @@ from .admittance import (
     BoundedPerturbation,
     FixedBernoulli,
     FixedDeterministic,
-    LineAdmittance,
     SphereUniform,
+    UnitDisk,
     assemble_admittance,
     center,
     elementary_jacobian,
@@ -35,7 +35,7 @@ from .admittance import (
     expected_admittance,
     flat_start_lift,
     lift_real,
-    sample_weights,
+    line_law_from_json,
     weighted_laplacians,
 )
 from .bounds import (

@@ -8,16 +8,24 @@ the flat-start power-flow Jacobian [[G, -B], [-B, -G]] differs only in the
 sign convention of the 2 x 2 per-line admittance block. Both conventions are
 exposed explicitly because conflating them corrupts reconstruction checks.
 
-Randomness enters through per-line distributions:
+Randomness enters through line laws. A law is one object for all m lines
+with scalar parameters: ``law.sample(rng, m)`` draws a complex (m,) weight
+array, ``law.mean`` is E[w_l] and ``law.support`` is the largest |w| it can
+draw (the |w| <= 1 hypothesis of the degree bound is checked against it).
 
+* ``UnitDisk``           -- uniform on the unit disk, reflected to g >= 0, b <= 0;
 * ``FixedDeterministic`` -- a known admittance (no randomness);
 * ``FixedBernoulli``     -- w = y * xi with xi ~ Ber(p), the line-switching
   contingency model;
 * ``BoundedPerturbation``-- w = (g0 + Dg) + j(b0 + Db) with |Dg|, |Db| <=
   delta, sampled uniformly;
 * ``SphereUniform``      -- the conductance and susceptance vectors are
-  independent and uniform on the sphere g^T g = radius_sq in R^m. This is a
-  joint law across all lines, so it cannot be mixed with per-line kinds.
+  independent and uniform on the sphere g^T g = radius_sq in R^m (a joint
+  law across the lines, not iid per line).
+
+Each law draws from the generator in a fixed order, so a seed replays.
+:func:`line_law_from_json` parses the JSON form ``{"kind": ..., fields}``.
+Weights are complex (m,) arrays in edge order everywhere.
 """
 
 from __future__ import annotations
@@ -30,57 +38,76 @@ import numpy as np
 from .graph_core import Topology, incidence_matrix
 
 __all__ = [
-    "LineAdmittance",
+    "UnitDisk",
     "FixedDeterministic",
     "FixedBernoulli",
     "BoundedPerturbation",
     "SphereUniform",
+    "LineLaw",
+    "line_law_from_json",
     "AdmittanceMatrix",
     "elementary_laplacian",
+    "line_weights",
     "assemble_admittance",
     "weighted_laplacians",
     "lift_real",
     "flat_start_lift",
     "admittance_block",
     "elementary_jacobian",
-    "sample_weights",
-    "expected_weights",
     "expected_admittance",
     "center",
-    "max_abs_support",
-    "distributions_to_json",
-    "distributions_from_json",
 ]
 
 
+def _complex(g, b) -> np.ndarray:
+    w = np.empty(np.shape(g), dtype=complex)
+    w.real = g
+    w.imag = b
+    return w
+
+
 @dataclass(frozen=True)
-class LineAdmittance:
-    """One line's conductance/susceptance pair (per-unit)."""
+class UnitDisk:
+    """w uniform on the unit disk, reflected to g >= 0, b <= 0.
 
-    g: float
-    b: float
+    Line l takes two uniforms (u0, u1), then r = sqrt(u0), phi = 2 pi u1 and
+    w = |r cos phi| - j |r sin phi|.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.g) and math.isfinite(self.b)):
-            raise ValueError("line admittance must be finite")
+    mean = complex(4.0 / (3.0 * math.pi), -4.0 / (3.0 * math.pi))
+    support = 1.0
 
-    @property
-    def w(self) -> complex:
-        return complex(self.g, self.b)
+    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        u = rng.random((m, 2))
+        r = np.sqrt(u[:, 0])
+        phi = 2.0 * math.pi * u[:, 1]
+        return _complex(np.abs(r * np.cos(phi)), -np.abs(r * np.sin(phi)))
 
 
 @dataclass(frozen=True)
 class FixedDeterministic:
+    """The same known admittance on every line; draws nothing."""
+
     admittance: complex
+
+    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return np.full(m, complex(self.admittance))
 
     @property
     def mean(self) -> complex:
         return complex(self.admittance)
 
+    @property
+    def support(self) -> float:
+        return abs(complex(self.admittance))
+
 
 @dataclass(frozen=True)
 class FixedBernoulli:
-    """Line switched closed with probability ``prob``, carrying ``admittance``."""
+    """Each line closed with probability ``prob``, carrying ``admittance``.
+
+    One uniform per line: closed when it is below ``prob``.
+    """
 
     admittance: complex
     prob: float
@@ -89,48 +116,136 @@ class FixedBernoulli:
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError(f"switch probability must lie in [0, 1], got {self.prob}")
 
+    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return np.where(rng.random(m) < self.prob, complex(self.admittance), 0j)
+
     @property
     def mean(self) -> complex:
         return self.prob * complex(self.admittance)
 
+    @property
+    def support(self) -> float:
+        return abs(complex(self.admittance))
+
 
 @dataclass(frozen=True)
 class BoundedPerturbation:
-    """Known center (g, b) plus independent uniform noise bounded by delta."""
+    """Known center (g, b) plus independent uniform noise bounded by delta.
+
+    Two uniforms per line, Dg then Db.
+    """
 
     center_g: float
     center_b: float
     delta: float
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"perturbation bound must be >= 0, got {self.delta}")
+
+    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        d = rng.uniform(-self.delta, self.delta, (m, 2))
+        return _complex(self.center_g + d[:, 0], self.center_b + d[:, 1])
 
     @property
     def mean(self) -> complex:
         return complex(self.center_g, self.center_b)
+
+    @property
+    def support(self) -> float:
+        return math.hypot(abs(self.center_g) + self.delta, abs(self.center_b) + self.delta)
 
 
 @dataclass(frozen=True)
 class SphereUniform:
     """g and b vectors iid uniform on the sphere of squared radius ``radius_sq``.
 
-    Joint across all m lines: every line of a sampled batch must carry the
-    same SphereUniform spec.
+    Draws all of g, then all of b, each as a normalized standard normal
+    m-vector.
     """
 
     radius_sq: float = 0.5
+    mean = 0j
 
     def __post_init__(self):
-        if self.radius_sq < 0:
+        if not self.radius_sq >= 0:
             raise ValueError(f"squared radius must be >= 0, got {self.radius_sq}")
 
+    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return _complex(_sphere_sample(rng, m, self.radius_sq),
+                        _sphere_sample(rng, m, self.radius_sq))
+
     @property
-    def mean(self) -> complex:
-        return 0j
+    def support(self) -> float:
+        # Each coordinate of either vector can carry the full radius.
+        return math.sqrt(2.0 * self.radius_sq)
 
 
-LineDistribution = FixedDeterministic | FixedBernoulli | BoundedPerturbation | SphereUniform
+def _sphere_sample(rng: np.random.Generator, m: int, radius_sq: float) -> np.ndarray:
+    # Normalized Gaussian vector: rotation invariance gives the uniform
+    # sphere law; radius 0 and m = 0 collapse to the zero vector.
+    if radius_sq == 0.0 or m == 0:
+        return np.zeros(m)
+    z = rng.standard_normal(m)
+    norm = np.linalg.norm(z)
+    while norm == 0.0:  # probability-zero guard
+        z = rng.standard_normal(m)
+        norm = np.linalg.norm(z)
+    return z * (math.sqrt(radius_sq) / norm)
+
+
+LineLaw = UnitDisk | FixedDeterministic | FixedBernoulli | BoundedPerturbation | SphereUniform
+
+_LAW_FIELDS = {
+    "disk": (),
+    "fixed": ("admittance",),
+    "bernoulli": ("admittance", "p"),
+    "bounded": ("center_g", "center_b", "delta"),
+    "sphere": ("radius_sq",),
+}
+
+
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _admittance(obj: dict) -> complex:
+    pair = obj.get("admittance", [1.0, 0.0])
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"admittance must be an [re, im] pair, got {pair!r}")
+    return complex(*(_real("admittance", x) for x in pair))
+
+
+def line_law_from_json(obj) -> LineLaw:
+    """Parse ``{"kind": ..., fields}`` into a line law (a law passes through).
+
+    Kinds and fields: ``disk``; ``fixed`` with ``admittance`` [re, im]
+    (default [1.0, 0.0]); ``bernoulli`` with ``admittance`` (same default)
+    and ``p``; ``bounded`` with ``center_g``, ``center_b`` and ``delta``;
+    ``sphere`` with ``radius_sq`` (default 0.5). Raises ValueError for any
+    other kind, an unknown field, or a field that is not a finite number.
+    """
+    if isinstance(obj, LineLaw):
+        return obj
+    if not isinstance(obj, dict) or obj.get("kind") not in _LAW_FIELDS:
+        raise ValueError(f"must be an object with a 'kind' in "
+                         f"{', '.join(_LAW_FIELDS)}, got {obj!r}")
+    kind = obj["kind"]
+    unknown = set(obj) - {"kind", *_LAW_FIELDS[kind]}
+    if unknown:
+        raise ValueError(f"has unknown fields {sorted(unknown)} for kind {kind!r}")
+    if kind == "disk":
+        return UnitDisk()
+    if kind == "fixed":
+        return FixedDeterministic(_admittance(obj))
+    if kind == "bernoulli":
+        return FixedBernoulli(_admittance(obj), _real("p", obj.get("p")))
+    if kind == "bounded":
+        return BoundedPerturbation(*(_real(k, obj.get(k)) for k in _LAW_FIELDS[kind]))
+    return SphereUniform(_real("radius_sq", obj.get("radius_sq", 0.5)))
 
 
 @dataclass(frozen=True)
@@ -167,17 +282,20 @@ def elementary_laplacian(i: int, j: int, n: int) -> np.ndarray:
     return weighted_laplacians(Topology(n, ((i, j),)), np.ones(1))
 
 
+def line_weights(topology: Topology, weights) -> np.ndarray:
+    """``weights`` as a complex (m,) array: one admittance per line, in edge
+    order. Raises ValueError for any other shape."""
+    w = np.asarray(weights, dtype=complex)
+    if w.shape != (topology.n_edges,):
+        raise ValueError(f"weights of shape {w.shape} for {topology.n_edges} lines")
+    return w
+
+
 def assemble_admittance(topology: Topology, weights) -> AdmittanceMatrix:
-    """Y = A^T diag(w) A from per-line admittances (one per edge, in order)."""
-    weights = list(weights)
-    if len(weights) != topology.n_edges:
-        raise ValueError(
-            f"{len(weights)} weights for {topology.n_edges} lines")
-    w = np.array([la.w if isinstance(la, LineAdmittance) else complex(la)
-                  for la in weights])
+    """Y = A^T diag(w) A from a complex (m,) array of line admittances."""
+    w = line_weights(topology, weights)
     a = incidence_matrix(topology)
-    y = a.T @ (w[:, None] * a)
-    return AdmittanceMatrix(matrix=y, topology=topology)
+    return AdmittanceMatrix(matrix=a.T @ (w[:, None] * a), topology=topology)
 
 
 def weighted_laplacians(topology: Topology, weights) -> np.ndarray:
@@ -244,77 +362,9 @@ def elementary_jacobian(g: float, b: float, i: int, j: int, n: int,
     return np.kron(admittance_block(g, b, convention), elementary_laplacian(i, j, n))
 
 
-def _validate_homogeneous_sphere(dists) -> SphereUniform:
-    spheres = [d for d in dists if isinstance(d, SphereUniform)]
-    if spheres and len(spheres) != len(dists):
-        raise ValueError("sphere law is joint across lines; cannot mix with per-line kinds")
-    if spheres:
-        r2 = spheres[0].radius_sq
-        if any(s.radius_sq != r2 for s in spheres):
-            raise ValueError("all sphere entries must share one radius")
-        return spheres[0]
-    return None
-
-
-def _sphere_sample(rng: np.random.Generator, m: int, radius_sq: float) -> np.ndarray:
-    # Normalized Gaussian vector: rotation invariance gives the uniform
-    # sphere law, and the degenerate radius 0 collapses to the zero vector.
-    if radius_sq == 0.0:
-        return np.zeros(m)
-    z = rng.standard_normal(m)
-    norm = np.linalg.norm(z)
-    while norm == 0.0:  # probability-zero guard
-        z = rng.standard_normal(m)
-        norm = np.linalg.norm(z)
-    return z * (math.sqrt(radius_sq) / norm)
-
-
-def sample_weights(dists, rng: np.random.Generator) -> list[LineAdmittance]:
-    """Draw one admittance per line.
-
-    Per-line kinds sample independently in line order (fixed draw count per
-    kind, so replays are deterministic). The sphere kind draws the whole g
-    and b vectors jointly, enforcing g^T g = b^T b = radius_sq exactly.
-    """
-    dists = list(dists)
-    sphere = _validate_homogeneous_sphere(dists)
-    if sphere is not None:
-        m = len(dists)
-        g = _sphere_sample(rng, m, sphere.radius_sq)
-        b = _sphere_sample(rng, m, sphere.radius_sq)
-        return [LineAdmittance(float(g[l]), float(b[l])) for l in range(m)]
-
-    out = []
-    for d in dists:
-        if isinstance(d, FixedDeterministic):
-            w = complex(d.admittance)
-        elif isinstance(d, FixedBernoulli):
-            w = complex(d.admittance) if rng.random() < d.prob else 0j
-        elif isinstance(d, BoundedPerturbation):
-            dg = rng.uniform(-d.delta, d.delta)
-            db = rng.uniform(-d.delta, d.delta)
-            w = complex(d.center_g + dg, d.center_b + db)
-        else:
-            raise ValueError(f"unknown line distribution {type(d).__name__}")
-        out.append(LineAdmittance(w.real, w.imag))
-    return out
-
-
-def expected_weights(dists) -> list[LineAdmittance]:
-    """Closed-form per-line means (Bernoulli p*y, bounded center, sphere 0)."""
-    means = []
-    for d in dists:
-        try:
-            mu = d.mean
-        except AttributeError:
-            raise ValueError(f"no closed-form mean for {type(d).__name__}") from None
-        means.append(LineAdmittance(mu.real, mu.imag))
-    return means
-
-
-def expected_admittance(topology: Topology, dists) -> AdmittanceMatrix:
-    """E[Y] assembled from the per-line closed-form means."""
-    return assemble_admittance(topology, expected_weights(dists))
+def expected_admittance(topology: Topology, law: LineLaw) -> AdmittanceMatrix:
+    """E[Y] = A^T diag(E w) A, every line carrying the law's closed-form mean."""
+    return assemble_admittance(topology, np.full(topology.n_edges, law.mean))
 
 
 def center(sample: AdmittanceMatrix, expected: AdmittanceMatrix) -> np.ndarray:
@@ -322,67 +372,3 @@ def center(sample: AdmittanceMatrix, expected: AdmittanceMatrix) -> np.ndarray:
     if sample.matrix.shape != expected.matrix.shape:
         raise ValueError("sample/expected shape mismatch")
     return sample.matrix - expected.matrix
-
-
-def max_abs_support(dist: LineDistribution) -> float:
-    """Supremum of |w| over the distribution's support.
-
-    Used to validate the |w| <= 1 hypothesis of the bounded-admittance
-    expectation bound before applying it.
-    """
-    if isinstance(dist, FixedDeterministic):
-        return abs(complex(dist.admittance))
-    if isinstance(dist, FixedBernoulli):
-        return abs(complex(dist.admittance))
-    if isinstance(dist, BoundedPerturbation):
-        return math.hypot(abs(dist.center_g) + dist.delta, abs(dist.center_b) + dist.delta)
-    if isinstance(dist, SphereUniform):
-        # Each coordinate of either vector can carry the full radius.
-        return math.sqrt(2.0 * dist.radius_sq)
-    raise ValueError(f"unknown line distribution {type(dist).__name__}")
-
-
-def _complex_pair(w: complex) -> list[float]:
-    w = complex(w)
-    return [w.real, w.imag]
-
-
-def distributions_to_json(dists) -> list[dict]:
-    """JSON-friendly per-line distribution spec list."""
-    out = []
-    for d in dists:
-        if isinstance(d, FixedDeterministic):
-            out.append({"kind": "fixed", "admittance": _complex_pair(d.admittance)})
-        elif isinstance(d, FixedBernoulli):
-            out.append({"kind": "bernoulli", "admittance": _complex_pair(d.admittance),
-                        "p": d.prob})
-        elif isinstance(d, BoundedPerturbation):
-            out.append({"kind": "bounded", "center_g": d.center_g,
-                        "center_b": d.center_b, "delta": d.delta})
-        elif isinstance(d, SphereUniform):
-            out.append({"kind": "sphere", "radius_sq": d.radius_sq})
-        else:
-            raise ValueError(f"unknown line distribution {type(d).__name__}")
-    return out
-
-
-def distributions_from_json(items) -> list[LineDistribution]:
-    """Inverse of :func:`distributions_to_json`."""
-    out = []
-    for item in items:
-        kind = item.get("kind")
-        if kind == "fixed":
-            re, im = item["admittance"]
-            out.append(FixedDeterministic(complex(re, im)))
-        elif kind == "bernoulli":
-            re, im = item["admittance"]
-            out.append(FixedBernoulli(complex(re, im), float(item["p"])))
-        elif kind == "bounded":
-            out.append(BoundedPerturbation(float(item["center_g"]),
-                                           float(item["center_b"]),
-                                           float(item["delta"])))
-        elif kind == "sphere":
-            out.append(SphereUniform(float(item.get("radius_sq", 0.5))))
-        else:
-            raise ValueError(f"unknown line distribution kind {kind!r}")
-    return out

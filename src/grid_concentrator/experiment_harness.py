@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
@@ -45,10 +45,10 @@ import numpy as np
 from . import bounds as bnd
 from . import graph_core as gc
 from .admittance import (
-    FixedDeterministic,
-    LineAdmittance,
+    LineLaw,
+    UnitDisk,
     assemble_admittance,
-    max_abs_support,
+    line_law_from_json,
     weighted_laplacians,
 )
 from .manifold import expected_distance_bound, tangent_residual, tangent_step
@@ -99,7 +99,7 @@ class ExperimentConfig:
     samples: int | None = None
     seed: int = 0
     p_grid: tuple = ()
-    line_model: dict = field(default_factory=lambda: {"kind": "disk"})
+    line_model: LineLaw = UnitDisk()
     topology: gc.Topology | None = None
     probs: tuple | float = 0.5
     admittances: object = 1.0
@@ -138,6 +138,10 @@ class ExperimentConfig:
         if self.delta < 0:
             raise ConfigError("delta must be >= 0")
         object.__setattr__(self, "p_grid", tuple(_finite("p_grid", p) for p in self.p_grid))
+        try:
+            object.__setattr__(self, "line_model", line_law_from_json(self.line_model))
+        except ValueError as exc:
+            raise ConfigError(f"line_model {exc}") from exc
         for p in self.p_grid:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"sweep probability {p} outside [0, 1]")
@@ -146,13 +150,14 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         """Build from a JSON-style dict.
 
-        Recognized keys: experiment, n, samples, seed, p_grid, line_model,
+        Recognized keys: experiment, n, samples, seed, p_grid, line_model
+        (see :func:`~grid_concentrator.admittance.line_law_from_json`),
         topology (either {"name": "path"|"complete"|"star", "n": N} or
         {"n": N, "edges": [[i,j],...], "reference": int|null}), probs
-        (scalar or per-line list), admittances (scalar, [re,im] pair, or
-        list of pairs), t_grid, backend, delta, center_g, center_b
-        (scalar or per-line list), h (scalar magnitude or list of [re,im]
-        pairs), out, format.
+        (scalar or per-line list), admittances (scalar, [re,im] pair when
+        m != 2, or a per-line list of scalars and pairs), t_grid, backend,
+        delta, center_g, center_b (scalar or per-line list), h (scalar
+        magnitude or list of [re,im] pairs), out, format.
         """
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
@@ -244,44 +249,6 @@ def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Gene
         np.random.SeedSequence((int(seed) % (1 << 64), int(sweep_index), int(sample_index))))
 
 
-# ---------------------------------------------------------------------------
-# weight laws for per-sample draws
-# ---------------------------------------------------------------------------
-
-def _validate_line_model(model: dict) -> dict:
-    if not isinstance(model, dict) or "kind" not in model:
-        raise ConfigError("line_model must be an object with a 'kind'")
-    kind = model["kind"]
-    if kind == "disk":
-        return {"kind": "disk"}
-    if kind == "fixed":
-        re, im = model.get("admittance", [1.0, 0.0])
-        w = complex(float(re), float(im))
-        return {"kind": "fixed", "admittance": w}
-    raise ConfigError(f"unsupported line_model kind {kind!r} "
-                      "(expected 'disk' or 'fixed')")
-
-
-def _line_model_support(model: dict) -> float:
-    if model["kind"] == "disk":
-        return 1.0
-    return max_abs_support(FixedDeterministic(model["admittance"]))
-
-
-def _draw_line_weights(model: dict, m: int, rng: np.random.Generator) -> list[LineAdmittance]:
-    """One weight per line. The disk law is uniform on the complex unit disk
-    with g >= 0, b <= 0 enforced by reflection."""
-    if model["kind"] == "fixed":
-        w = model["admittance"]
-        return [LineAdmittance(w.real, w.imag)] * m
-    out = []
-    for _ in range(m):
-        r = math.sqrt(rng.random())
-        phi = 2.0 * math.pi * rng.random()
-        out.append(LineAdmittance(abs(r * math.cos(phi)), -abs(r * math.sin(phi))))
-    return out
-
-
 def _broadcast_per_line(value, m: int, name: str) -> np.ndarray:
     try:
         arr = np.atleast_1d(np.asarray(value, dtype=float))
@@ -294,23 +261,30 @@ def _broadcast_per_line(value, m: int, name: str) -> np.ndarray:
     return arr
 
 
+def _admittance_value(item) -> complex:
+    if isinstance(item, complex):
+        item = (item.real, item.imag)
+    if isinstance(item, (list, tuple)) and len(item) == 2:
+        return complex(_finite("admittances", item[0]), _finite("admittances", item[1]))
+    return complex(_finite("admittances", item))
+
+
 def _parse_admittances(value, m: int) -> np.ndarray:
-    """Scalar, [re, im] pair, or list of [re, im] pairs -> complex (m,) array."""
-    if isinstance(value, (int, float, complex)):
-        return np.full(m, complex(value))
-    seq = list(value)
-    if len(seq) == 2 and all(isinstance(x, (int, float)) for x in seq):
-        return np.full(m, complex(seq[0], seq[1]))
-    if len(seq) != m:
+    """Scalar, [re, im] pair (m != 2), or per-line list -> complex (m,) array.
+
+    On two lines a flat pair could mean one complex value or two real ones,
+    so it is rejected there; write per-line pairs [[re, im], [re, im]].
+    """
+    if not isinstance(value, (list, tuple)):
+        return np.full(m, _admittance_value(value))
+    if len(value) == 2 and not any(isinstance(x, (list, tuple)) for x in value):
+        if m == 2:
+            raise ConfigError(f"admittances {list(value)!r} is ambiguous on 2 lines: "
+                              "give per-line [re, im] pairs")
+        return np.full(m, _admittance_value(value))
+    if len(value) != m:
         raise ConfigError(f"admittances must broadcast to {m} lines")
-    out = []
-    for item in seq:
-        if isinstance(item, (int, float, complex)):
-            out.append(complex(item))
-        else:
-            re, im = item
-            out.append(complex(float(re), float(im)))
-    return np.array(out)
+    return np.array([_admittance_value(item) for item in value])
 
 
 def _contingency_model(cfg: ExperimentConfig) -> tuple[gc.Topology, bnd.ContingencyModel]:
@@ -318,8 +292,6 @@ def _contingency_model(cfg: ExperimentConfig) -> tuple[gc.Topology, bnd.Continge
     m = topology.n_edges
     probs = _broadcast_per_line(cfg.probs, m, "probs")
     admittances = _parse_admittances(cfg.admittances, m)
-    if not np.all(np.isfinite(admittances)):
-        raise ConfigError("admittances must be finite")
     try:
         model = bnd.ContingencyModel(topology, probs, admittances)
     except ValueError as exc:
@@ -334,6 +306,14 @@ def _chunks(total: int, topology: gc.Topology):
     rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
     for start in range(0, total, rows):
         yield start, min(start + rows, total)
+
+
+def _require_unit_support(cfg: ExperimentConfig):
+    """The degree bound assumes |w| <= 1 per-unit on every line."""
+    support = cfg.line_model.support
+    if support > 1.0 + 1e-12:
+        raise ConfigError(f"line_model must have |w| <= 1 per-unit for {cfg.experiment}, "
+                          f"but its support reaches {support:.6g}")
 
 
 def _batched_operator_norms(batch: np.ndarray) -> np.ndarray:
@@ -357,9 +337,7 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
     max degree, the sampled ||Y||, and the expectation bound evaluated at
     that sample's realized max degree.
     """
-    model = _validate_line_model(cfg.line_model)
-    if _line_model_support(model) > 1.0 + 1e-12:
-        raise ConfigError("fig1 requires a line law with |w| <= 1 per-unit")
+    _require_unit_support(cfg)
     p_grid = cfg.p_grid or tuple(round(0.1 * k, 2) for k in range(1, 11))
     samples = cfg.samples if cfg.samples is not None else 200
     records = []
@@ -368,7 +346,7 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
         for sample_index in range(samples):
             rng = sample_rng(cfg.seed, sweep_index, sample_index)
             topology = gc.sample_er_topology(cfg.n, p, rng)
-            weights = _draw_line_weights(model, topology.n_edges, rng)
+            weights = cfg.line_model.sample(rng, topology.n_edges)
             norm = operator_norm(assemble_admittance(topology, weights).matrix)
             delta = gc.max_degree(topology)
             bound = bnd.thm1_expectation_bound(cfg.n, delta).value
@@ -620,9 +598,7 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     max degree.
     """
     topology = cfg.topology or gc.path_topology(3)
-    model = _validate_line_model(cfg.line_model)
-    if _line_model_support(model) > 1.0 + 1e-12:
-        raise ConfigError("manifold experiment requires a |w| <= 1 line law")
+    _require_unit_support(cfg)
     samples = cfg.samples if cfg.samples is not None else 200
     h = _parse_step(cfg.h, topology.n_nodes)
     h2 = float(np.linalg.norm(h))
@@ -635,8 +611,7 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     rows = []
     for s in range(samples):
         rng = sample_rng(cfg.seed, 0, s)
-        weights = _draw_line_weights(model, topology.n_edges, rng)
-        y = assemble_admittance(topology, weights)
+        y = assemble_admittance(topology, cfg.line_model.sample(rng, topology.n_edges))
         y_norm = operator_norm(y.matrix)
         step = tangent_step(y, u_flat, h)
         residual_cert = 3.0 * float(np.linalg.norm(tangent_residual(y, step)))

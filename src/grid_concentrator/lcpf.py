@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .admittance import line_weights
 from .graph_core import Topology, incidence_matrix, is_tree
 
 __all__ = [
     "FlatStartJacobian",
     "ImpedanceBlocks",
-    "line_parameters",
     "flat_start_jacobian",
     "invert_tree_lcpf",
     "lcpf_solve",
@@ -79,35 +79,18 @@ class ImpedanceBlocks:
         return np.block([[r, x], [x, -r]])
 
 
-def line_parameters(lines) -> tuple[np.ndarray, np.ndarray]:
-    """Split a list of (g, b) pairs (or objects with .g/.b) into arrays."""
-    gs, bs = [], []
-    for line in lines:
-        if hasattr(line, "g") and hasattr(line, "b"):
-            gs.append(float(line.g))
-            bs.append(float(line.b))
-        else:
-            g, b = line
-            gs.append(float(g))
-            bs.append(float(b))
-    return np.array(gs), np.array(bs)
-
-
-def flat_start_jacobian(topology: Topology, lines,
+def flat_start_jacobian(topology: Topology, weights,
                         reduced: bool = False) -> FlatStartJacobian:
-    """Assemble [[G, -B], [-B, -G]] from per-line conductance/susceptance.
+    """Assemble [[G, -B], [-B, -G]] from line admittances w = g + jb.
 
-    ``lines`` is one (g, b) pair per edge, in edge order. With ``reduced``
+    ``weights`` is a complex (m,) array in edge order. With ``reduced``
     the reference node's incidence column is dropped first (blocks become
     (n-1) x (n-1)), which is the invertible form used on trees.
     """
-    g, b = line_parameters(lines)
-    if g.shape[0] != topology.n_edges:
-        raise ValueError(f"{g.shape[0]} line parameters for "
-                         f"{topology.n_edges} lines")
+    w = line_weights(topology, weights)
     a = incidence_matrix(topology, reduced=reduced)
-    return FlatStartJacobian(g_matrix=a.T @ (g[:, None] * a),
-                             b_matrix=a.T @ (b[:, None] * a))
+    return FlatStartJacobian(g_matrix=a.T @ (w.real[:, None] * a),
+                             b_matrix=a.T @ (w.imag[:, None] * a))
 
 
 def _check_numerical_agreement(lhs: np.ndarray, rhs: np.ndarray, what: str):
@@ -119,7 +102,7 @@ def _check_numerical_agreement(lhs: np.ndarray, rhs: np.ndarray, what: str):
 
 
 def invert_tree_lcpf(jacobian: FlatStartJacobian, topology: Topology,
-                     lines) -> ImpedanceBlocks:
+                     weights) -> ImpedanceBlocks:
     """Closed-form inverse blocks R, X of the reduced flat-start operator.
 
     Requires a tree with a reference node, all conductances strictly
@@ -131,10 +114,8 @@ def invert_tree_lcpf(jacobian: FlatStartJacobian, topology: Topology,
         raise ValueError("closed-form inverse requires a tree topology")
     if topology.reference_node is None:
         raise ValueError("tree inverse requires a reference node (reduced incidence)")
-    g, b = line_parameters(lines)
-    if g.shape[0] != topology.n_edges:
-        raise ValueError(f"{g.shape[0]} line parameters for "
-                         f"{topology.n_edges} lines")
+    w = line_weights(topology, weights)
+    g, b = w.real, w.imag
     if np.any(g <= 0.0):
         raise ValueError("all line conductances must be > 0 (G would be singular)")
     n_red = topology.n_nodes - 1

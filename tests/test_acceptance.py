@@ -17,7 +17,6 @@ from grid_concentrator import graph_core as gc
 from grid_concentrator import lcpf
 from grid_concentrator import manifold as mf
 from grid_concentrator.admittance import (
-    LineAdmittance,
     assemble_admittance,
     elementary_jacobian,
     flat_start_lift,
@@ -233,7 +232,7 @@ def test_criterion_07_tree_inversion():
         t = gc.sample_random_tree(n, rng, reference_node=int(rng.integers(0, n)))
         g = 2.0 * (1.0 - rng.random(t.n_edges))   # in (0, 2]
         b = -2.0 + 2.0 * rng.random(t.n_edges)    # in [-2, 0)
-        lines = list(zip(g, b))
+        lines = g + 1j * b
         jac = lcpf.flat_start_jacobian(t, lines, reduced=True)
         blocks = lcpf.invert_tree_lcpf(jac, t, lines)
         # independent line-space oracle
@@ -263,8 +262,8 @@ def test_criterion_08_manifold_identities():
     failures = 0
     for _ in range(100):
         t = gc.sample_er_topology(int(rng.integers(2, 7)), 0.6, rng)
-        w = [LineAdmittance(rng.uniform(-1, 1), rng.uniform(-1, 1))
-             for _ in range(t.n_edges)]
+        w = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(t.n_edges)])
         y = assemble_admittance(t, w)
         n = t.n_nodes
         u = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
@@ -296,18 +295,18 @@ def test_criterion_09_norm_lift_and_kronecker_reconstruction():
     failures = 0
     for _ in range(100):
         t = gc.sample_er_topology(int(rng.integers(2, 8)), 0.6, rng)
-        w = [LineAdmittance(rng.uniform(-1, 1), rng.uniform(-1, 1))
-             for _ in range(t.n_edges)]
+        w = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(t.n_edges)])
         y = assemble_admittance(t, w)
         n = t.n_nodes
         lifted = lift_real(y)
         norm_ok = abs(operator_norm(lifted) - operator_norm(y.matrix)) <= 1e-9
         lift_sum = np.zeros((2 * n, 2 * n))
         jac_sum = np.zeros((2 * n, 2 * n))
-        for la, (i, j) in zip(w, t.edges):
-            lift_sum += elementary_jacobian(la.g, la.b, i, j, n, "lifted")
-            jac_sum += elementary_jacobian(la.g, la.b, i, j, n, "jacobian")
-        f = lcpf.flat_start_jacobian(t, [(la.g, la.b) for la in w])
+        for wl, (i, j) in zip(w, t.edges):
+            lift_sum += elementary_jacobian(wl.real, wl.imag, i, j, n, "lifted")
+            jac_sum += elementary_jacobian(wl.real, wl.imag, i, j, n, "jacobian")
+        f = lcpf.flat_start_jacobian(t, w)
         recon_ok = (np.max(np.abs(lift_sum - lifted), initial=0.0) <= 1e-12
                     and np.max(np.abs(jac_sum - f.matrix), initial=0.0) <= 1e-12
                     and np.max(np.abs(flat_start_lift(y) - f.matrix),

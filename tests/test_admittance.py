@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from grid_concentrator.spectra import operator_norm
 
 def _random_laplacian(rng, n, p=0.6):
     t = gc.sample_er_topology(n, p, rng)
-    w = [adm.LineAdmittance(rng.uniform(-1, 1), rng.uniform(-1, 1))
-         for _ in range(t.n_edges)]
+    w = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for _ in range(t.n_edges)])
     return t, w, adm.assemble_admittance(t, w)
 
 
@@ -46,13 +48,13 @@ def test_elementary_laplacian_rejects_bad_endpoints():
 
 def test_assemble_single_line_unit():
     t = gc.build_topology(2, [(0, 1)])
-    y = adm.assemble_admittance(t, [adm.LineAdmittance(1.0, 0.0)])
+    y = adm.assemble_admittance(t, [1.0 + 0j])
     np.testing.assert_allclose(y.matrix, [[1, -1], [-1, 1]])
 
 
 def test_assemble_single_line_complex():
     t = gc.build_topology(2, [(0, 1)])
-    y = adm.assemble_admittance(t, [adm.LineAdmittance(1.0, -1.0)])
+    y = adm.assemble_admittance(t, [1.0 - 1.0j])
     np.testing.assert_allclose(y.matrix,
                                [[1 - 1j, -1 + 1j], [-1 + 1j, 1 - 1j]])
 
@@ -60,13 +62,22 @@ def test_assemble_single_line_complex():
 def test_assemble_k3_unit_norm():
     # complete-graph Laplacian eigenvalues {0, 3, 3}
     t = gc.complete_topology(3)
-    y = adm.assemble_admittance(t, [adm.LineAdmittance(1.0, 0.0)] * 3)
+    y = adm.assemble_admittance(t, np.ones(3, dtype=complex))
     assert operator_norm(y.matrix) == pytest.approx(3.0, abs=1e-10)
 
 
 def test_assemble_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        adm.assemble_admittance(gc.complete_topology(3), [adm.LineAdmittance(1, 0)])
+        adm.assemble_admittance(gc.complete_topology(3), [1.0 + 0j])
+
+
+def test_assemble_rejects_pairs_and_batches():
+    # (g, b) pairs and stacked weight arrays are not an (m,) weight array
+    t = gc.complete_topology(3)
+    with pytest.raises(ValueError, match=r"\(3, 2\)"):
+        adm.assemble_admittance(t, [(1.0, 0.0)] * 3)
+    with pytest.raises(ValueError):
+        adm.assemble_admittance(t, np.ones((2, 3)))
 
 
 def test_assemble_invariants_random():
@@ -76,8 +87,8 @@ def test_assemble_invariants_random():
         # complex symmetric, zero row sums, and the rank-one reconstruction
         np.testing.assert_allclose(y.matrix, y.matrix.T, atol=1e-12)
         np.testing.assert_allclose(y.matrix.sum(axis=1), 0.0, atol=1e-12)
-        rebuilt = sum((la.w * adm.elementary_laplacian(i, j, t.n_nodes)
-                       for la, (i, j) in zip(w, t.edges)),
+        rebuilt = sum((wl * adm.elementary_laplacian(i, j, t.n_nodes)
+                       for wl, (i, j) in zip(w, t.edges)),
                       start=np.zeros((t.n_nodes, t.n_nodes), dtype=complex))
         np.testing.assert_allclose(y.matrix, rebuilt, atol=1e-12)
 
@@ -139,7 +150,7 @@ def test_monte_carlo_sample_replays_alone(monkeypatch):
 
 def test_lift_real_block_structure_real_y():
     t = gc.path_topology(3)
-    y = adm.assemble_admittance(t, [adm.LineAdmittance(1.0, 0.0)] * 2)
+    y = adm.assemble_admittance(t, np.ones(2, dtype=complex))
     lifted = adm.lift_real(y)
     g = y.matrix.real
     np.testing.assert_allclose(lifted[:3, :3], g)
@@ -151,7 +162,7 @@ def test_lift_real_block_structure_real_y():
 def test_lift_real_single_complex_line():
     # |w| * ||E|| = sqrt(2) * 2
     t = gc.build_topology(2, [(0, 1)])
-    y = adm.assemble_admittance(t, [adm.LineAdmittance(1.0, -1.0)])
+    y = adm.assemble_admittance(t, [1.0 - 1.0j])
     expected = 2.0 * np.sqrt(2.0)
     assert operator_norm(y.matrix) == pytest.approx(expected, abs=1e-10)
     assert operator_norm(adm.lift_real(y)) == pytest.approx(expected, abs=1e-10)
@@ -194,62 +205,70 @@ def test_kronecker_reconstruction_of_lift_and_jacobian():
         n = t.n_nodes
         lifted_sum = np.zeros((2 * n, 2 * n))
         jac_sum = np.zeros((2 * n, 2 * n))
-        for la, (i, j) in zip(w, t.edges):
-            lifted_sum += adm.elementary_jacobian(la.g, la.b, i, j, n, "lifted")
-            jac_sum += adm.elementary_jacobian(la.g, la.b, i, j, n, "jacobian")
+        for wl, (i, j) in zip(w, t.edges):
+            lifted_sum += adm.elementary_jacobian(wl.real, wl.imag, i, j, n, "lifted")
+            jac_sum += adm.elementary_jacobian(wl.real, wl.imag, i, j, n, "jacobian")
         np.testing.assert_allclose(lifted_sum, adm.lift_real(y), atol=1e-12)
-        f = flat_start_jacobian(t, [(la.g, la.b) for la in w])
+        f = flat_start_jacobian(t, w)
         np.testing.assert_allclose(jac_sum, f.matrix, atol=1e-12)
         np.testing.assert_allclose(adm.flat_start_lift(y), f.matrix, atol=1e-12)
 
 
 def test_sample_weights_bernoulli_degenerate():
     rng = np.random.default_rng(35)
-    always = [adm.FixedBernoulli(0.5 - 0.5j, 1.0)] * 4
-    never = [adm.FixedBernoulli(0.5 - 0.5j, 0.0)] * 4
+    always = adm.FixedBernoulli(0.5 - 0.5j, 1.0)
+    never = adm.FixedBernoulli(0.5 - 0.5j, 0.0)
     for _ in range(10):
-        assert all(w.w == 0.5 - 0.5j for w in adm.sample_weights(always, rng))
-        assert all(w.w == 0.0 for w in adm.sample_weights(never, rng))
+        assert np.all(always.sample(rng, 4) == 0.5 - 0.5j)
+        assert np.all(never.sample(rng, 4) == 0.0)
 
 
 def test_sample_weights_sphere_constraint():
     rng = np.random.default_rng(36)
-    dists = [adm.SphereUniform(radius_sq=0.5)] * 8
+    law = adm.SphereUniform(radius_sq=0.5)
     for _ in range(25):
-        ws = adm.sample_weights(dists, rng)
-        g = np.array([w.g for w in ws])
-        b = np.array([w.b for w in ws])
-        assert g @ g == pytest.approx(0.5, abs=1e-12)
-        assert b @ b == pytest.approx(0.5, abs=1e-12)
+        w = law.sample(rng, 8)
+        assert w.real @ w.real == pytest.approx(0.5, abs=1e-12)
+        assert w.imag @ w.imag == pytest.approx(0.5, abs=1e-12)
 
 
-def test_sample_weights_sphere_cannot_mix():
-    rng = np.random.default_rng(37)
-    with pytest.raises(ValueError, match="joint"):
-        adm.sample_weights([adm.SphereUniform(), adm.FixedDeterministic(1.0)], rng)
+def test_sphere_sample_without_lines_is_empty():
+    # A zero-length normal vector has norm 0, so the renormalization loop must
+    # not run on it; fig1 draws m = 0 topologies at small p.
+    def expire(signum, frame):
+        raise TimeoutError("still running after 5 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        for radius_sq in (0.5, 0.0):
+            w = adm.SphereUniform(radius_sq).sample(np.random.default_rng(37), 0)
+            assert w.shape == (0,) and w.dtype == complex
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sample_weights_bounded_support():
     rng = np.random.default_rng(38)
-    dists = [adm.BoundedPerturbation(1.0, -1.0, 0.25)] * 5
+    law = adm.BoundedPerturbation(1.0, -1.0, 0.25)
     for _ in range(50):
-        for w in adm.sample_weights(dists, rng):
-            assert abs(w.g - 1.0) <= 0.25
-            assert abs(w.b + 1.0) <= 0.25
+        w = law.sample(rng, 5)
+        assert np.all(np.abs(w.real - 1.0) <= 0.25)
+        assert np.all(np.abs(w.imag + 1.0) <= 0.25)
 
 
 def test_expected_admittance_bernoulli():
     t = gc.build_topology(2, [(0, 1)])
-    ey = adm.expected_admittance(t, [adm.FixedBernoulli(1.0 + 0.0j, 0.5)])
+    ey = adm.expected_admittance(t, adm.FixedBernoulli(1.0 + 0.0j, 0.5))
     np.testing.assert_allclose(ey.matrix, 0.5 * adm.elementary_laplacian(0, 1, 2))
 
 
 def test_center_deterministic_is_zero():
     t = gc.path_topology(3)
-    dists = [adm.FixedDeterministic(0.3 - 0.7j)] * 2
+    law = adm.FixedDeterministic(0.3 - 0.7j)
     rng = np.random.default_rng(39)
-    sample = adm.assemble_admittance(t, adm.sample_weights(dists, rng))
-    expected = adm.expected_admittance(t, dists)
+    sample = adm.assemble_admittance(t, law.sample(rng, t.n_edges))
+    expected = adm.expected_admittance(t, law)
     np.testing.assert_allclose(adm.center(sample, expected), 0.0, atol=1e-15)
 
 
@@ -271,22 +290,48 @@ def test_centered_samples_have_zero_mean():
 
 
 def test_max_abs_support():
-    assert adm.max_abs_support(adm.FixedDeterministic(0.6 + 0.8j)) == pytest.approx(1.0)
-    assert adm.max_abs_support(adm.FixedBernoulli(0.5j, 0.3)) == pytest.approx(0.5)
-    assert adm.max_abs_support(adm.BoundedPerturbation(1.0, -1.0, 0.5)) == \
+    assert adm.UnitDisk().support == 1.0
+    assert adm.FixedDeterministic(0.6 + 0.8j).support == pytest.approx(1.0)
+    assert adm.FixedBernoulli(0.5j, 0.3).support == pytest.approx(0.5)
+    assert adm.BoundedPerturbation(1.0, -1.0, 0.5).support == \
         pytest.approx(np.hypot(1.5, 1.5))
-    assert adm.max_abs_support(adm.SphereUniform(0.5)) == pytest.approx(1.0)
+    assert adm.SphereUniform(0.5).support == pytest.approx(1.0)
 
 
-def test_distribution_json_round_trip():
-    dists = [
-        adm.FixedDeterministic(0.5 - 0.25j),
-        adm.FixedBernoulli(1.0 + 0.0j, 0.75),
-        adm.BoundedPerturbation(1.0, -2.0, 0.1),
-        adm.SphereUniform(0.5),
-    ]
-    back = adm.distributions_from_json(adm.distributions_to_json(dists))
-    assert back == dists
+def test_line_law_from_json():
+    parse = adm.line_law_from_json
+    assert parse({"kind": "disk"}) == adm.UnitDisk()
+    assert parse({"kind": "fixed"}) == adm.FixedDeterministic(1.0 + 0.0j)
+    assert parse({"kind": "fixed", "admittance": [0.5, -0.25]}) == \
+        adm.FixedDeterministic(0.5 - 0.25j)
+    assert parse({"kind": "bernoulli", "admittance": [1, 0], "p": 0.75}) == \
+        adm.FixedBernoulli(1.0 + 0.0j, 0.75)
+    assert parse({"kind": "bounded", "center_g": 1.0, "center_b": -2.0,
+                  "delta": 0.1}) == adm.BoundedPerturbation(1.0, -2.0, 0.1)
+    assert parse({"kind": "sphere"}) == adm.SphereUniform(0.5)
+    assert parse({"kind": "sphere", "radius_sq": 0.25}) == adm.SphereUniform(0.25)
+    law = adm.SphereUniform(0.1)
+    assert parse(law) is law
+
+
+@pytest.mark.parametrize("spec", [
+    "disk",
+    {"admittance": [1.0, 0.0]},
+    {"kind": "cauchy"},
+    {"kind": "disk", "radius": 2.0},
+    {"kind": "fixed", "admittance": [1]},
+    {"kind": "fixed", "admittance": [float("nan"), 0.0]},
+    {"kind": "fixed", "admittance": [True, False]},
+    {"kind": "fixed", "admittance": "1+0j"},
+    {"kind": "bernoulli", "admittance": [1.0, 0.0]},
+    {"kind": "bernoulli", "p": 1.5},
+    {"kind": "bounded", "center_g": 1.0, "center_b": -1.0},
+    {"kind": "bounded", "center_g": 1.0, "center_b": -1.0, "delta": -0.1},
+    {"kind": "sphere", "radius_sq": float("inf")},
+])
+def test_line_law_from_json_rejects(spec):
+    with pytest.raises(ValueError):
+        adm.line_law_from_json(spec)
 
 
 def test_invalid_distribution_parameters():

@@ -5,7 +5,7 @@ import pytest
 
 from grid_concentrator import bounds as bnd
 from grid_concentrator import graph_core as gc
-from grid_concentrator.admittance import LineAdmittance, assemble_admittance
+from grid_concentrator.admittance import assemble_admittance
 from grid_concentrator.experiment_harness import sample_rng
 from grid_concentrator.spectra import intrinsic_dimension, kron, operator_norm
 
@@ -63,8 +63,7 @@ def test_thm1_dominates_k3_monte_carlo_mean():
         rng = sample_rng(7, 0, s)
         r = np.sqrt(rng.random(3))
         phi = 2 * np.pi * rng.random(3)
-        w = [LineAdmittance(abs(r[l] * np.cos(phi[l])), -abs(r[l] * np.sin(phi[l])))
-             for l in range(3)]
+        w = np.abs(r * np.cos(phi)) - 1j * np.abs(r * np.sin(phi))
         norms.append(operator_norm(assemble_admittance(t, w).matrix))
     assert np.mean(norms) <= bound
     assert max(norms) <= det_bound + 1e-12

@@ -4,8 +4,9 @@ Reruns within one process are checked elsewhere (acceptance criterion 10);
 these digests catch output drift between versions of the code. A digest may
 change only with a recorded, intentional re-baseline.
 
-``fig1`` is left out: its last digits depend on the BLAS thread count. Every
-config here gives the same digest with one and with two BLAS threads.
+Every config here gives the same digest with one and with two BLAS threads.
+The ``fig1`` configs run at n = 8: at n = 20 the table's last digits have been
+seen to change with the BLAS thread count.
 """
 
 import hashlib
@@ -19,8 +20,16 @@ from grid_concentrator import experiment_harness as eh
 _MESH = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2], [0, 1]]}
 _MESH_PROBS = [0.5, 0.3, 0.8, 0.6, 0.25]
 _MESH_ADMITTANCES = [[0.6, -0.8], [0.5, -0.5], [1.0, 0.0], [0.3, -0.9], [0.2, -0.7]]
+_FIXED_LAW = {"kind": "fixed", "admittance": [0.6, -0.8]}
+_FIG1 = {"experiment": "fig1", "n": 8, "samples": 10, "seed": 3, "p_grid": [0.3, 0.7]}
 
 GOLDEN = {
+    "fig1_disk": (
+        _FIG1,
+        "7db65db27a47129c7e6897b49a75107196bcc08e14d1d7674bd2ca947c4dd98d"),
+    "fig1_fixed": (
+        {**_FIG1, "line_model": _FIXED_LAW},
+        "c2886e8b63d9010057ea755bbe9a45573a467c24437d3a491ce9f1bb24c27e4d"),
     "thm2_tail_bruteforce": (
         {"experiment": "thm2_tail", "backend": "bruteforce", "topology": _MESH,
          "probs": _MESH_PROBS, "admittances": _MESH_ADMITTANCES},
@@ -71,6 +80,10 @@ GOLDEN = {
         {"experiment": "manifold", "topology": {"name": "complete", "n": 4},
          "samples": 20, "seed": 3, "h": 0.1},
         "a1cb1b12e3ad9befc22de730a71da5631e8611bcf7080e5ecae64096a5c903ab"),
+    "manifold_fixed": (
+        {"experiment": "manifold", "topology": {"name": "complete", "n": 4},
+         "samples": 20, "seed": 3, "h": 0.1, "line_model": _FIXED_LAW},
+        "58cb3ad6c73e2dc657528165eddbbcfa5eef630b1ee8ae8961d46b004ff64419"),
 }
 
 

@@ -392,6 +392,17 @@ def test_cli_config_error_exit_1(tmp_path):
     ("thm2_tail", {"backend": "montecarlo", "samples": True}, "samples"),
     ("fig1", {"n": True}, "n"),
     ("fig1", {"seed": False}, "seed"),
+    ("fig1", {"line_model": {"kind": "fixed", "admittance": [1]}}, "line_model"),
+    ("fig1", {"line_model": {"kind": "fixed", "admittance": [float("nan"), 0]}}, "line_model"),
+    ("fig1", {"line_model": {"kind": "fixed", "admittance": [True, False]}}, "line_model"),
+    ("fig1", {"line_model": "disk"}, "line_model"),
+    ("fig1", {"line_model": {"kind": "bounded", "center_g": 1.0, "center_b": -1.0,
+                             "delta": 0.1}}, "line_model"),
+    ("manifold", {"line_model": {"kind": "sphere", "radius_sq": 2.0}}, "line_model"),
+    ("thm2_tail", {"topology": {"name": "path", "n": 3}, "admittances": [0.5, 0.6]},
+     "admittances"),
+    ("thm2_tail", {"admittances": True}, "admittances"),
+    ("thm2_tail", {"admittances": [1.0, True, 1.0]}, "admittances"),
 ])
 def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config, field):
     cfg_path = tmp_path / "cfg.json"
@@ -399,6 +410,41 @@ def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config,
     assert cli.main([experiment, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field} ")
+
+
+_UNIT_LAWS = [
+    {"kind": "disk"},
+    {"kind": "fixed", "admittance": [0.6, -0.8]},
+    {"kind": "bernoulli", "admittance": [0.6, -0.8], "p": 0.5},
+    {"kind": "bounded", "center_g": 0.5, "center_b": -0.5, "delta": 0.2},
+    {"kind": "sphere", "radius_sq": 0.5},
+]
+
+
+@pytest.mark.parametrize("law", _UNIT_LAWS, ids=[law["kind"] for law in _UNIT_LAWS])
+@pytest.mark.parametrize("experiment,config,rows", [
+    # p = 0 draws topologies without lines
+    ("fig1", {"n": 6, "samples": 3, "p_grid": [0.0, 0.5]}, 6),
+    ("manifold", {"topology": {"name": "complete", "n": 4}, "samples": 3}, 3),
+])
+def test_cli_accepts_every_line_law(tmp_path, experiment, config, rows, law):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**config, "line_model": law}))
+    out = tmp_path / "out.csv"
+    assert cli.main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 1 + rows
+
+
+def test_admittance_forms():
+    np.testing.assert_array_equal(eh._parse_admittances(1.0, 2), [1.0, 1.0])
+    np.testing.assert_array_equal(eh._parse_admittances([0.6, -0.8], 3),
+                                  np.full(3, 0.6 - 0.8j))
+    np.testing.assert_array_equal(eh._parse_admittances([[0.5, 0], [0.6, 0]], 2),
+                                  [0.5, 0.6])
+    np.testing.assert_array_equal(eh._parse_admittances([0.5, [0.6, -0.1]], 2),
+                                  [0.5, 0.6 - 0.1j])
+    with pytest.raises(eh.ConfigError, match="ambiguous"):
+        eh._parse_admittances([0.5, 0.6], 2)
 
 
 def test_cli_unknown_experiment_exit_1(capsys):

@@ -12,13 +12,13 @@ def _single_line():
 
 def test_flat_start_single_reduced_line():
     t = _single_line()
-    j = lcpf.flat_start_jacobian(t, [(1.0, -1.0)], reduced=True)
+    j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)], reduced=True)
     np.testing.assert_allclose(j.matrix, [[1.0, 1.0], [1.0, -1.0]])
 
 
 def test_flat_start_p3_real_is_block_diagonal():
     t = gc.path_topology(3)
-    j = lcpf.flat_start_jacobian(t, [(1.0, 0.0), (1.0, 0.0)])
+    j = lcpf.flat_start_jacobian(t, [complex(1.0, 0.0), complex(1.0, 0.0)])
     lap = gc.unweighted_laplacian(t)
     np.testing.assert_allclose(j.matrix[:3, :3], lap)
     np.testing.assert_allclose(j.matrix[3:, 3:], -lap)
@@ -27,7 +27,7 @@ def test_flat_start_p3_real_is_block_diagonal():
 
 def test_flat_start_k3_indefinite():
     t = gc.complete_topology(3)
-    j = lcpf.flat_start_jacobian(t, [(1.0, -1.0)] * 3)
+    j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)] * 3)
     eigs = np.linalg.eigvalsh(j.matrix)
     assert eigs[0] < 0 < eigs[-1]
     np.testing.assert_allclose(j.matrix, j.matrix.T, atol=1e-12)
@@ -38,7 +38,7 @@ def test_flat_start_sign_semidefiniteness():
     rng = np.random.default_rng(61)
     for _ in range(20):
         t = gc.sample_random_tree(int(rng.integers(2, 10)), rng)
-        lines = [(rng.uniform(0.01, 2.0), rng.uniform(-2.0, 0.0))
+        lines = [complex(rng.uniform(0.01, 2.0), rng.uniform(-2.0, 0.0))
                  for _ in range(t.n_edges)]
         j = lcpf.flat_start_jacobian(t, lines)
         assert np.linalg.eigvalsh(j.g_matrix)[0] >= -1e-10
@@ -47,13 +47,15 @@ def test_flat_start_sign_semidefiniteness():
 
 def test_flat_start_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        lcpf.flat_start_jacobian(gc.path_topology(3), [(1.0, 0.0)])
+        lcpf.flat_start_jacobian(gc.path_topology(3), [complex(1.0, 0.0)])
+    with pytest.raises(ValueError):  # (g, b) pairs are not an (m,) weight array
+        lcpf.flat_start_jacobian(gc.path_topology(3), [(1.0, 0.0), (1.0, 0.0)])
 
 
 def test_invert_single_line():
     t = _single_line()
-    j = lcpf.flat_start_jacobian(t, [(1.0, -1.0)], reduced=True)
-    blocks = lcpf.invert_tree_lcpf(j, t, [(1.0, -1.0)])
+    j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)], reduced=True)
+    blocks = lcpf.invert_tree_lcpf(j, t, [complex(1.0, -1.0)])
     np.testing.assert_allclose(blocks.r_matrix, [[0.5]], atol=1e-12)
     np.testing.assert_allclose(blocks.x_matrix, [[0.5]], atol=1e-12)
     np.testing.assert_allclose(j.matrix @ blocks.matrix, np.eye(2), atol=1e-12)
@@ -62,7 +64,7 @@ def test_invert_single_line():
 def test_invert_pure_conductance_decouples():
     # b = 0: R is the inverse of the reduced conductance Laplacian, X = 0
     t = gc.path_topology(4, reference_node=0)
-    lines = [(1.0, 0.0)] * 3
+    lines = [complex(1.0, 0.0)] * 3
     j = lcpf.flat_start_jacobian(t, lines, reduced=True)
     blocks = lcpf.invert_tree_lcpf(j, t, lines)
     np.testing.assert_allclose(blocks.x_matrix, 0.0, atol=1e-12)
@@ -72,7 +74,7 @@ def test_invert_pure_conductance_decouples():
 def test_invert_p3_against_dense_oracle():
     # dense 4x4 inversion oracle, reduced at node 0
     t = gc.path_topology(3, reference_node=0)
-    lines = [(1.0, -1.0), (2.0, -1.0)]
+    lines = [complex(1.0, -1.0), complex(2.0, -1.0)]
     j = lcpf.flat_start_jacobian(t, lines, reduced=True)
     blocks = lcpf.invert_tree_lcpf(j, t, lines)
     dense = np.linalg.inv(j.matrix)
@@ -83,24 +85,24 @@ def test_invert_p3_against_dense_oracle():
 
 def test_invert_errors():
     k3 = gc.complete_topology(3, reference_node=0)
-    j3 = lcpf.flat_start_jacobian(k3, [(1.0, -1.0)] * 3, reduced=True)
+    j3 = lcpf.flat_start_jacobian(k3, [complex(1.0, -1.0)] * 3, reduced=True)
     with pytest.raises(ValueError, match="tree"):
-        lcpf.invert_tree_lcpf(j3, k3, [(1.0, -1.0)] * 3)
+        lcpf.invert_tree_lcpf(j3, k3, [complex(1.0, -1.0)] * 3)
 
     t = gc.path_topology(3, reference_node=0)
-    lines = [(1.0, -1.0), (0.0, -1.0)]
+    lines = [complex(1.0, -1.0), complex(0.0, -1.0)]
     j = lcpf.flat_start_jacobian(t, lines, reduced=True)
     with pytest.raises(ValueError, match="conductance"):
         lcpf.invert_tree_lcpf(j, t, lines)
 
     no_ref = gc.path_topology(3)
-    j_full = lcpf.flat_start_jacobian(no_ref, [(1.0, -1.0)] * 2)
+    j_full = lcpf.flat_start_jacobian(no_ref, [complex(1.0, -1.0)] * 2)
     with pytest.raises(ValueError, match="reference"):
-        lcpf.invert_tree_lcpf(j_full, no_ref, [(1.0, -1.0)] * 2)
+        lcpf.invert_tree_lcpf(j_full, no_ref, [complex(1.0, -1.0)] * 2)
 
     j_unreduced = lcpf.flat_start_jacobian(t, lines)
     with pytest.raises(ValueError, match="reduced"):
-        lcpf.invert_tree_lcpf(j_unreduced, t, [(1.0, -1.0), (1.0, -1.0)])
+        lcpf.invert_tree_lcpf(j_unreduced, t, [complex(1.0, -1.0), complex(1.0, -1.0)])
 
 
 def test_invert_random_trees_both_paths_and_identity():
@@ -108,7 +110,7 @@ def test_invert_random_trees_both_paths_and_identity():
     for _ in range(25):
         n = int(rng.integers(2, 31))
         t = gc.sample_random_tree(n, rng, reference_node=int(rng.integers(0, n)))
-        lines = [(rng.uniform(0.05, 2.0), rng.uniform(-2.0, -0.05))
+        lines = [complex(rng.uniform(0.05, 2.0), rng.uniform(-2.0, -0.05))
                  for _ in range(t.n_edges)]
         j = lcpf.flat_start_jacobian(t, lines, reduced=True)
         blocks = lcpf.invert_tree_lcpf(j, t, lines)  # raises if paths disagree
@@ -120,7 +122,7 @@ def test_invert_random_trees_both_paths_and_identity():
 
 def test_solve_zero_injections():
     t = _single_line()
-    j = lcpf.flat_start_jacobian(t, [(1.0, -1.0)], reduced=True)
+    j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)], reduced=True)
     eps, theta = lcpf.lcpf_solve(j, [0.0], [0.0])
     np.testing.assert_allclose(eps, 0.0)
     np.testing.assert_allclose(theta, 0.0)
@@ -128,12 +130,12 @@ def test_solve_zero_injections():
 
 def test_solve_single_line():
     t = _single_line()
-    j = lcpf.flat_start_jacobian(t, [(1.0, -1.0)], reduced=True)
+    j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)], reduced=True)
     eps, theta = lcpf.lcpf_solve(j, [1.0], [0.0])
     np.testing.assert_allclose(eps, [0.5], atol=1e-12)
     np.testing.assert_allclose(theta, [0.5], atol=1e-12)
     # tree path through the closed-form blocks gives the same answer
-    blocks = lcpf.invert_tree_lcpf(j, t, [(1.0, -1.0)])
+    blocks = lcpf.invert_tree_lcpf(j, t, [complex(1.0, -1.0)])
     eps2, theta2 = lcpf.lcpf_solve(j, [1.0], [0.0], blocks=blocks)
     np.testing.assert_allclose(eps2, eps)
     np.testing.assert_allclose(theta2, theta)
@@ -141,7 +143,7 @@ def test_solve_single_line():
 
 def test_solve_residual_random_p3():
     t = gc.path_topology(3, reference_node=0)
-    lines = [(1.0, -0.5), (0.7, -1.2)]
+    lines = [complex(1.0, -0.5), complex(0.7, -1.2)]
     j = lcpf.flat_start_jacobian(t, lines, reduced=True)
     rng = np.random.default_rng(63)
     for _ in range(20):
@@ -155,7 +157,7 @@ def test_solve_residual_random_p3():
 def test_solve_meshed_network_dense_path():
     # solving is not tree-specific: K4 with a reference works via dense LU
     t = gc.complete_topology(4, reference_node=0)
-    lines = [(1.0, -1.0)] * t.n_edges
+    lines = [complex(1.0, -1.0)] * t.n_edges
     j = lcpf.flat_start_jacobian(t, lines, reduced=True)
     rng = np.random.default_rng(64)
     p, q = rng.standard_normal(3), rng.standard_normal(3)
@@ -166,6 +168,6 @@ def test_solve_meshed_network_dense_path():
 
 def test_solve_singular_operator_rejected():
     t = gc.path_topology(3)  # unreduced Laplacian blocks are singular
-    j = lcpf.flat_start_jacobian(t, [(1.0, 0.0), (1.0, 0.0)])
+    j = lcpf.flat_start_jacobian(t, [complex(1.0, 0.0), complex(1.0, 0.0)])
     with pytest.raises(np.linalg.LinAlgError):
         lcpf.lcpf_solve(j, np.ones(3), np.zeros(3))

@@ -4,19 +4,18 @@ import pytest
 from grid_concentrator import bounds as bnd
 from grid_concentrator import graph_core as gc
 from grid_concentrator import manifold as mf
-from grid_concentrator.admittance import LineAdmittance, assemble_admittance
+from grid_concentrator.admittance import assemble_admittance
 from grid_concentrator.spectra import operator_norm
 
 
 def _single_line_y():
     t = gc.build_topology(2, [(0, 1)])
-    return assemble_admittance(t, [LineAdmittance(1.0, 0.0)])
+    return assemble_admittance(t, [1.0 + 0j])
 
 
 def _random_instance(rng, n=5):
     t = gc.sample_er_topology(n, 0.6, rng)
-    w = [LineAdmittance(rng.uniform(-1, 1), rng.uniform(-1, 1))
-         for _ in range(t.n_edges)]
+    w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(t.n_edges)]
     y = assemble_admittance(t, w)
     u = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.2, 0.2, n))
     h = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -27,8 +26,7 @@ def test_power_flow_map_flat_start_is_zero():
     rng = np.random.default_rng(70)
     for _ in range(10):
         t = gc.sample_er_topology(6, 0.5, rng)
-        w = [LineAdmittance(rng.uniform(-1, 1), rng.uniform(-1, 1))
-             for _ in range(t.n_edges)]
+        w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(t.n_edges)]
         y = assemble_admittance(t, w)
         s = mf.power_flow_map(y, np.ones(6, dtype=complex))
         np.testing.assert_allclose(s, 0.0, atol=1e-12)
@@ -208,8 +206,7 @@ def test_expected_distance_dominates_monte_carlo_proxy():
         rng = sample_rng(11, 0, s)
         r = np.sqrt(rng.random(3))
         phi = 2 * np.pi * rng.random(3)
-        w = [LineAdmittance(abs(r[l] * np.cos(phi[l])), -abs(r[l] * np.sin(phi[l])))
-             for l in range(3)]
+        w = np.abs(r * np.cos(phi)) - 1j * np.abs(r * np.sin(phi))
         y = assemble_admittance(t, w)
         certs.append(3 * np.max(np.abs(h)) * np.linalg.norm(h)
                      * operator_norm(y.matrix))

@@ -3,7 +3,7 @@ import pytest
 
 from grid_concentrator import graph_core as gc
 from grid_concentrator import spectra
-from grid_concentrator.admittance import SphereUniform, sample_weights
+from grid_concentrator.admittance import SphereUniform
 from grid_concentrator.lcpf import flat_start_jacobian
 
 E12 = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -133,12 +133,12 @@ def test_psd_dominates_monte_carlo_sphere_envelope():
     topology = gc.path_topology(3)
     n, m = 3, 2
     rng = np.random.default_rng(2024)
-    dists = [SphereUniform(radius_sq=m / (2.0 * n))] * m
+    law = SphereUniform(radius_sq=m / (2.0 * n))
     n_samples = 100_000
     acc = np.zeros((2 * n, 2 * n))
     acc_sq = np.zeros((2 * n, 2 * n))
     for _ in range(n_samples):
-        f = flat_start_jacobian(topology, sample_weights(dists, rng)).matrix
+        f = flat_start_jacobian(topology, law.sample(rng, m)).matrix
         ffs = f @ f
         acc += ffs
         acc_sq += ffs * ffs
