@@ -45,6 +45,8 @@ __all__ = [
     "SphereUniform",
     "LineLaw",
     "line_law_from_json",
+    "real_from_json",
+    "complex_from_json",
     "AdmittanceMatrix",
     "elementary_laplacian",
     "line_weights",
@@ -52,6 +54,7 @@ __all__ = [
     "weighted_laplacians",
     "lift_real",
     "flat_start_lift",
+    "lift_blocks",
     "admittance_block",
     "elementary_jacobian",
     "expected_admittance",
@@ -205,26 +208,35 @@ _LAW_FIELDS = {
 }
 
 
-def _real(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+def real_from_json(value, key: str = "", low: float = -math.inf,
+                   high: float = math.inf) -> float:
+    """``value`` as a float. Raises ValueError, naming ``key`` if given, unless
+    it is a finite integer or float (not a boolean) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not (math.isfinite(value) and low <= value <= high):
+        within = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
+        raise ValueError(f"{key} must be a finite number{within}, got {value!r}".lstrip())
     return float(value)
 
 
-def _admittance(obj: dict) -> complex:
-    pair = obj.get("admittance", [1.0, 0.0])
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"admittance must be an [re, im] pair, got {pair!r}")
-    return complex(*(_real("admittance", x) for x in pair))
+def complex_from_json(value, key: str = "") -> complex:
+    """A real number, or an ``[re, im]`` pair of them, as a complex number
+    (a complex number passes through if finite)."""
+    if isinstance(value, (complex, np.complexfloating)):
+        value = [value.real, value.imag]
+    if not isinstance(value, (list, tuple)):
+        return complex(real_from_json(value, key))
+    if len(value) != 2:
+        raise ValueError(f"{key} must be a number or an [re, im] pair, got {value!r}".lstrip())
+    return complex(real_from_json(value[0], key), real_from_json(value[1], key))
 
 
 def line_law_from_json(obj) -> LineLaw:
     """Parse ``{"kind": ..., fields}`` into a line law (a law passes through).
 
-    Kinds and fields: ``disk``; ``fixed`` with ``admittance`` [re, im]
-    (default [1.0, 0.0]); ``bernoulli`` with ``admittance`` (same default)
-    and ``p``; ``bounded`` with ``center_g``, ``center_b`` and ``delta``;
+    Kinds and fields: ``disk``; ``fixed`` with ``admittance``, a number or
+    an [re, im] pair (default 1.0); ``bernoulli`` with ``admittance`` (same
+    default) and ``p``; ``bounded`` with ``center_g``, ``center_b`` and ``delta``;
     ``sphere`` with ``radius_sq`` (default 0.5). Raises ValueError for any
     other kind, an unknown field, or a field that is not a finite number.
     """
@@ -239,13 +251,14 @@ def line_law_from_json(obj) -> LineLaw:
         raise ValueError(f"has unknown fields {sorted(unknown)} for kind {kind!r}")
     if kind == "disk":
         return UnitDisk()
-    if kind == "fixed":
-        return FixedDeterministic(_admittance(obj))
-    if kind == "bernoulli":
-        return FixedBernoulli(_admittance(obj), _real("p", obj.get("p")))
     if kind == "bounded":
-        return BoundedPerturbation(*(_real(k, obj.get(k)) for k in _LAW_FIELDS[kind]))
-    return SphereUniform(_real("radius_sq", obj.get("radius_sq", 0.5)))
+        return BoundedPerturbation(*(real_from_json(obj.get(k), k) for k in _LAW_FIELDS[kind]))
+    if kind == "sphere":
+        return SphereUniform(real_from_json(obj.get("radius_sq", 0.5), "radius_sq"))
+    admittance = complex_from_json(obj.get("admittance", 1.0), "admittance")
+    if kind == "fixed":
+        return FixedDeterministic(admittance)
+    return FixedBernoulli(admittance, real_from_json(obj.get("p"), "p"))
 
 
 @dataclass(frozen=True)
@@ -318,7 +331,10 @@ def weighted_laplacians(topology: Topology, weights) -> np.ndarray:
     return y
 
 
-def _lift(g: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
+def lift_blocks(g, b, sign: float) -> np.ndarray:
+    """[[g, sign*b], [sign*b, -g]] from scalars, matrices or (..., k, k) stacks
+    (joined along the last two axes). ``sign`` +1 lifts Y = G + jB; -1 is
+    the flat-start Jacobian convention."""
     return np.block([[g, sign * b], [sign * b, -g]])
 
 
@@ -329,13 +345,13 @@ def lift_real(y) -> np.ndarray:
     complex square array.
     """
     m = y.matrix if isinstance(y, AdmittanceMatrix) else np.asarray(y, dtype=complex)
-    return _lift(m.real, m.imag, +1.0)
+    return lift_blocks(m.real, m.imag, +1.0)
 
 
 def flat_start_lift(y) -> np.ndarray:
     """Jacobian-convention lift [[G, -B], [-B, -G]] of Y = G + jB."""
     m = y.matrix if isinstance(y, AdmittanceMatrix) else np.asarray(y, dtype=complex)
-    return _lift(m.real, m.imag, -1.0)
+    return lift_blocks(m.real, m.imag, -1.0)
 
 
 def admittance_block(g: float, b: float, convention: str = "lifted") -> np.ndarray:
@@ -345,11 +361,10 @@ def admittance_block(g: float, b: float, convention: str = "lifted") -> np.ndarr
     [[g, -b], [-b, -g]] (the flat-start Jacobian). Either way the operator
     norm is sqrt(g^2 + b^2).
     """
-    if convention == "lifted":
-        return np.array([[g, b], [b, -g]])
-    if convention == "jacobian":
-        return np.array([[g, -b], [-b, -g]])
-    raise ValueError(f"unknown sign convention {convention!r}")
+    sign = {"lifted": +1.0, "jacobian": -1.0}.get(convention)
+    if sign is None:
+        raise ValueError(f"unknown sign convention {convention!r}")
+    return lift_blocks(g, b, sign)
 
 
 def elementary_jacobian(g: float, b: float, i: int, j: int, n: int,

@@ -97,7 +97,7 @@ class ContingencyModel:
         if np.any(p < 0.0) or np.any(p > 1.0):
             raise ValueError("switch probabilities must lie in [0, 1]")
         if np.any(np.abs(y) > _UNIT_SLACK):
-            raise ValueError("line admittances must satisfy |y| <= 1 per-unit")
+            raise ValueError("|y| must be <= 1 per-unit on every line")
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "admittances", y)
 

@@ -56,13 +56,10 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 cfg_dict = json.load(fh)
-            if not isinstance(cfg_dict, dict):
-                raise ConfigError("config file must contain a JSON object")
-        cfg_dict["experiment"] = args.experiment
-        overrides = {"seed": args.seed, "samples": args.samples, "out": args.out,
-                     "format": args.fmt}
-        cfg_dict.update({k: v for k, v in overrides.items() if v is not None})
-        cfg = ExperimentConfig.from_dict(cfg_dict)
+        overrides = {"experiment": args.experiment, "seed": args.seed,
+                     "samples": args.samples, "out": args.out, "format": args.fmt}
+        cfg = ExperimentConfig.from_dict(
+            cfg_dict, **{k: v for k, v in overrides.items() if v is not None})
         result = run_experiment(cfg)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

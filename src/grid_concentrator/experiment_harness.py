@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from io import StringIO
 
 import numpy as np
@@ -46,9 +47,11 @@ from . import bounds as bnd
 from . import graph_core as gc
 from .admittance import (
     LineLaw,
-    UnitDisk,
     assemble_admittance,
+    complex_from_json,
+    lift_blocks,
     line_law_from_json,
+    real_from_json,
     weighted_laplacians,
 )
 from .manifold import expected_distance_bound, tangent_residual, tangent_step
@@ -57,6 +60,7 @@ from .spectra import operator_norm
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "SCHEMA",
     "SampleStats",
     "RunResult",
     "EXPERIMENT_NAMES",
@@ -73,9 +77,6 @@ __all__ = [
     "emit",
 ]
 
-EXPERIMENT_NAMES = ("fig1", "thm2_tail", "thm2_expectation", "lcpf_bounds",
-                    "manifold", "bruteforce")
-
 BRUTE_FORCE_MAX_LINES = 20
 _ENUM_CHUNK = 8192
 _CHUNK_BYTES = 1 << 24
@@ -85,129 +86,214 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 1)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated experiment parameters.
+    """Experiment parameters, each parsed once for the named experiment.
 
-    Fields are a union over all experiments; each runner reads the subset it
-    needs. ``None`` means "use the experiment's default". See
-    :meth:`from_dict` for the JSON schema.
+    ``None`` means "not given": a field the experiment reads then takes its
+    default from :data:`SCHEMA`, and any other field must stay ``None``.
+    Raises :class:`ConfigError`, starting with the field's name, otherwise.
     """
 
     experiment: str
-    n: int = 20
+    n: int | None = None
     samples: int | None = None
-    seed: int = 0
-    p_grid: tuple = ()
-    line_model: LineLaw = UnitDisk()
+    seed: int | None = None
+    p_grid: tuple | None = None
+    line_model: LineLaw | None = None
     topology: gc.Topology | None = None
-    probs: tuple | float = 0.5
-    admittances: object = 1.0
-    t_grid: tuple | None = None
-    backend: str = "bruteforce"
-    delta: float = 0.1
-    center_g: object = 1.0
-    center_b: object = -1.0
-    h: object = 0.1
+    probs: np.ndarray | None = None
+    admittances: np.ndarray | None = None
+    t_grid: np.ndarray | None = None
+    backend: str | None = None
+    delta: float | None = None
+    h: np.ndarray | None = None
     out: str | None = None
-    format: str = "csv"
+    format: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_NAMES:
+        if self.experiment not in SCHEMA:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENT_NAMES)}")
-        for name in ("n", "samples", "seed"):
+        reads = SCHEMA[self.experiment]
+        for name, parse in _PARSERS.items():
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, (int, np.integer))):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.samples is not None and self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if self.t_grid is not None:
-            grid = tuple(_finite("t_grid", t) for t in self.t_grid)
-            if any(b < a for a, b in zip(grid, grid[1:])):
-                raise ConfigError("t_grid must be sorted ascending")
-            object.__setattr__(self, "t_grid", grid)
-        if self.backend not in ("bruteforce", "montecarlo"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.format!r}")
-        object.__setattr__(self, "delta", _finite("delta", self.delta))
-        if self.delta < 0:
-            raise ConfigError("delta must be >= 0")
-        object.__setattr__(self, "p_grid", tuple(_finite("p_grid", p) for p in self.p_grid))
-        try:
-            object.__setattr__(self, "line_model", line_law_from_json(self.line_model))
-        except ValueError as exc:
-            raise ConfigError(f"line_model {exc}") from exc
-        for p in self.p_grid:
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"sweep probability {p} outside [0, 1]")
+            if name not in reads:
+                if value is not None:
+                    raise ConfigError(f"{name} is not used by {self.experiment}")
+                continue
+            if value is None:
+                value = reads[name](self) if callable(reads[name]) else reads[name]
+            try:
+                if value is not None:
+                    value = parse(value, self)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name} {exc}") from exc
+            object.__setattr__(self, name, value)
+
+    @property
+    def model(self) -> bnd.ContingencyModel:
+        """The line-switching model of ``topology``, ``probs`` and ``admittances``."""
+        return bnd.ContingencyModel(self.topology, self.probs, self.admittances)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        """Build from a JSON-style dict.
-
-        Recognized keys: experiment, n, samples, seed, p_grid, line_model
-        (see :func:`~grid_concentrator.admittance.line_law_from_json`),
-        topology (either {"name": "path"|"complete"|"star", "n": N} or
-        {"n": N, "edges": [[i,j],...], "reference": int|null}), probs
-        (scalar or per-line list), admittances (scalar, [re,im] pair when
-        m != 2, or a per-line list of scalars and pairs), t_grid, backend,
-        delta, center_g, center_b (scalar or per-line list), h (scalar
-        magnitude or list of [re,im] pairs), out, format.
-        """
+    def from_dict(cls, obj: dict, **overrides) -> "ExperimentConfig":
+        """Build from a JSON-style dict, ``overrides`` replacing its fields.
+        The README's config table lists the fields, the experiments that
+        read them, their defaults and forms."""
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(obj) - set(cls.__dataclass_fields__)
+        unknown = sorted({*obj, *overrides} - {"experiment", *_PARSERS})
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "topology" in kwargs and kwargs["topology"] is not None:
-            kwargs["topology"] = _parse_topology(kwargs["topology"])
-        try:
-            return cls(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{unknown[0]} is not a config field "
+                              f"(unknown config keys: {unknown})")
+        return cls(**{"experiment": None, **obj, **overrides})
 
 
-def _finite(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+_probability = partial(real_from_json, low=0.0, high=1.0)
 
 
-def _parse_topology(obj) -> gc.Topology:
-    if isinstance(obj, gc.Topology):
-        return obj
-    if not isinstance(obj, dict):
-        raise ConfigError("topology must be an object")
-    try:
-        if "name" in obj:
-            name, n = obj["name"], int(obj["n"])
-            ref = obj.get("reference")
-            ref = None if ref is None else int(ref)
-            if name == "path":
-                return gc.path_topology(n, ref)
-            if name == "complete":
-                return gc.complete_topology(n, ref)
-            if name == "star":
-                return gc.star_topology(n, ref)
-            raise ConfigError(f"unknown named topology {name!r}")
-        return gc.Topology(
-            n_nodes=int(obj["n"]),
-            edges=tuple((int(i), int(j)) for i, j in obj.get("edges", ())),
-            reference_node=None if obj.get("reference") is None else int(obj["reference"]),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad topology spec: {exc}") from exc
+def _numbers(value, item=real_from_json) -> list:
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValueError(f"must be a list, got {value!r}")
+    return [item(x) for x in value]
+
+
+def _one_of(value, *options):
+    if value not in options:
+        raise ValueError(f"must be one of {', '.join(options)}, got {value!r}")
+    return value
+
+
+def _out(value, cfg):
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"must be a file path, got {value!r}")
+    return value
+
+
+def _line_model(value, cfg):
+    # The degree bound (fig1) and the Holder certificate (manifold) assume
+    # |w| <= 1 per-unit on every line.
+    law = line_law_from_json(value)
+    if law.support > 1.0 + 1e-12:
+        raise ValueError(f"must have |w| <= 1 per-unit for {cfg.experiment}, "
+                         f"but its support reaches {law.support:.6g}")
+    return law
+
+
+def _topology(value, cfg):
+    topology = gc.topology_from_json(value)
+    enumerates = cfg.experiment == "bruteforce" or cfg.backend == "bruteforce"
+    if enumerates and topology.n_edges > BRUTE_FORCE_MAX_LINES:
+        raise ValueError(f"has {topology.n_edges} lines; exhaustive enumeration is "
+                         f"capped at {BRUTE_FORCE_MAX_LINES}")
+    return topology
+
+
+def _each(value, count: int, item) -> np.ndarray:
+    """One value for all ``count`` lines (or nodes), or a list of ``count``."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return np.full(count, item(value))
+    if len(value) != count:
+        raise ValueError(f"must be one value or a list of {count}, got {len(value)}")
+    return np.array([item(x) for x in value])
+
+
+def _admittances(value, cfg):
+    # On two lines a flat pair could mean one complex value or two real
+    # ones, so it is rejected there; elsewhere it holds for every line.
+    m = cfg.topology.n_edges
+    if isinstance(value, (list, tuple)) and len(value) == 2 \
+            and not any(isinstance(x, (list, tuple)) for x in value):
+        if m == 2:
+            raise ValueError(f"{list(value)!r} is ambiguous on 2 lines: "
+                             "give per-line [re, im] pairs")
+        value = [value] * m
+    y = _each(value, m, complex_from_json)
+    bnd.ContingencyModel(cfg.topology, cfg.probs, y)  # its checks: |y| <= 1 per line
+    return y
+
+
+def _step(value, cfg):
+    # A number is the step at node 0; a list gives every node's step.
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return _each(value, cfg.topology.n_nodes, complex_from_json)
+    h = np.zeros(cfg.topology.n_nodes, dtype=complex)
+    h[0] = real_from_json(value)
+    return h
+
+
+def _t_grid(value, cfg):
+    grid = np.array(_numbers(value), dtype=float)
+    if np.any(grid[1:] < grid[:-1]):
+        raise ValueError("must be sorted ascending")
+    return grid
+
+
+# Field parsers in dependency order: ``topology`` needs ``backend``; the
+# per-line fields, ``h`` and the default ``t_grid`` need the topology.
+_PARSERS = {
+    "n": lambda value, cfg: gc.int_from_json(value, minimum=1),
+    "samples": lambda value, cfg: gc.int_from_json(value, minimum=1),
+    "seed": lambda value, cfg: gc.int_from_json(value),
+    "out": _out,
+    "format": lambda value, cfg: _one_of(value, "csv", "json"),
+    "backend": lambda value, cfg: _one_of(value, "bruteforce", "montecarlo"),
+    "p_grid": lambda value, cfg: tuple(_numbers(value, _probability)),
+    "line_model": _line_model,
+    "delta": lambda value, cfg: real_from_json(value, low=0.0),
+    "topology": _topology,
+    "probs": lambda value, cfg: _each(value, cfg.topology.n_edges, _probability),
+    "admittances": _admittances,
+    "h": _step,
+    "t_grid": _t_grid,
+}
+
+
+def _default_tail_grid(cfg: ExperimentConfig) -> np.ndarray:
+    profile = bnd.contingency_factors(cfg.model)
+    if profile.degenerate:
+        return np.linspace(0.0, 1.0, 20)
+    threshold = math.sqrt(2.0 * profile.max_criticality) + 2.0 / 3.0
+    return np.linspace(threshold, threshold + 3.0, 20)
+
+
+def _lcpf_default_grid(cfg: ExperimentConfig) -> np.ndarray:
+    # Start where the raw tail bound crosses 1 (informative regime) and stop
+    # past the almost-sure ceiling 2*sqrt(2)*delta*m of ||F - EF||.
+    n, m, delta = cfg.topology.n_nodes, cfg.topology.n_edges, cfg.delta
+    log_n = math.log(n) if n > 1 else 0.0
+    if delta == 0.0 or log_n == 0.0:
+        t_start = 0.0
+    else:
+        half_linear = 2.0 * delta * log_n / 3.0
+        t_start = half_linear + math.sqrt(half_linear ** 2 + 4.0 * delta * delta * n * log_n)
+    ceiling = 2.0 * math.sqrt(2.0) * delta * max(m, 1)
+    return np.linspace(t_start, max(1.2 * ceiling, t_start + 1e-6), 10)
+
+
+_RUN = {"seed": 0, "out": None, "format": "csv"}
+_DISK = {"kind": "disk"}
+_K3 = {"name": "complete", "n": 3}
+_P3 = {"name": "path", "n": 3}
+_SWITCHING = {"topology": _K3, "probs": 0.5, "admittances": 1.0}
+
+# Per experiment, every field it reads and its default. A callable default
+# is computed from the fields parsed before it; a None default stays None
+# (``out``: write to stdout; bruteforce's ``t_grid``: 20 points up to the
+# largest enumerated norm). The README's config table mirrors this one.
+SCHEMA = {
+    "fig1": {"n": 20, "samples": 200, "p_grid": [round(0.1 * k, 2) for k in range(1, 11)],
+             "line_model": _DISK, **_RUN},
+    "thm2_tail": {**_SWITCHING, "backend": "bruteforce", "samples": 20000,
+                  "t_grid": _default_tail_grid, **_RUN},
+    "thm2_expectation": {**_SWITCHING, "backend": "bruteforce", "samples": 20000, **_RUN},
+    "lcpf_bounds": {"topology": _P3, "samples": 10000, "delta": 0.1,
+                    "t_grid": _lcpf_default_grid, **_RUN},
+    "manifold": {"topology": _P3, "samples": 200, "line_model": _DISK, "h": 0.1, **_RUN},
+    "bruteforce": {**_SWITCHING, "t_grid": None, **_RUN},
+}
+EXPERIMENT_NAMES = tuple(SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -249,56 +335,6 @@ def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Gene
         np.random.SeedSequence((int(seed) % (1 << 64), int(sweep_index), int(sample_index))))
 
 
-def _broadcast_per_line(value, m: int, name: str) -> np.ndarray:
-    try:
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be numbers: {exc}") from exc
-    if arr.shape == (1,):
-        arr = np.full(m, float(arr[0]))
-    if arr.shape != (m,) or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be a finite scalar or a list of {m} finite values")
-    return arr
-
-
-def _admittance_value(item) -> complex:
-    if isinstance(item, complex):
-        item = (item.real, item.imag)
-    if isinstance(item, (list, tuple)) and len(item) == 2:
-        return complex(_finite("admittances", item[0]), _finite("admittances", item[1]))
-    return complex(_finite("admittances", item))
-
-
-def _parse_admittances(value, m: int) -> np.ndarray:
-    """Scalar, [re, im] pair (m != 2), or per-line list -> complex (m,) array.
-
-    On two lines a flat pair could mean one complex value or two real ones,
-    so it is rejected there; write per-line pairs [[re, im], [re, im]].
-    """
-    if not isinstance(value, (list, tuple)):
-        return np.full(m, _admittance_value(value))
-    if len(value) == 2 and not any(isinstance(x, (list, tuple)) for x in value):
-        if m == 2:
-            raise ConfigError(f"admittances {list(value)!r} is ambiguous on 2 lines: "
-                              "give per-line [re, im] pairs")
-        return np.full(m, _admittance_value(value))
-    if len(value) != m:
-        raise ConfigError(f"admittances must broadcast to {m} lines")
-    return np.array([_admittance_value(item) for item in value])
-
-
-def _contingency_model(cfg: ExperimentConfig) -> tuple[gc.Topology, bnd.ContingencyModel]:
-    topology = cfg.topology or gc.complete_topology(3)
-    m = topology.n_edges
-    probs = _broadcast_per_line(cfg.probs, m, "probs")
-    admittances = _parse_admittances(cfg.admittances, m)
-    try:
-        model = bnd.ContingencyModel(topology, probs, admittances)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return topology, model
-
-
 def _chunks(total: int, topology: gc.Topology):
     """(start, stop) ranges over ``range(total)``: at most ``_ENUM_CHUNK`` rows and
     ``_CHUNK_BYTES`` of rows of 8 n^2 + 3 m floats (lifted matrix, n x n parts, draws)."""
@@ -306,14 +342,6 @@ def _chunks(total: int, topology: gc.Topology):
     rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
     for start in range(0, total, rows):
         yield start, min(start + rows, total)
-
-
-def _require_unit_support(cfg: ExperimentConfig):
-    """The degree bound assumes |w| <= 1 per-unit on every line."""
-    support = cfg.line_model.support
-    if support > 1.0 + 1e-12:
-        raise ConfigError(f"line_model must have |w| <= 1 per-unit for {cfg.experiment}, "
-                          f"but its support reaches {support:.6g}")
 
 
 def _batched_operator_norms(batch: np.ndarray) -> np.ndarray:
@@ -337,13 +365,10 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
     max degree, the sampled ||Y||, and the expectation bound evaluated at
     that sample's realized max degree.
     """
-    _require_unit_support(cfg)
-    p_grid = cfg.p_grid or tuple(round(0.1 * k, 2) for k in range(1, 11))
-    samples = cfg.samples if cfg.samples is not None else 200
     records = []
     all_ok = True
-    for sweep_index, p in enumerate(p_grid):
-        for sample_index in range(samples):
+    for sweep_index, p in enumerate(cfg.p_grid):
+        for sample_index in range(cfg.samples):
             rng = sample_rng(cfg.seed, sweep_index, sample_index)
             topology = gc.sample_er_topology(cfg.n, p, rng)
             weights = cfg.line_model.sample(rng, topology.n_edges)
@@ -422,22 +447,10 @@ def monte_carlo_distribution(topology: gc.Topology, model: bnd.ContingencyModel,
                        tail_frequencies=tails, exact=False)
 
 
-def _default_tail_grid(profile: bnd.CriticalityProfile, points: int = 20) -> np.ndarray:
-    if profile.degenerate:
-        return np.linspace(0.0, 1.0, points)
-    threshold = math.sqrt(2.0 * profile.max_criticality) + 2.0 / 3.0
-    return np.linspace(threshold, threshold + 3.0, points)
-
-
-def _contingency_stats(cfg: ExperimentConfig, topology: gc.Topology,
-                       model: bnd.ContingencyModel, grid=()) -> SampleStats:
+def _contingency_stats(cfg: ExperimentConfig, grid=()) -> SampleStats:
     if cfg.backend == "montecarlo":
-        samples = cfg.samples if cfg.samples is not None else 20000
-        return monte_carlo_distribution(topology, model, samples, cfg.seed, grid)
-    try:
-        return brute_force_distribution(topology, model, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return monte_carlo_distribution(cfg.topology, cfg.model, cfg.samples, cfg.seed, grid)
+    return brute_force_distribution(cfg.topology, cfg.model, grid)
 
 
 TAIL_FIELDS = ["t", "tail_empirical", "tail_bound", "tail_bound_clamped",
@@ -450,14 +463,11 @@ def run_tail_experiment(cfg: ExperimentConfig) -> RunResult:
     With the exact backend, dominance is required outright at every valid
     grid point; with Monte Carlo, up to a 99% binomial confidence allowance.
     """
-    topology, model = _contingency_model(cfg)
-    profile = bnd.contingency_factors(model)
-    grid = np.asarray(cfg.t_grid, dtype=float) if cfg.t_grid is not None \
-        else _default_tail_grid(profile)
-    stats = _contingency_stats(cfg, topology, model, grid)
+    profile = bnd.contingency_factors(cfg.model)
+    stats = _contingency_stats(cfg, cfg.t_grid)
     records = []
     all_ok = True
-    for t, emp in zip(grid, stats.tail_frequencies):
+    for t, emp in zip(cfg.t_grid, stats.tail_frequencies):
         report = bnd.thm2_tail_bound(float(t), profile)
         if stats.exact:
             ok = bool(emp <= report.value) if report.valid else True
@@ -484,9 +494,8 @@ def run_expectation_experiment(cfg: ExperimentConfig) -> RunResult:
     Dominance is asserted for the explicit chain (fully pinned constants);
     the C = 1 form is reported alongside without a verdict.
     """
-    topology, model = _contingency_model(cfg)
-    profile = bnd.contingency_factors(model)
-    stats = _contingency_stats(cfg, topology, model)
+    profile = bnd.contingency_factors(cfg.model)
+    stats = _contingency_stats(cfg)
     explicit = bnd.thm2_expectation_bound(profile)
     with_c1 = bnd.thm2_expectation_bound(profile, constant=1.0)
     slack = 0.0 if stats.exact else 3.0 * stats.stderr
@@ -512,48 +521,30 @@ LCPF_FIELDS = ["t", "tail_empirical", "tail_bound", "tail_bound_slack4",
 LCPF_TAIL_SLACK = 4.0
 
 
-def _lcpf_default_grid(n: int, delta: float, m: int, points: int = 10) -> np.ndarray:
-    # Start where the raw tail bound crosses 1 (informative regime) and stop
-    # past the almost-sure ceiling 2*sqrt(2)*delta*m of ||F - EF||.
-    log_n = math.log(n) if n > 1 else 0.0
-    if delta == 0.0 or log_n == 0.0:
-        t_start = 0.0
-    else:
-        half_linear = 2.0 * delta * log_n / 3.0
-        t_start = half_linear + math.sqrt(half_linear ** 2 + 4.0 * delta * delta * n * log_n)
-    ceiling = 2.0 * math.sqrt(2.0) * delta * max(m, 1)
-    return np.linspace(t_start, max(1.2 * ceiling, t_start + 1e-6), points)
-
-
 def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
     """Empirical ||F - EF|| statistics against the flat-start-Jacobian bounds.
 
-    Line parameters are the configured centers plus independent uniform
-    noise on [-delta, delta]; the centered operator is the pure-noise
-    Jacobian, whose norms are compared against the expectation bound and,
-    per grid threshold, against the tail bound with slack factor 4.
+    Line parameters are known centers plus independent uniform noise on
+    [-delta, delta]. The centered operator F - EF is the pure-noise
+    Jacobian, so the centers drop out; its norms are compared against the
+    expectation bound and, per grid threshold, against the tail bound with
+    slack factor 4.
     """
-    topology = cfg.topology or gc.path_topology(3)
+    topology, samples, delta = cfg.topology, cfg.samples, cfg.delta
     n, m = topology.n_nodes, topology.n_edges
-    samples = cfg.samples if cfg.samples is not None else 10000
-    delta = float(cfg.delta)
-    _broadcast_per_line(cfg.center_g, m, "center_g")  # validated; centers drop out
-    _broadcast_per_line(cfg.center_b, m, "center_b")
     norms = np.empty(samples)
     for start, stop in _chunks(samples, topology):
         draws = np.empty((2, stop - start, m))
         for k, s in enumerate(range(start, stop)):  # per sample: all of dG, then all of dB
             draws[:, k] = sample_rng(cfg.seed, 0, s).uniform(-delta, delta, (2, m))
         g, b = weighted_laplacians(topology, draws)
-        norms[start:stop] = _batched_operator_norms(np.block([[g, -b], [-b, -g]]))
+        norms[start:stop] = _batched_operator_norms(lift_blocks(g, b, -1.0))
     mean_norm = float(np.mean(norms))
     exp_bound = bnd.lcpf_expectation_bound(n, delta)
     mean_ok = bool(mean_norm <= exp_bound.value)
-    grid = np.asarray(cfg.t_grid, dtype=float) if cfg.t_grid is not None \
-        else _lcpf_default_grid(n, delta, m)
     records = []
     all_ok = mean_ok
-    for t in grid:
+    for t in cfg.t_grid:
         tail_emp = float(np.mean(norms >= t))
         tail_bound = bnd.lcpf_tail_bound(float(t), n, delta)
         slacked = LCPF_TAIL_SLACK * tail_bound.value
@@ -576,17 +567,6 @@ MANIFOLD_FIELDS = ["sample_index", "y_norm", "residual_certificate",
                    "analytic_bound", "bound_ok"]
 
 
-def _parse_step(value, n: int) -> np.ndarray:
-    if isinstance(value, (int, float)):
-        h = np.zeros(n, dtype=complex)
-        h[0] = float(value)
-        return h
-    h = np.array([complex(float(re), float(im)) for re, im in value])
-    if h.shape != (n,):
-        raise ConfigError(f"step vector must have length {n}")
-    return h
-
-
 def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     """Tangent residual certificates on random admittance samples.
 
@@ -597,10 +577,7 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     compared against the expected-distance bound built from the topology's
     max degree.
     """
-    topology = cfg.topology or gc.path_topology(3)
-    _require_unit_support(cfg)
-    samples = cfg.samples if cfg.samples is not None else 200
-    h = _parse_step(cfg.h, topology.n_nodes)
+    topology, samples, h = cfg.topology, cfg.samples, cfg.h
     h2 = float(np.linalg.norm(h))
     hinf = float(np.max(np.abs(h), initial=0.0))
     u_flat = np.ones(topology.n_nodes, dtype=complex)
@@ -639,13 +616,9 @@ BRUTEFORCE_FIELDS = ["t", "tail_exact", "mean_norm", "n_patterns"]
 
 def run_bruteforce(cfg: ExperimentConfig) -> RunResult:
     """Exact tail table of ||Y - EY|| over all switch patterns."""
-    topology, model = _contingency_model(cfg)
-    if topology.n_edges > BRUTE_FORCE_MAX_LINES:
-        raise ConfigError(f"bruteforce requires m <= {BRUTE_FORCE_MAX_LINES} lines")
-    stats = brute_force_distribution(topology, model)
-    if cfg.t_grid is not None:
-        grid = np.asarray(cfg.t_grid, dtype=float)
-    else:
+    stats = brute_force_distribution(cfg.topology, cfg.model)
+    grid = cfg.t_grid
+    if grid is None:  # the default needs the enumerated norms
         top = float(stats.norms.max(initial=0.0))
         grid = np.linspace(0.0, top if top > 0 else 1.0, 20)
     records = [{"t": float(t), "tail_exact": stats.tail_at(t),

@@ -9,7 +9,6 @@ pairs) are permitted; degrees count edge incidences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ __all__ = [
     "sample_random_tree",
     "is_connected",
     "is_tree",
+    "int_from_json",
     "topology_to_json",
     "topology_from_json",
 ]
@@ -139,18 +139,14 @@ def unweighted_laplacian(topology: Topology) -> np.ndarray:
 def sample_er_topology(n_nodes: int, p: float, rng: np.random.Generator) -> Topology:
     """Homogeneous Erdos-Renyi topology: each candidate line on with prob p.
 
-    Candidate pairs are visited in lexicographic order, drawing exactly one
-    uniform variate each, so the edge list is bit-reproducible for a given
-    generator state.
+    Candidate pairs are taken in lexicographic order with one uniform variate
+    each, so the edge list is bit-reproducible for a given generator state.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    edges = []
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            if rng.random() < p:
-                edges.append((i, j))
-    return Topology(n_nodes, tuple(edges))
+    i, j = np.triu_indices(n_nodes, 1)
+    on = rng.random(i.size) < p
+    return Topology(n_nodes, tuple(zip(i[on].tolist(), j[on].tolist())))
 
 
 def sample_random_tree(n_nodes: int, rng: np.random.Generator,
@@ -189,20 +185,52 @@ def is_tree(topology: Topology) -> bool:
     return topology.n_edges == topology.n_nodes - 1 and is_connected(topology)
 
 
-def topology_to_json(topology: Topology) -> str:
-    """Serialize as ``{"n": int, "edges": [[i,j],...], "reference": int|null}``."""
-    return json.dumps({
+def int_from_json(value, key: str = "", minimum: int | None = None) -> int:
+    """``value`` as an int. Raises ValueError, naming ``key`` if given, unless
+    it is an integer (not a boolean) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or (minimum is not None and value < minimum):
+        least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{key} must be an integer{least}, got {value!r}".lstrip())
+    return int(value)
+
+
+def topology_to_json(topology: Topology) -> dict:
+    """The explicit form ``{"n": int, "edges": [[i, j], ...], "reference": int|None}``."""
+    return {
         "n": topology.n_nodes,
         "edges": [[i, j] for i, j in topology.edges],
         "reference": topology.reference_node,
-    })
+    }
 
 
-def topology_from_json(text: str) -> Topology:
-    """Inverse of :func:`topology_to_json`."""
-    obj = json.loads(text)
-    return Topology(
-        n_nodes=int(obj["n"]),
-        edges=tuple((int(i), int(j)) for i, j in obj["edges"]),
-        reference_node=None if obj.get("reference") is None else int(obj["reference"]),
-    )
+_NAMED = {"path": path_topology, "complete": complete_topology, "star": star_topology}
+
+
+def topology_from_json(obj) -> Topology:
+    """Parse ``{"name": "path"|"complete"|"star", "n": N}`` (N leaves for a
+    star) or ``{"n": N, "edges": [[i, j], ...]}``, either with an optional
+    ``"reference"``; a Topology passes through. Raises ValueError for an
+    unknown key or name, or a count or node that is not an integer."""
+    if isinstance(obj, Topology):
+        return obj
+    if not isinstance(obj, dict):
+        raise ValueError(f"must be an object, got {obj!r}")
+    form = "name" if "name" in obj else "edges"
+    unknown = set(obj) - {form, "n", "reference"}
+    if unknown:
+        raise ValueError(f"has unknown keys {sorted(unknown)}; the {form!r} form "
+                         f"takes {form!r}, 'n' and 'reference'")
+    n = int_from_json(obj.get("n"), "n", minimum=1)
+    ref = obj.get("reference")
+    ref = None if ref is None else int_from_json(ref, "reference")
+    if form == "name":
+        if obj["name"] not in _NAMED:
+            raise ValueError(f"name must be one of {', '.join(_NAMED)}, got {obj['name']!r}")
+        return _NAMED[obj["name"]](n, ref)
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2
+                                              for e in edges):
+        raise ValueError(f"edges must be a list of [i, j] pairs, got {edges!r}")
+    return Topology(n, tuple((int_from_json(i, "edge endpoint"), int_from_json(j, "edge endpoint"))
+                             for i, j in edges), ref)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admittance import line_weights
+from .admittance import lift_blocks, line_weights
 from .graph_core import Topology, incidence_matrix, is_tree
 
 __all__ = [
@@ -62,8 +62,7 @@ class FlatStartJacobian:
 
     @property
     def matrix(self) -> np.ndarray:
-        g, b = self.g_matrix, self.b_matrix
-        return np.block([[g, -b], [-b, -g]])
+        return lift_blocks(self.g_matrix, self.b_matrix, -1.0)
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,7 @@ class ImpedanceBlocks:
 
     @property
     def matrix(self) -> np.ndarray:
-        r, x = self.r_matrix, self.x_matrix
-        return np.block([[r, x], [x, -r]])
+        return lift_blocks(self.r_matrix, self.x_matrix, +1.0)
 
 
 def flat_start_jacobian(topology: Topology, weights,

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from grid_concentrator import bounds as bnd
 from grid_concentrator import cli
 from grid_concentrator import experiment_harness as eh
 from grid_concentrator import graph_core as gc
+from grid_concentrator.admittance import complex_from_json
 
 
 def _k3_model(p=0.5):
@@ -53,6 +57,31 @@ def test_config_topology_parsing():
     with pytest.raises(eh.ConfigError):
         eh.ExperimentConfig.from_dict(
             {"experiment": "thm2_tail", "topology": {"name": "moebius", "n": 3}})
+
+
+def test_readme_config_table_matches_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("### Config fields", 1)[1].splitlines()
+    start = lines.index("| field | read by | default | accepted form |") + 2
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        readers = cells[1]
+        documented[cells[0].strip("`")] = \
+            set(eh.EXPERIMENT_NAMES) if readers == "all" else set(re.findall(r"`(\w+)`", readers))
+    schema = {field: {exp for exp, reads in eh.SCHEMA.items() if field in reads}
+              for field in {field for reads in eh.SCHEMA.values() for field in reads}}
+    assert documented == schema
+
+
+@pytest.mark.parametrize("experiment", eh.EXPERIMENT_NAMES)
+def test_parsed_config_parses_to_itself(experiment):
+    cfg = eh.ExperimentConfig(experiment=experiment)
+    again = dataclasses.replace(cfg)  # every parsed field goes through its parser again
+    for name in eh.SCHEMA[experiment]:
+        np.testing.assert_equal(getattr(again, name), getattr(cfg, name))
 
 
 def test_sample_rng_replay_and_splitting():
@@ -102,10 +131,9 @@ def test_fig1_small_sweep_dominance_and_determinism():
 
 
 def test_fig1_rejects_oversized_weights():
-    cfg = eh.ExperimentConfig(experiment="fig1", n=5, samples=2, p_grid=(0.5,),
-                              line_model={"kind": "fixed", "admittance": [2.0, 0.0]})
     with pytest.raises(eh.ConfigError, match="<= 1"):
-        eh.run_fig1(cfg)
+        eh.ExperimentConfig(experiment="fig1", n=5, samples=2, p_grid=(0.5,),
+                            line_model={"kind": "fixed", "admittance": [2.0, 0.0]})
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +411,7 @@ def test_cli_config_error_exit_1(tmp_path):
     ("lcpf_bounds", {"delta": "0.1"}, "delta"),
     ("lcpf_bounds", {"samples": 2.5}, "samples"),
     ("lcpf_bounds", {"seed": "abc"}, "seed"),
-    ("lcpf_bounds", {"center_g": [0.5, float("nan")]}, "center_g"),
+    ("lcpf_bounds", {"center_g": 1.0}, "center_g"),
     ("thm2_tail", {"probs": float("nan")}, "probs"),
     ("thm2_tail", {"probs": [0.5, float("nan"), 0.5]}, "probs"),
     ("thm2_tail", {"probs": "abc"}, "probs"),
@@ -403,6 +431,26 @@ def test_cli_config_error_exit_1(tmp_path):
      "admittances"),
     ("thm2_tail", {"admittances": True}, "admittances"),
     ("thm2_tail", {"admittances": [1.0, True, 1.0]}, "admittances"),
+    ("fig1", {"delta": 0.1}, "delta"),
+    ("lcpf_bounds", {"topology": {"name": "path", "n": 2.5}}, "topology"),
+    ("lcpf_bounds", {"topology": {"name": "path", "n": True}}, "topology"),
+    ("lcpf_bounds", {"topology": {"name": "path", "n": "4"}}, "topology"),
+    ("lcpf_bounds", {"topology": {"n": 3, "edges": [[0, 1.7]]}}, "topology"),
+    ("lcpf_bounds", {"topology": {"name": "path", "n": 3, "reference": 0.9}}, "topology"),
+    ("lcpf_bounds", {"topology": {"name": "path", "n": 3, "bogus": 1}}, "topology"),
+    ("lcpf_bounds", {"topology": {"name": "path", "n": 3, "edges": [[0, 1]]}}, "topology"),
+    ("thm2_tail", {"probs": True}, "probs"),
+    ("thm2_tail", {"probs": [True, 0.5, 0.5]}, "probs"),
+    ("manifold", {"h": True}, "h"),
+    ("manifold", {"h": [[1, 2, 3], [0, 0], [0, 0]]}, "h"),
+    ("manifold", {"h": "abc"}, "h"),
+    ("manifold", {"h": float("nan")}, "h"),
+    ("manifold", {"h": [[float("inf"), 0], [0, 0], [0, 0]]}, "h"),
+    ("fig1", {"p_grid": 0.5}, "p_grid"),
+    ("thm2_tail", {"t_grid": 0.5}, "t_grid"),
+    ("thm2_tail", {"admittances": 2.0}, "admittances"),
+    ("fig1", {"n": 4, "samples": 1, "out": 1}, "out"),
+    ("fig1", {"n": 4, "samples": 1, "out": 3}, "out"),
 ])
 def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config, field):
     cfg_path = tmp_path / "cfg.json"
@@ -436,15 +484,20 @@ def test_cli_accepts_every_line_law(tmp_path, experiment, config, rows, law):
 
 
 def test_admittance_forms():
-    np.testing.assert_array_equal(eh._parse_admittances(1.0, 2), [1.0, 1.0])
-    np.testing.assert_array_equal(eh._parse_admittances([0.6, -0.8], 3),
-                                  np.full(3, 0.6 - 0.8j))
-    np.testing.assert_array_equal(eh._parse_admittances([[0.5, 0], [0.6, 0]], 2),
-                                  [0.5, 0.6])
-    np.testing.assert_array_equal(eh._parse_admittances([0.5, [0.6, -0.1]], 2),
-                                  [0.5, 0.6 - 0.1j])
+    assert complex_from_json([0.6, -0.8]) == 0.6 - 0.8j
+    with pytest.raises(ValueError, match="pair"):
+        complex_from_json([0.6, -0.8, 0.0])
+
+    def parsed(admittances, n_nodes):  # a path: n_nodes - 1 lines
+        return eh.ExperimentConfig(experiment="thm2_tail", admittances=admittances,
+                                   topology=gc.path_topology(n_nodes)).admittances
+
+    np.testing.assert_array_equal(parsed(1.0, 3), [1.0, 1.0])
+    np.testing.assert_array_equal(parsed([0.6, -0.8], 4), np.full(3, 0.6 - 0.8j))
+    np.testing.assert_array_equal(parsed([[0.5, 0], [0.6, 0]], 3), [0.5, 0.6])
+    np.testing.assert_array_equal(parsed([0.5, [0.6, -0.1]], 3), [0.5, 0.6 - 0.1j])
     with pytest.raises(eh.ConfigError, match="ambiguous"):
-        eh._parse_admittances([0.5, 0.6], 2)
+        parsed([0.5, 0.6], 3)
 
 
 def test_cli_unknown_experiment_exit_1(capsys):
