@@ -19,6 +19,7 @@ from .graph_core import (
     topology_from_json,
     topology_to_json,
     unweighted_laplacian,
+    weighted_laplacians,
 )
 from .spectra import intrinsic_dimension, kron, operator_norm, psd_dominates
 from .admittance import (
@@ -36,7 +37,6 @@ from .admittance import (
     flat_start_lift,
     lift_real,
     line_law_from_json,
-    weighted_laplacians,
 )
 from .bounds import (
     BoundReport,

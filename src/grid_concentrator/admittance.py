@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Topology, incidence_matrix
+from .graph_core import Topology, incidence_matrix, weighted_laplacians
 
 __all__ = [
     "UnitDisk",
@@ -51,7 +51,6 @@ __all__ = [
     "elementary_laplacian",
     "line_weights",
     "assemble_admittance",
-    "weighted_laplacians",
     "lift_real",
     "flat_start_lift",
     "lift_blocks",
@@ -307,28 +306,10 @@ def line_weights(topology: Topology, weights) -> np.ndarray:
 def assemble_admittance(topology: Topology, weights) -> AdmittanceMatrix:
     """Y = A^T diag(w) A from a complex (m,) array of line admittances."""
     w = line_weights(topology, weights)
+    # The one incidence product left: zgemm does not sum lines in line order, so
+    # weighted_laplacians here changes the pinned er_sweep digest (needs a re-baseline).
     a = incidence_matrix(topology)
     return AdmittanceMatrix(matrix=a.T @ (w[:, None] * a), topology=topology)
-
-
-def weighted_laplacians(topology: Topology, weights) -> np.ndarray:
-    """sum_l w[..., l] (e_i - e_j)(e_i - e_j)^T for a (..., m) weight array.
-
-    Scatters from the edge list in line order: each entry is the same sum as
-    adding ``w_l * elementary_laplacian`` term by term, with no per-line matrix.
-    """
-    w = np.asarray(weights)
-    if w.shape[-1:] != (topology.n_edges,):
-        raise ValueError(f"weights of shape {w.shape} for {topology.n_edges} lines")
-    n = topology.n_nodes
-    y = np.zeros(w.shape[:-1] + (n, n), dtype=np.result_type(w, float))
-    for l, (i, j) in enumerate(topology.edges):
-        c = w[..., l]
-        y[..., i, i] += c
-        y[..., j, j] += c
-        y[..., i, j] -= c
-        y[..., j, i] -= c
-    return y
 
 
 def lift_blocks(g, b, sign: float) -> np.ndarray:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_core import Topology, incidence_matrix, unweighted_laplacian
+from .graph_core import Topology, unweighted_laplacian, weighted_laplacians
 from .spectra import kron, operator_norm
 
 __all__ = [
@@ -168,10 +168,8 @@ def deterministic_norm_bound(delta: float, w_max: float = 1.0) -> float:
 def contingency_factors(model: ContingencyModel) -> CriticalityProfile:
     """Contingency factors c_l = 2 p_l (1-p_l) |y_l|^2 and nodal criticality."""
     c = 2.0 * model.probs * (1.0 - model.probs) * np.abs(model.admittances) ** 2
-    d = np.zeros(model.topology.n_nodes)
-    for l, (i, j) in enumerate(model.topology.edges):
-        d[i] += c[l]
-        d[j] += c[l]
+    # d is the variance Laplacian's diagonal: c_l added at both ends in line order.
+    d = weighted_laplacians(model.topology, c).diagonal().copy()
     delta_c = float(d.max(initial=0.0))
     d_bar = float(d.sum() / delta_c) if delta_c > 0.0 else math.nan
     return CriticalityProfile(factors=c, node_degrees=d,
@@ -184,9 +182,7 @@ def variance_laplacian(model: ContingencyModel) -> np.ndarray:
     A graph Laplacian on the same topology with the contingency factors as
     line weights.
     """
-    c = contingency_factors(model).factors
-    a = incidence_matrix(model.topology)
-    return a.T @ (c[:, None] * a)
+    return weighted_laplacians(model.topology, contingency_factors(model).factors)
 
 
 def _degenerate_report(kind: str, t: float | None, inputs: dict) -> BoundReport:

@@ -52,7 +52,6 @@ from .admittance import (
     lift_blocks,
     line_law_from_json,
     real_from_json,
-    weighted_laplacians,
 )
 from .manifold import expected_distance_bound, tangent_residual, tangent_step
 from .spectra import operator_norm
@@ -181,6 +180,12 @@ def _line_model(value, cfg):
     return law
 
 
+def _samples(value, cfg):
+    if cfg.backend == "bruteforce":
+        raise ValueError("is not used by the bruteforce backend")
+    return gc.int_from_json(value, minimum=1)
+
+
 def _topology(value, cfg):
     topology = gc.topology_from_json(value)
     enumerates = cfg.experiment == "bruteforce" or cfg.backend == "bruteforce"
@@ -230,15 +235,15 @@ def _t_grid(value, cfg):
     return grid
 
 
-# Field parsers in dependency order: ``topology`` needs ``backend``; the
-# per-line fields, ``h`` and the default ``t_grid`` need the topology.
+# Field parsers in dependency order: ``samples`` and ``topology`` need ``backend``;
+# the per-line fields, ``h`` and the default ``t_grid`` need the topology.
 _PARSERS = {
+    "backend": lambda value, cfg: _one_of(value, "bruteforce", "montecarlo"),
     "n": lambda value, cfg: gc.int_from_json(value, minimum=1),
-    "samples": lambda value, cfg: gc.int_from_json(value, minimum=1),
+    "samples": _samples,
     "seed": lambda value, cfg: gc.int_from_json(value),
     "out": _out,
     "format": lambda value, cfg: _one_of(value, "csv", "json"),
-    "backend": lambda value, cfg: _one_of(value, "bruteforce", "montecarlo"),
     "p_grid": lambda value, cfg: tuple(_numbers(value, _probability)),
     "line_model": _line_model,
     "delta": lambda value, cfg: real_from_json(value, low=0.0),
@@ -277,17 +282,19 @@ _DISK = {"kind": "disk"}
 _K3 = {"name": "complete", "n": 3}
 _P3 = {"name": "path", "n": 3}
 _SWITCHING = {"topology": _K3, "probs": 0.5, "admittances": 1.0}
+_THM2 = {**_SWITCHING, "backend": "bruteforce",
+         "samples": lambda cfg: 20000 if cfg.backend == "montecarlo" else None, **_RUN}
 
 # Per experiment, every field it reads and its default. A callable default
 # is computed from the fields parsed before it; a None default stays None
 # (``out``: write to stdout; bruteforce's ``t_grid``: 20 points up to the
-# largest enumerated norm). The README's config table mirrors this one.
+# largest norm; ``samples`` of the bruteforce backend, which draws nothing).
+# The README's config table mirrors this one.
 SCHEMA = {
     "fig1": {"n": 20, "samples": 200, "p_grid": [round(0.1 * k, 2) for k in range(1, 11)],
              "line_model": _DISK, **_RUN},
-    "thm2_tail": {**_SWITCHING, "backend": "bruteforce", "samples": 20000,
-                  "t_grid": _default_tail_grid, **_RUN},
-    "thm2_expectation": {**_SWITCHING, "backend": "bruteforce", "samples": 20000, **_RUN},
+    "thm2_tail": {**_THM2, "t_grid": _default_tail_grid},
+    "thm2_expectation": _THM2,
     "lcpf_bounds": {"topology": _P3, "samples": 10000, "delta": 0.1,
                     "t_grid": _lcpf_default_grid, **_RUN},
     "manifold": {"topology": _P3, "samples": 200, "line_model": _DISK, "h": 0.1, **_RUN},
@@ -309,8 +316,6 @@ class SampleStats:
     probabilities: np.ndarray | None
     mean: float
     stderr: float
-    thresholds: np.ndarray
-    tail_frequencies: np.ndarray
     exact: bool
 
     def tail_at(self, t: float) -> float:
@@ -342,13 +347,6 @@ def _chunks(total: int, topology: gc.Topology):
     rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
     for start in range(0, total, rows):
         yield start, min(start + rows, total)
-
-
-def _batched_operator_norms(batch: np.ndarray) -> np.ndarray:
-    """Largest singular value per matrix of a (s, k, k) stack."""
-    if np.iscomplexobj(batch):
-        return np.linalg.svd(batch, compute_uv=False)[:, 0]
-    return np.abs(np.linalg.eigvalsh(batch)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +388,10 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
 def _centered_norms_for_patterns(topology: gc.Topology, model: bnd.ContingencyModel,
                                  patterns: np.ndarray) -> np.ndarray:
     coeff = (patterns - model.probs) * model.admittances  # (s, m) complex
-    return _batched_operator_norms(weighted_laplacians(topology, coeff))
+    return operator_norm(gc.weighted_laplacians(topology, coeff))
 
 
-def brute_force_distribution(topology: gc.Topology, model: bnd.ContingencyModel,
-                             thresholds=()) -> SampleStats:
+def brute_force_distribution(topology: gc.Topology, model: bnd.ContingencyModel) -> SampleStats:
     """Exact distribution of ||Y - EY|| over all 2^m switch patterns.
 
     Enumerates every on/off pattern with its Bernoulli probability, computes
@@ -420,16 +417,12 @@ def brute_force_distribution(topology: gc.Topology, model: bnd.ContingencyModel,
     total_prob = probs.sum()
     if abs(total_prob - 1.0) > 1e-12:
         raise ArithmeticError(f"pattern probabilities sum to {total_prob!r}, not 1")
-    thresholds = np.asarray(thresholds, dtype=float)
-    tails = np.array([probs[norms >= t].sum() for t in thresholds])
     return SampleStats(norms=norms, probabilities=probs,
-                       mean=float(probs @ norms), stderr=0.0,
-                       thresholds=thresholds, tail_frequencies=tails, exact=True)
+                       mean=float(probs @ norms), stderr=0.0, exact=True)
 
 
 def monte_carlo_distribution(topology: gc.Topology, model: bnd.ContingencyModel,
-                             samples: int, seed: int, thresholds=(),
-                             sweep_index: int = 0) -> SampleStats:
+                             samples: int, seed: int, sweep_index: int = 0) -> SampleStats:
     """Monte Carlo estimate of the ||Y - EY|| distribution (per-sample seeds)."""
     m = topology.n_edges
     norms = np.empty(samples)
@@ -439,18 +432,15 @@ def monte_carlo_distribution(topology: gc.Topology, model: bnd.ContingencyModel,
             draws[k] = sample_rng(seed, sweep_index, s).random(m)
         patterns = (draws < model.probs).astype(float)
         norms[start:stop] = _centered_norms_for_patterns(topology, model, patterns)
-    thresholds = np.asarray(thresholds, dtype=float)
-    tails = np.array([float(np.mean(norms >= t)) for t in thresholds])
     stderr = float(np.std(norms, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return SampleStats(norms=norms, probabilities=None, mean=float(np.mean(norms)),
-                       stderr=stderr, thresholds=thresholds,
-                       tail_frequencies=tails, exact=False)
+                       stderr=stderr, exact=False)
 
 
-def _contingency_stats(cfg: ExperimentConfig, grid=()) -> SampleStats:
+def _contingency_stats(cfg: ExperimentConfig) -> SampleStats:
     if cfg.backend == "montecarlo":
-        return monte_carlo_distribution(cfg.topology, cfg.model, cfg.samples, cfg.seed, grid)
-    return brute_force_distribution(cfg.topology, cfg.model, grid)
+        return monte_carlo_distribution(cfg.topology, cfg.model, cfg.samples, cfg.seed)
+    return brute_force_distribution(cfg.topology, cfg.model)
 
 
 TAIL_FIELDS = ["t", "tail_empirical", "tail_bound", "tail_bound_clamped",
@@ -464,10 +454,11 @@ def run_tail_experiment(cfg: ExperimentConfig) -> RunResult:
     grid point; with Monte Carlo, up to a 99% binomial confidence allowance.
     """
     profile = bnd.contingency_factors(cfg.model)
-    stats = _contingency_stats(cfg, cfg.t_grid)
+    stats = _contingency_stats(cfg)
     records = []
     all_ok = True
-    for t, emp in zip(cfg.t_grid, stats.tail_frequencies):
+    for t in cfg.t_grid:
+        emp = stats.tail_at(t)
         report = bnd.thm2_tail_bound(float(t), profile)
         if stats.exact:
             ok = bool(emp <= report.value) if report.valid else True
@@ -537,8 +528,8 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
         draws = np.empty((2, stop - start, m))
         for k, s in enumerate(range(start, stop)):  # per sample: all of dG, then all of dB
             draws[:, k] = sample_rng(cfg.seed, 0, s).uniform(-delta, delta, (2, m))
-        g, b = weighted_laplacians(topology, draws)
-        norms[start:stop] = _batched_operator_norms(lift_blocks(g, b, -1.0))
+        g, b = gc.weighted_laplacians(topology, draws)
+        norms[start:stop] = operator_norm(lift_blocks(g, b, -1.0))
     mean_norm = float(np.mean(norms))
     exp_bound = bnd.lcpf_expectation_bound(n, delta)
     mean_ok = bool(mean_norm <= exp_bound.value)

@@ -1,4 +1,4 @@
-"""Network topology: incidence matrices, degrees, and random graph sampling.
+"""Network topology: incidence matrices, Laplacians, degrees, random graphs.
 
 A power network is an undirected graph on ``n_nodes`` buses with an ordered
 list of candidate lines. The edge list order is significant: line ``l`` keeps
@@ -9,6 +9,7 @@ pairs) are permitted; degrees count edge incidences.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "complete_topology",
     "star_topology",
     "incidence_matrix",
+    "weighted_laplacians",
     "degrees",
     "max_degree",
     "unweighted_laplacian",
@@ -55,13 +57,16 @@ class Topology:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("topology needs at least one node")
-        object.__setattr__(self, "edges", tuple((int(i), int(j)) for i, j in self.edges))
+        # operator.index raises TypeError on 1.7 where int() would truncate it.
+        object.__setattr__(self, "edges", tuple((operator.index(i), operator.index(j))
+                                                for i, j in self.edges))
         for l, (i, j) in enumerate(self.edges):
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(f"edge {l} endpoint out of range: ({i}, {j})")
             if i == j:
                 raise ValueError(f"edge {l} is a self-loop at node {i}")
-        if self.reference_node is not None and not (0 <= self.reference_node < self.n_nodes):
+        ref = self.reference_node
+        if ref is not None and not (0 <= operator.index(ref) < self.n_nodes):
             raise ValueError(f"reference node {self.reference_node} out of range")
 
     @property
@@ -116,6 +121,23 @@ def incidence_matrix(topology: Topology, reduced: bool = False) -> np.ndarray:
     return a
 
 
+def weighted_laplacians(topology: Topology, weights) -> np.ndarray:
+    """sum_l w[..., l] (e_i - e_j)(e_i - e_j)^T for a (..., m) weight array,
+    scattered from the edge list in line order: each entry is the sum of its
+    per-line terms added one by one from zero, with no per-line matrix."""
+    w = np.asarray(weights)
+    if w.shape[-1:] != (topology.n_edges,):
+        raise ValueError(f"weights of shape {w.shape} for {topology.n_edges} lines")
+    y = np.zeros(w.shape[:-1] + (topology.n_nodes,) * 2, dtype=np.result_type(w, float))
+    for l, (i, j) in enumerate(topology.edges):
+        c = w[..., l]
+        y[..., i, i] += c
+        y[..., j, j] += c
+        y[..., i, j] -= c
+        y[..., j, i] -= c
+    return y
+
+
 def degrees(topology: Topology) -> np.ndarray:
     """Per-node count of incident lines (parallel lines counted separately)."""
     deg = np.zeros(topology.n_nodes, dtype=int)
@@ -132,8 +154,7 @@ def max_degree(topology: Topology) -> int:
 
 def unweighted_laplacian(topology: Topology) -> np.ndarray:
     """Combinatorial graph Laplacian A^T A (degrees on the diagonal)."""
-    a = incidence_matrix(topology)
-    return a.T @ a
+    return weighted_laplacians(topology, np.ones(topology.n_edges))
 
 
 def sample_er_topology(n_nodes: int, p: float, rng: np.random.Generator) -> Topology:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admittance import lift_blocks, line_weights
-from .graph_core import Topology, incidence_matrix, is_tree
+from .graph_core import Topology, incidence_matrix, is_tree, weighted_laplacians
 
 __all__ = [
     "FlatStartJacobian",
@@ -82,13 +82,17 @@ def flat_start_jacobian(topology: Topology, weights,
     """Assemble [[G, -B], [-B, -G]] from line admittances w = g + jb.
 
     ``weights`` is a complex (m,) array in edge order. With ``reduced``
-    the reference node's incidence column is dropped first (blocks become
-    (n-1) x (n-1)), which is the invertible form used on trees.
+    the reference node's row and column are dropped from G and B (blocks
+    become (n-1) x (n-1)), which is the invertible form used on trees.
     """
     w = line_weights(topology, weights)
-    a = incidence_matrix(topology, reduced=reduced)
-    return FlatStartJacobian(g_matrix=a.T @ (w.real[:, None] * a),
-                             b_matrix=a.T @ (w.imag[:, None] * a))
+    gb = weighted_laplacians(topology, np.stack([w.real, w.imag]))
+    if reduced:
+        if topology.reference_node is None:
+            raise ValueError("reduced Jacobian requested but no reference node is set")
+        keep = np.arange(topology.n_nodes) != topology.reference_node
+        gb = gb[:, keep][..., keep]
+    return FlatStartJacobian(*gb)
 
 
 def _check_numerical_agreement(lhs: np.ndarray, rhs: np.ndarray, what: str):

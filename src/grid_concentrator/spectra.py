@@ -1,8 +1,8 @@
 """Dense linear-algebra services: operator norms, PSD ordering, Kronecker.
 
-Matrices are plain numpy arrays (real or complex). Everything here is exact
-dense algebra sized for desk-scale networks (n up to a few hundred); there is
-deliberately no iterative or randomized path.
+Matrices are plain numpy arrays (real or complex); :func:`operator_norm` also
+takes (..., k, k) stacks. All of it is exact dense algebra for desk-scale
+networks (n up to a few hundred), with no iterative or randomized path.
 """
 
 from __future__ import annotations
@@ -37,20 +37,27 @@ def _is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return float(np.max(np.abs(a - a.conj().T), initial=0.0)) <= tol
 
 
-def operator_norm(m) -> float:
-    """Largest singular value of a dense matrix.
+def operator_norm(m):
+    """Largest singular value of a matrix, or of each matrix of a (..., k, j) stack.
 
-    Hermitian inputs (within ``HERMITIAN_TOL`` max-abs asymmetry) are
-    symmetrized and routed through the symmetric eigensolver; everything
-    else goes through full SVD. Raises on NaN/Inf entries.
+    A real input whose matrices are all exactly symmetric goes to the
+    symmetric eigensolver; everything else, complex input included, goes to
+    SVD. Returns a float for a matrix and an array of the leading shape for a
+    stack (zeros for empty matrices). Raises on a NaN or Inf anywhere.
     """
-    a = _as_finite_matrix(m)
+    a = np.asarray(m)
+    if a.ndim < 2:
+        raise ValueError(f"matrix must be 2-dimensional or a stack, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains NaN or Inf entries")
     if a.size == 0:
-        return 0.0
-    if _is_hermitian(a):
-        h = (a + a.conj().T) / 2.0
-        return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+        norms = np.zeros(a.shape[:-2])
+    # array_equal makes only a boolean temporary, not a float a - a^T.
+    elif not np.iscomplexobj(a) and np.array_equal(a, np.swapaxes(a, -1, -2)):
+        norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
+    else:
+        norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(norms) if a.ndim == 2 else norms
 
 
 def intrinsic_dimension(m, psd: bool = False) -> float:

@@ -112,7 +112,7 @@ def test_weighted_laplacians_bit_equal_line_order_sum(batch, dtype):
     w = rng.standard_normal(batch + (_PARALLEL.n_edges,))
     if dtype is complex:
         w = w + 1j * rng.standard_normal(w.shape)
-    y = adm.weighted_laplacians(_PARALLEL, w)
+    y = gc.weighted_laplacians(_PARALLEL, w)
     assert y.shape == batch + (4, 4) and y.dtype == np.dtype(dtype)
     np.testing.assert_array_equal(y, _line_order_sum(_PARALLEL, w))
 
@@ -123,16 +123,16 @@ def test_weighted_laplacians_matches_incidence_product():
         t = gc.sample_er_topology(9, 0.5, rng)
         w = rng.uniform(-1, 1, t.n_edges) + 1j * rng.uniform(-1, 1, t.n_edges)
         a = gc.incidence_matrix(t)
-        np.testing.assert_allclose(adm.weighted_laplacians(t, w), a.T @ np.diag(w) @ a,
+        np.testing.assert_allclose(gc.weighted_laplacians(t, w), a.T @ np.diag(w) @ a,
                                    rtol=0, atol=1e-12)
 
 
 def test_weighted_laplacians_no_lines_and_bad_shape():
     t = gc.build_topology(3, [])
-    np.testing.assert_array_equal(adm.weighted_laplacians(t, np.zeros((2, 0))),
+    np.testing.assert_array_equal(gc.weighted_laplacians(t, np.zeros((2, 0))),
                                   np.zeros((2, 3, 3)))
     with pytest.raises(ValueError):
-        adm.weighted_laplacians(gc.complete_topology(3), np.ones(2))
+        gc.weighted_laplacians(gc.complete_topology(3), np.ones(2))
 
 
 def test_monte_carlo_sample_replays_alone(monkeypatch):
@@ -144,7 +144,7 @@ def test_monte_carlo_sample_replays_alone(monkeypatch):
     stats = eh.monte_carlo_distribution(t, model, 40, seed=17)
     for s in (0, 9, 39):
         pattern = eh.sample_rng(17, 0, s).random(t.n_edges) < model.probs
-        ytilde = adm.weighted_laplacians(t, (pattern - model.probs) * model.admittances)
+        ytilde = gc.weighted_laplacians(t, (pattern - model.probs) * model.admittances)
         assert stats.norms[s] == np.linalg.svd(ytilde, compute_uv=False)[0]
 
 

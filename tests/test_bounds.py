@@ -91,6 +91,19 @@ def test_contingency_factors_k3():
     assert not prof.degenerate
 
 
+def test_node_degrees_bit_equal_scalar_loop():
+    rng = np.random.default_rng(31)
+    parallel = gc.build_topology(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 1), (1, 0)])
+    for model in [_random_connected_model(rng) for _ in range(10)] + [bnd.ContingencyModel(
+            parallel, rng.uniform(0.1, 0.9, 6), rng.uniform(0.2, 1.0, 6) + 0j)]:
+        prof = bnd.contingency_factors(model)
+        d = np.zeros(model.topology.n_nodes)
+        for l, (i, j) in enumerate(model.topology.edges):
+            d[i] += prof.factors[l]
+            d[j] += prof.factors[l]
+        np.testing.assert_array_equal(prof.node_degrees, d)
+
+
 def test_thm2_tail_k3_at_3():
     prof = bnd.contingency_factors(_k3_model())
     report = bnd.thm2_tail_bound(3.0, prof)

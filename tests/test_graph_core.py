@@ -38,6 +38,17 @@ def test_build_topology_rejects_bad_reference():
         gc.build_topology(2, [(0, 1)], reference_node=5)
 
 
+def test_topology_rejects_non_integral_nodes():
+    # int() would truncate 1.7 to 1 and keep 0.9 as a reference.
+    with pytest.raises(TypeError):
+        gc.Topology(3, ((0, 1.7),))
+    with pytest.raises(TypeError):
+        gc.Topology(3, ((0, 1),), reference_node=0.9)
+    t = gc.Topology(3, ((np.int64(0), np.int32(2)),), reference_node=np.int64(1))
+    assert t.edges == ((0, 2),) and t.reference_node == 1
+    assert all(type(x) is int for x in t.edges[0])
+
+
 def test_incidence_p3():
     a = gc.incidence_matrix(gc.path_topology(3))
     np.testing.assert_array_equal(a, [[1, -1, 0], [0, 1, -1]])

@@ -142,21 +142,21 @@ def test_fig1_rejects_oversized_weights():
 
 def test_brute_force_all_lines_certain():
     t, model = _k3_model(p=1.0)
-    stats = eh.brute_force_distribution(t, model, [0.5])
+    stats = eh.brute_force_distribution(t, model)
     assert stats.exact
     assert stats.mean == pytest.approx(0.0, abs=1e-15)
-    assert stats.tail_frequencies[0] == pytest.approx(0.0, abs=1e-15)
+    assert stats.tail_at(0.5) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_brute_force_single_line_half():
     t = gc.build_topology(2, [(0, 1)])
     model = bnd.ContingencyModel(t, np.array([0.5]), np.array([1.0 + 0j]))
-    stats = eh.brute_force_distribution(t, model, [0.5, 1.0, 1.0 + 1e-9])
+    stats = eh.brute_force_distribution(t, model)
     # ||(xi - 1/2) E_01|| = 1 for either switch state
     np.testing.assert_allclose(stats.norms, 1.0, atol=1e-12)
     assert stats.mean == pytest.approx(1.0, rel=1e-12)
-    np.testing.assert_allclose(stats.tail_frequencies[:2], 1.0)
-    assert stats.tail_frequencies[2] == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_allclose([stats.tail_at(0.5), stats.tail_at(1.0)], 1.0)
+    assert stats.tail_at(1.0 + 1e-9) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_brute_force_probabilities_sum_to_one():
@@ -200,9 +200,9 @@ def test_tail_experiment_matches_brute_force():
     grid = (0.5, 1.0, 1.5, 2.5)
     cfg = eh.ExperimentConfig(experiment="thm2_tail", t_grid=grid)
     result = eh.run_tail_experiment(cfg)
-    stats = eh.brute_force_distribution(t, model, grid)
-    for rec, freq in zip(result.records, stats.tail_frequencies):
-        assert rec["tail_empirical"] == pytest.approx(float(freq), abs=1e-15)
+    stats = eh.brute_force_distribution(t, model)
+    for rec, threshold in zip(result.records, grid):
+        assert rec["tail_empirical"] == pytest.approx(stats.tail_at(threshold), abs=1e-15)
         assert rec["exact"]
     assert result.bounds_ok
 
@@ -451,6 +451,7 @@ def test_cli_config_error_exit_1(tmp_path):
     ("thm2_tail", {"admittances": 2.0}, "admittances"),
     ("fig1", {"n": 4, "samples": 1, "out": 1}, "out"),
     ("fig1", {"n": 4, "samples": 1, "out": 3}, "out"),
+    ("thm2_tail", {"backend": "bruteforce", "samples": 5}, "samples"),
 ])
 def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config, field):
     cfg_path = tmp_path / "cfg.json"

@@ -52,6 +52,22 @@ def test_flat_start_rejects_length_mismatch():
         lcpf.flat_start_jacobian(gc.path_topology(3), [(1.0, 0.0), (1.0, 0.0)])
 
 
+def test_flat_start_matches_incidence_product():
+    rng = np.random.default_rng(64)
+    for _ in range(10):
+        n = int(rng.integers(2, 9))
+        er = gc.sample_er_topology(n, 0.6, rng)
+        t = gc.build_topology(n, er.edges + er.edges[:1], int(rng.integers(0, n)))
+        w = rng.uniform(-1, 1, t.n_edges) + 1j * rng.uniform(-1, 1, t.n_edges)
+        for reduced in (False, True):
+            a = gc.incidence_matrix(t, reduced=reduced)
+            j = lcpf.flat_start_jacobian(t, w, reduced=reduced)
+            np.testing.assert_allclose(j.g_matrix, a.T @ np.diag(w.real) @ a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(j.b_matrix, a.T @ np.diag(w.imag) @ a, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="reference"):
+        lcpf.flat_start_jacobian(gc.path_topology(3), [1.0, 1.0], reduced=True)
+
+
 def test_invert_single_line():
     t = _single_line()
     j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)], reduced=True)

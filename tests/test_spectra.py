@@ -3,8 +3,7 @@ import pytest
 
 from grid_concentrator import graph_core as gc
 from grid_concentrator import spectra
-from grid_concentrator.admittance import SphereUniform
-from grid_concentrator.lcpf import flat_start_jacobian
+from grid_concentrator.admittance import SphereUniform, lift_blocks
 
 E12 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -45,11 +44,40 @@ def test_operator_norm_accepts_non_contiguous_views():
 def test_operator_norm_hermitian_vs_svd_paths():
     rng = np.random.default_rng(21)
     for _ in range(50):
-        h = _random_complex(rng, 6)
-        h = (h + h.conj().T) / 2
-        by_eig = spectra.operator_norm(h)
-        by_svd = float(np.linalg.svd(h, compute_uv=False)[0])
-        assert by_eig == pytest.approx(by_svd, rel=1e-9, abs=1e-9)
+        for h in (_random_complex(rng, 6), rng.standard_normal((6, 6))):
+            h = (h + h.conj().T) / 2
+            by_eig = spectra.operator_norm(h)
+            by_svd = float(np.linalg.svd(h, compute_uv=False)[0])
+            assert by_eig == pytest.approx(by_svd, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["real_symmetric", "real", "complex"])
+def test_operator_norm_stack_bit_equal_per_matrix(kind):
+    rng = np.random.default_rng(26)
+    stack = rng.standard_normal((4, 3, 5, 5))
+    if kind == "real_symmetric":
+        stack = stack + np.swapaxes(stack, -1, -2)
+    elif kind == "complex":
+        stack = stack + 1j * rng.standard_normal(stack.shape)
+    norms = spectra.operator_norm(stack)
+    assert norms.shape == (4, 3)
+    per_matrix = [[spectra.operator_norm(m) for m in row] for row in stack]
+    np.testing.assert_array_equal(norms, per_matrix)
+    np.testing.assert_allclose(norms, np.linalg.norm(stack, ord=2, axis=(-2, -1)),
+                               rtol=1e-12)
+
+
+def test_operator_norm_empty_and_non_finite_stacks():
+    assert spectra.operator_norm(np.zeros((0, 0))) == 0.0
+    np.testing.assert_array_equal(spectra.operator_norm(np.zeros((3, 0, 0))), np.zeros(3))
+    assert spectra.operator_norm(np.zeros((0, 4, 4))).shape == (0,)
+    for dtype in (float, complex):
+        stack = np.ones((3, 4, 4), dtype=dtype)
+        stack[2, 1, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            spectra.operator_norm(stack)
+    with pytest.raises(ValueError):
+        spectra.operator_norm(np.ones(3))
 
 
 def test_operator_norm_triangle_and_submultiplicative():
@@ -135,15 +163,12 @@ def test_psd_dominates_monte_carlo_sphere_envelope():
     rng = np.random.default_rng(2024)
     law = SphereUniform(radius_sq=m / (2.0 * n))
     n_samples = 100_000
-    acc = np.zeros((2 * n, 2 * n))
-    acc_sq = np.zeros((2 * n, 2 * n))
-    for _ in range(n_samples):
-        f = flat_start_jacobian(topology, law.sample(rng, m)).matrix
-        ffs = f @ f
-        acc += ffs
-        acc_sq += ffs * ffs
-    mean = acc / n_samples
-    var = acc_sq / n_samples - mean * mean
+    w = np.array([law.sample(rng, m) for _ in range(n_samples)])
+    g, b = gc.weighted_laplacians(topology, np.stack([w.real, w.imag]))
+    f = lift_blocks(g, b, -1.0)  # every sample's flat-start Jacobian
+    ffs = f @ f
+    mean = ffs.sum(axis=0) / n_samples
+    var = (ffs * ffs).sum(axis=0) / n_samples - mean * mean
     stderr = float(np.sqrt(np.clip(var, 0.0, None).sum() / n_samples))
     envelope = (2.0 / n) * spectra.kron(np.eye(2), gc.unweighted_laplacian(topology))
     assert spectra.psd_dominates(mean, envelope, tol=5 * stderr)
