@@ -30,7 +30,6 @@ from .admittance import (
     SphereUniform,
     UnitDisk,
     assemble_admittance,
-    center,
     elementary_jacobian,
     elementary_laplacian,
     expected_admittance,

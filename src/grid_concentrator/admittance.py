@@ -51,13 +51,13 @@ __all__ = [
     "elementary_laplacian",
     "line_weights",
     "assemble_admittance",
+    "incidence_product",
     "lift_real",
     "flat_start_lift",
     "lift_blocks",
     "admittance_block",
     "elementary_jacobian",
     "expected_admittance",
-    "center",
 ]
 
 
@@ -276,14 +276,6 @@ class AdmittanceMatrix:
             raise ValueError("admittance matrix contains NaN or Inf")
         object.__setattr__(self, "matrix", a)
 
-    @property
-    def conductance(self) -> np.ndarray:
-        return self.matrix.real
-
-    @property
-    def susceptance(self) -> np.ndarray:
-        return self.matrix.imag
-
 
 def elementary_laplacian(i: int, j: int, n: int) -> np.ndarray:
     """Rank-one Laplacian (e_i - e_j)(e_i - e_j)^T of a single unit line.
@@ -306,10 +298,15 @@ def line_weights(topology: Topology, weights) -> np.ndarray:
 def assemble_admittance(topology: Topology, weights) -> AdmittanceMatrix:
     """Y = A^T diag(w) A from a complex (m,) array of line admittances."""
     w = line_weights(topology, weights)
+    return AdmittanceMatrix(matrix=incidence_product(incidence_matrix(topology), w),
+                            topology=topology)
+
+
+def incidence_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A^T diag(w) A for an (m, n) incidence matrix and (m,) line weights."""
     # The one incidence product left: zgemm does not sum lines in line order, so
     # weighted_laplacians here changes the pinned er_sweep digest (needs a re-baseline).
-    a = incidence_matrix(topology)
-    return AdmittanceMatrix(matrix=a.T @ (w[:, None] * a), topology=topology)
+    return a.T @ (w[:, None] * a)
 
 
 def lift_blocks(g, b, sign: float) -> np.ndarray:
@@ -361,10 +358,3 @@ def elementary_jacobian(g: float, b: float, i: int, j: int, n: int,
 def expected_admittance(topology: Topology, law: LineLaw) -> AdmittanceMatrix:
     """E[Y] = A^T diag(E w) A, every line carrying the law's closed-form mean."""
     return assemble_admittance(topology, np.full(topology.n_edges, law.mean))
-
-
-def center(sample: AdmittanceMatrix, expected: AdmittanceMatrix) -> np.ndarray:
-    """Centered admittance matrix Y - E[Y] (zero mean by construction)."""
-    if sample.matrix.shape != expected.matrix.shape:
-        raise ValueError("sample/expected shape mismatch")
-    return sample.matrix - expected.matrix

@@ -230,15 +230,13 @@ def thm2_expectation_bound(profile: CriticalityProfile,
     if profile.degenerate:
         return _degenerate_report("thm2_expectation", None, inputs)
     dc = profile.max_criticality
-    d = 2.0 * profile.total_degree
+    log1d = math.log1p(2.0 * profile.total_degree)  # d = 2 D_bar
     if constant is None:
         nu, big_l = 2.0 * dc, 2.0
-        log1d = math.log1p(d)
         value = (math.sqrt(2.0 * nu * log1d) + (2.0 / 3.0) * big_l * log1d
                  + 4.0 * math.sqrt(nu) + (8.0 / 3.0) * big_l)
         notes = "explicit chain with nu = 2*Delta_c, L = 2, d = 2*D_bar"
     else:
-        log1d = math.log1p(d)
         value = constant * (math.sqrt(2.0 * dc * log1d) + 2.0 * log1d)
         notes = f"single-constant form with C = {constant}"
     return BoundReport(kind="thm2_expectation", inputs=inputs, value=value,

@@ -7,9 +7,11 @@ derived as ``SeedSequence((master_seed, sweep_index, sample_index))``, so any
 sample can be replayed in isolation and identical configs give byte-identical
 output files.
 
-The Monte Carlo, enumeration and ``lcpf_bounds`` runners work in bounded
-chunks of samples, each assembled by one line-order scatter and normed by one
-batched call, so their per-sample memory is O(n^2), not O(m n^2).
+Every runner but ``manifold`` works in bounded chunks of samples, each normed
+by one batched call. The Monte Carlo, enumeration and ``lcpf_bounds`` chunks
+are assembled by one line-order scatter, so their per-sample memory is O(n^2).
+``fig1`` stacks one incidence product per sample, so it still builds each
+sample's dense m x n incidence matrix (about 190 MB peak at n = 200, p = 1).
 
 Experiments
 -----------
@@ -49,11 +51,12 @@ from .admittance import (
     LineLaw,
     assemble_admittance,
     complex_from_json,
+    incidence_product,
     lift_blocks,
     line_law_from_json,
     real_from_json,
 )
-from .manifold import expected_distance_bound, tangent_residual, tangent_step
+from .manifold import distance_bound, expected_distance_bound, tangent_residual, tangent_step
 from .spectra import operator_norm
 
 __all__ = [
@@ -318,6 +321,14 @@ class SampleStats:
     stderr: float
     exact: bool
 
+    @classmethod
+    def sampled(cls, norms: np.ndarray) -> "SampleStats":
+        """Equally weighted samples: their mean and its standard error."""
+        count = len(norms)
+        stderr = float(np.std(norms, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+        return cls(norms=norms, probabilities=None, mean=float(np.mean(norms)),
+                   stderr=stderr, exact=False)
+
     def tail_at(self, t: float) -> float:
         """Pr(norm >= t) under the sample/pattern weights."""
         if self.probabilities is None:
@@ -340,13 +351,17 @@ def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Gene
         np.random.SeedSequence((int(seed) % (1 << 64), int(sweep_index), int(sample_index))))
 
 
-def _chunks(total: int, topology: gc.Topology):
+def _chunks(total: int, row_bytes: int):
     """(start, stop) ranges over ``range(total)``: at most ``_ENUM_CHUNK`` rows and
-    ``_CHUNK_BYTES`` of rows of 8 n^2 + 3 m floats (lifted matrix, n x n parts, draws)."""
-    row_bytes = 8 * (8 * topology.n_nodes ** 2 + 3 * topology.n_edges)
+    ``_CHUNK_BYTES`` of rows of ``row_bytes`` each."""
     rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
     for start in range(0, total, rows):
         yield start, min(start + rows, total)
+
+
+def _row_bytes(topology: gc.Topology) -> int:
+    # 8 n^2 + 3 m floats per sample: lifted matrix, n x n parts, draws.
+    return 8 * (8 * topology.n_nodes ** 2 + 3 * topology.n_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +376,27 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
 
     Each record carries the sweep probability, the sampled line count and
     max degree, the sampled ||Y||, and the expectation bound evaluated at
-    that sample's realized max degree.
+    that sample's realized max degree. Per chunk of samples, one norm call
+    takes the stack of their complex n x n matrices.
     """
+    n = cfg.n
     records = []
-    all_ok = True
     for sweep_index, p in enumerate(cfg.p_grid):
-        for sample_index in range(cfg.samples):
-            rng = sample_rng(cfg.seed, sweep_index, sample_index)
-            topology = gc.sample_er_topology(cfg.n, p, rng)
-            weights = cfg.line_model.sample(rng, topology.n_edges)
-            norm = operator_norm(assemble_admittance(topology, weights).matrix)
-            delta = gc.max_degree(topology)
-            bound = bnd.thm1_expectation_bound(cfg.n, delta).value
-            ok = bool(bound >= norm)
-            all_ok = all_ok and ok
-            records.append({"p": p, "sample_index": sample_index,
-                            "m": topology.n_edges, "delta": delta,
-                            "norm": norm, "bound": bound, "bound_ok": ok})
-    return RunResult(records, FIG1_FIELDS, all_ok)
+        for start, stop in _chunks(cfg.samples, 16 * n * n):
+            ys = np.empty((stop - start, n, n), dtype=complex)
+            drawn = []
+            for k, s in enumerate(range(start, stop)):
+                rng = sample_rng(cfg.seed, sweep_index, s)
+                ends = gc.sample_er_lines(n, p, rng)
+                weights = cfg.line_model.sample(rng, len(ends))
+                ys[k] = incidence_product(gc.line_incidence(n, ends), weights)
+                drawn.append((s, len(ends), int(np.bincount(ends.ravel(), minlength=n).max())))
+            for (s, m, delta), norm in zip(drawn, operator_norm(ys).tolist()):
+                bound = bnd.thm1_expectation_bound(n, delta).value
+                records.append({"p": p, "sample_index": s, "m": m, "delta": delta,
+                                "norm": norm, "bound": bound, "bound_ok": bool(bound >= norm)})
+            del ys  # before the next chunk's stack is allocated
+    return RunResult(records, FIG1_FIELDS, all(rec["bound_ok"] for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +426,7 @@ def brute_force_distribution(topology: gc.Topology, model: bnd.ContingencyModel)
     norms = np.empty(total)
     probs = np.empty(total)
     bit_index = np.arange(m, dtype=np.uint64)
-    for start, stop in _chunks(total, topology):
+    for start, stop in _chunks(total, _row_bytes(topology)):
         idx = np.arange(start, stop, dtype=np.uint64)
         patterns = ((idx[:, None] >> bit_index) & 1).astype(float)
         norms[start:stop] = _centered_norms_for_patterns(topology, model, patterns)
@@ -426,15 +444,13 @@ def monte_carlo_distribution(topology: gc.Topology, model: bnd.ContingencyModel,
     """Monte Carlo estimate of the ||Y - EY|| distribution (per-sample seeds)."""
     m = topology.n_edges
     norms = np.empty(samples)
-    for start, stop in _chunks(samples, topology):
+    for start, stop in _chunks(samples, _row_bytes(topology)):
         draws = np.empty((stop - start, m))
         for k, s in enumerate(range(start, stop)):
             draws[k] = sample_rng(seed, sweep_index, s).random(m)
         patterns = (draws < model.probs).astype(float)
         norms[start:stop] = _centered_norms_for_patterns(topology, model, patterns)
-    stderr = float(np.std(norms, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return SampleStats(norms=norms, probabilities=None, mean=float(np.mean(norms)),
-                       stderr=stderr, exact=False)
+    return SampleStats.sampled(norms)
 
 
 def _contingency_stats(cfg: ExperimentConfig) -> SampleStats:
@@ -460,12 +476,10 @@ def run_tail_experiment(cfg: ExperimentConfig) -> RunResult:
     for t in cfg.t_grid:
         emp = stats.tail_at(t)
         report = bnd.thm2_tail_bound(float(t), profile)
-        if stats.exact:
-            ok = bool(emp <= report.value) if report.valid else True
-        else:
-            n_samp = len(stats.norms)
-            allowance = 2.576 * math.sqrt(max(emp * (1 - emp), 0.0) / n_samp) + 1.0 / n_samp
-            ok = bool(emp <= report.value + allowance) if report.valid else True
+        n_samp = len(stats.norms)
+        allowance = 0.0 if stats.exact else \
+            2.576 * math.sqrt(max(emp * (1 - emp), 0.0) / n_samp) + 1.0 / n_samp
+        ok = bool(emp <= report.value + allowance) if report.valid else True
         all_ok = all_ok and ok
         records.append({"t": float(t), "tail_empirical": float(emp),
                         "tail_bound": report.value,
@@ -524,19 +538,19 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
     topology, samples, delta = cfg.topology, cfg.samples, cfg.delta
     n, m = topology.n_nodes, topology.n_edges
     norms = np.empty(samples)
-    for start, stop in _chunks(samples, topology):
+    for start, stop in _chunks(samples, _row_bytes(topology)):
         draws = np.empty((2, stop - start, m))
         for k, s in enumerate(range(start, stop)):  # per sample: all of dG, then all of dB
             draws[:, k] = sample_rng(cfg.seed, 0, s).uniform(-delta, delta, (2, m))
         g, b = gc.weighted_laplacians(topology, draws)
         norms[start:stop] = operator_norm(lift_blocks(g, b, -1.0))
-    mean_norm = float(np.mean(norms))
+    stats = SampleStats.sampled(norms)
     exp_bound = bnd.lcpf_expectation_bound(n, delta)
-    mean_ok = bool(mean_norm <= exp_bound.value)
+    mean_ok = bool(stats.mean <= exp_bound.value)
     records = []
     all_ok = mean_ok
     for t in cfg.t_grid:
-        tail_emp = float(np.mean(norms >= t))
+        tail_emp = stats.tail_at(t)
         tail_bound = bnd.lcpf_tail_bound(float(t), n, delta)
         slacked = LCPF_TAIL_SLACK * tail_bound.value
         ok = bool(tail_emp <= slacked)
@@ -544,7 +558,7 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
         records.append({"t": float(t), "tail_empirical": tail_emp,
                         "tail_bound": tail_bound.value,
                         "tail_bound_slack4": slacked, "tail_ok": ok,
-                        "mean_norm": mean_norm,
+                        "mean_norm": stats.mean,
                         "expectation_bound": exp_bound.value, "mean_ok": mean_ok})
     return RunResult(records, LCPF_FIELDS, all_ok)
 
@@ -569,13 +583,9 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     max degree.
     """
     topology, samples, h = cfg.topology, cfg.samples, cfg.h
-    h2 = float(np.linalg.norm(h))
-    hinf = float(np.max(np.abs(h), initial=0.0))
     u_flat = np.ones(topology.n_nodes, dtype=complex)
     source = bnd.thm1_expectation_bound(topology.n_nodes, gc.max_degree(topology))
     analytic = expected_distance_bound(h, source)
-    certs = np.empty(samples)
-    residual_all_ok = True
     rows = []
     for s in range(samples):
         rng = sample_rng(cfg.seed, 0, s)
@@ -583,15 +593,13 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
         y_norm = operator_norm(y.matrix)
         step = tangent_step(y, u_flat, h)
         residual_cert = 3.0 * float(np.linalg.norm(tangent_residual(y, step)))
-        holder_cert = 3.0 * hinf * h2 * y_norm
+        holder_cert = distance_bound(h, y_norm)
         res_ok = bool(residual_cert <= holder_cert + 1e-12)
-        residual_all_ok = residual_all_ok and res_ok
-        certs[s] = holder_cert
         rows.append({"sample_index": s, "y_norm": y_norm,
                      "residual_certificate": residual_cert,
                      "holder_certificate": holder_cert, "residual_ok": res_ok})
-    mean_cert = float(np.mean(certs))
-    bound_ok = bool(mean_cert <= analytic.value) and residual_all_ok
+    mean_cert = float(np.mean([row["holder_certificate"] for row in rows]))
+    bound_ok = bool(mean_cert <= analytic.value) and all(row["residual_ok"] for row in rows)
     for row in rows:
         row.update({"mean_certificate": mean_cert, "analytic_bound": analytic.value,
                     "bound_ok": bound_ok})

@@ -9,6 +9,7 @@ pairs) are permitted; degrees count edge incidences.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -21,11 +22,13 @@ __all__ = [
     "complete_topology",
     "star_topology",
     "incidence_matrix",
+    "line_incidence",
     "weighted_laplacians",
     "degrees",
     "max_degree",
     "unweighted_laplacian",
     "sample_er_topology",
+    "sample_er_lines",
     "sample_random_tree",
     "is_connected",
     "is_tree",
@@ -111,13 +114,17 @@ def incidence_matrix(topology: Topology, reduced: bool = False) -> np.ndarray:
     """
     if reduced and topology.reference_node is None:
         raise ValueError("reduced incidence requested but no reference node is set")
-    a = np.zeros((topology.n_edges, topology.n_nodes))
-    for l, (i, j) in enumerate(topology.edges):
-        a[l, i] = 1.0
-        a[l, j] = -1.0
+    a = line_incidence(topology.n_nodes, np.array(topology.edges, dtype=np.intp).reshape(-1, 2))
     if reduced:
         keep = [c for c in range(topology.n_nodes) if c != topology.reference_node]
         a = a[:, keep]
+    return a
+
+
+def line_incidence(n_nodes: int, ends: np.ndarray) -> np.ndarray:
+    """C-ordered (m, n) incidence rows ``e_i - e_j`` of an (m, 2) endpoint array."""
+    a = np.zeros((len(ends), n_nodes))
+    a[np.arange(len(ends))[:, None], ends] = [1.0, -1.0]
     return a
 
 
@@ -140,11 +147,7 @@ def weighted_laplacians(topology: Topology, weights) -> np.ndarray:
 
 def degrees(topology: Topology) -> np.ndarray:
     """Per-node count of incident lines (parallel lines counted separately)."""
-    deg = np.zeros(topology.n_nodes, dtype=int)
-    for i, j in topology.edges:
-        deg[i] += 1
-        deg[j] += 1
-    return deg
+    return np.bincount(np.ravel(topology.edges).astype(np.intp), minlength=topology.n_nodes)
 
 
 def max_degree(topology: Topology) -> int:
@@ -158,16 +161,23 @@ def unweighted_laplacian(topology: Topology) -> np.ndarray:
 
 
 def sample_er_topology(n_nodes: int, p: float, rng: np.random.Generator) -> Topology:
-    """Homogeneous Erdos-Renyi topology: each candidate line on with prob p.
+    """Homogeneous Erdos-Renyi topology drawn by :func:`sample_er_lines`."""
+    return Topology(n_nodes, sample_er_lines(n_nodes, p, rng).tolist())
 
-    Candidate pairs are taken in lexicographic order with one uniform variate
-    each, so the edge list is bit-reproducible for a given generator state.
-    """
+
+def sample_er_lines(n_nodes: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """(m, 2) endpoints of a homogeneous Erdos-Renyi draw: each candidate line
+    on with prob p. Candidate pairs are taken in lexicographic order with one
+    uniform variate each, so a generator state replays the same lines."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    i, j = np.triu_indices(n_nodes, 1)
-    on = rng.random(i.size) < p
-    return Topology(n_nodes, tuple(zip(i[on].tolist(), j[on].tolist())))
+    pairs = _candidate_pairs(n_nodes)
+    return pairs[rng.random(len(pairs)) < p]
+
+
+@functools.lru_cache(maxsize=8)
+def _candidate_pairs(n_nodes: int) -> np.ndarray:
+    return np.column_stack(np.triu_indices(n_nodes, 1))  # only read, by masks
 
 
 def sample_random_tree(n_nodes: int, rng: np.random.Generator,
@@ -182,23 +192,17 @@ def sample_random_tree(n_nodes: int, rng: np.random.Generator,
 
 def is_connected(topology: Topology) -> bool:
     """True iff every node is reachable from node 0."""
-    n = topology.n_nodes
-    if n == 1:
-        return True
-    adj = [[] for _ in range(n)]
+    adj = [[] for _ in range(topology.n_nodes)]
     for i, j in topology.edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
                 stack.append(v)
-    return all(seen)
+    return len(seen) == topology.n_nodes
 
 
 def is_tree(topology: Topology) -> bool:

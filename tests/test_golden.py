@@ -30,6 +30,17 @@ GOLDEN = {
     "fig1_fixed": (
         {**_FIG1, "line_model": _FIXED_LAW},
         "c2886e8b63d9010057ea755bbe9a45573a467c24437d3a491ce9f1bb24c27e4d"),
+    # The other three laws, each with support <= 1.
+    "fig1_bernoulli": (
+        {**_FIG1, "line_model": {"kind": "bernoulli", "admittance": [0.6, -0.8], "p": 0.5}},
+        "f822fb113dc4b4e11e40b19497b3bbce66f6c4d51885422423e44f3f77e84ec3"),
+    "fig1_bounded": (
+        {**_FIG1, "line_model": {"kind": "bounded", "center_g": 0.5, "center_b": -0.5,
+                                 "delta": 0.2}},
+        "360692e2da78955c9e64d182fab0f1c6330376255889d77170b387bfa3479e8f"),
+    "fig1_sphere": (
+        {**_FIG1, "line_model": {"kind": "sphere", "radius_sq": 0.5}},
+        "91c00a899fe92b5d02edf8a09a81f3de8dc5fe4571b867a639e992b1566785c1"),
     "thm2_tail_bruteforce": (
         {"experiment": "thm2_tail", "backend": "bruteforce", "topology": _MESH,
          "probs": _MESH_PROBS, "admittances": _MESH_ADMITTANCES},

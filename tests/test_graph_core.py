@@ -109,6 +109,53 @@ def test_degrees_count_parallel_edges():
     np.testing.assert_array_equal(gc.degrees(t), [2, 2])
 
 
+def _incidence_loop(topology, reduced):
+    # Reference: one row per line, filled entry by entry.
+    a = np.zeros((topology.n_edges, topology.n_nodes))
+    for l, (i, j) in enumerate(topology.edges):
+        a[l, i] = 1.0
+        a[l, j] = -1.0
+    if reduced:
+        a = a[:, [c for c in range(topology.n_nodes) if c != topology.reference_node]]
+    return a
+
+
+def _degrees_loop(topology):
+    deg = np.zeros(topology.n_nodes, dtype=int)
+    for i, j in topology.edges:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
+@pytest.mark.parametrize("topology", [
+    gc.Topology(1, (), reference_node=0),
+    gc.Topology(4, (), reference_node=2),
+    gc.Topology(4, ((0, 1), (2, 1), (0, 1), (3, 0), (1, 0), (2, 3)), reference_node=1),
+    gc.Topology(5, ((4, 0), (4, 0), (4, 0), (2, 3)), reference_node=4),
+    gc.complete_topology(6, reference_node=0),
+], ids=["single", "edgeless", "parallel", "triple", "k6"])
+def test_incidence_and_degrees_bit_equal_scalar_loop(topology):
+    for reduced in (False, True):
+        a = gc.incidence_matrix(topology, reduced=reduced)
+        ref = _incidence_loop(topology, reduced)
+        assert a.dtype == ref.dtype and a.shape == ref.shape
+        assert a.flags.c_contiguous == ref.flags.c_contiguous
+        assert a.tobytes() == ref.tobytes()
+    deg = gc.degrees(topology)
+    assert deg.dtype == _degrees_loop(topology).dtype
+    np.testing.assert_array_equal(deg, _degrees_loop(topology))
+    assert gc.max_degree(topology) == int(_degrees_loop(topology).max(initial=0))
+
+
+def test_sample_er_lines_match_topology():
+    lines = gc.sample_er_lines(9, 0.4, np.random.default_rng(5))
+    topology = gc.sample_er_topology(9, 0.4, np.random.default_rng(5))
+    assert lines.shape == (topology.n_edges, 2)
+    assert [tuple(e) for e in lines.tolist()] == list(topology.edges)
+    np.testing.assert_array_equal(gc.line_incidence(9, lines), gc.incidence_matrix(topology))
+
+
 def test_laplacian_counts_parallel_edges():
     t = gc.build_topology(3, [(0, 1), (0, 1), (1, 2)])
     lap = gc.unweighted_laplacian(t)

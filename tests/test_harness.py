@@ -12,7 +12,8 @@ from grid_concentrator import bounds as bnd
 from grid_concentrator import cli
 from grid_concentrator import experiment_harness as eh
 from grid_concentrator import graph_core as gc
-from grid_concentrator.admittance import complex_from_json
+from grid_concentrator.admittance import assemble_admittance, complex_from_json
+from grid_concentrator.spectra import operator_norm
 
 
 def _k3_model(p=0.5):
@@ -134,6 +135,50 @@ def test_fig1_rejects_oversized_weights():
     with pytest.raises(eh.ConfigError, match="<= 1"):
         eh.ExperimentConfig(experiment="fig1", n=5, samples=2, p_grid=(0.5,),
                             line_model={"kind": "fixed", "admittance": [2.0, 0.0]})
+
+
+_FIG1_LAWS = [{"kind": "disk"}, {"kind": "fixed", "admittance": [0.6, -0.8]},
+              {"kind": "bernoulli", "admittance": [0.6, -0.8], "p": 0.4},
+              {"kind": "bounded", "center_g": 0.5, "center_b": -0.5, "delta": 0.2},
+              {"kind": "sphere", "radius_sq": 0.5}]
+
+
+def _fig1_per_sample(cfg):
+    # Reference: one Topology, one assembled matrix and one norm call per sample.
+    records = []
+    for sweep_index, p in enumerate(cfg.p_grid):
+        for s in range(cfg.samples):
+            rng = eh.sample_rng(cfg.seed, sweep_index, s)
+            topology = gc.sample_er_topology(cfg.n, p, rng)
+            weights = cfg.line_model.sample(rng, topology.n_edges)
+            norm = operator_norm(assemble_admittance(topology, weights).matrix)
+            delta = gc.max_degree(topology)
+            bound = bnd.thm1_expectation_bound(cfg.n, delta).value
+            records.append({"p": p, "sample_index": s, "m": topology.n_edges,
+                            "delta": delta, "norm": norm, "bound": bound,
+                            "bound_ok": bool(bound >= norm)})
+    return records
+
+
+@pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
+def test_fig1_bit_equal_per_sample_reference(law):
+    # p = 0 draws samples without lines (m = 0); p = 1 draws the complete graph.
+    cfg = eh.ExperimentConfig(experiment="fig1", n=20, samples=12, seed=8,
+                              p_grid=(0.0, 0.35, 1.0), line_model=law)
+    result = eh.run_fig1(cfg)
+    reference = _fig1_per_sample(cfg)
+    assert result.records == reference
+    assert [type(rec["norm"]) for rec in result.records] == [float] * len(reference)
+    assert result.bounds_ok == all(rec["bound_ok"] for rec in reference)
+    assert {rec["m"] for rec in result.records if rec["p"] == 0.0} == {0}
+
+
+def test_fig1_independent_of_chunking(monkeypatch):
+    cfg = eh.ExperimentConfig(experiment="fig1", n=7, samples=15, seed=3,
+                              p_grid=(0.2, 0.8))
+    whole = eh.run_fig1(cfg).records
+    monkeypatch.setattr(eh, "_CHUNK_BYTES", 1)  # one sample per chunk
+    assert eh.run_fig1(cfg).records == whole
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +317,7 @@ def test_lcpf_and_monte_carlo_independent_of_chunking(monkeypatch):
     whole = (eh.run_lcpf_experiment(lcpf_cfg).records,
              eh.monte_carlo_distribution(t, model, 60, seed=4).norms)
     monkeypatch.setattr(eh, "_CHUNK_BYTES", 1)  # one sample per chunk
-    assert list(eh._chunks(3, t)) == [(0, 1), (1, 2), (2, 3)]
+    assert list(eh._chunks(3, eh._row_bytes(t))) == [(0, 1), (1, 2), (2, 3)]
     assert eh.run_lcpf_experiment(lcpf_cfg).records == whole[0]
     np.testing.assert_array_equal(
         eh.monte_carlo_distribution(t, model, 60, seed=4).norms, whole[1])
@@ -299,6 +344,16 @@ def test_lcpf_and_monte_carlo_memory_is_not_per_line():
                                  np.ones(k60.n_edges, dtype=complex))
     assert _traced_peak_bytes(
         lambda: eh.monte_carlo_distribution(k60, model, 3, seed=1)) < limit
+
+
+def test_fig1_memory_is_chunked(monkeypatch):
+    # 400 samples of 60 x 60 complex matrices are 23 MB as one stack; with a
+    # 4 MiB chunk budget the stack, the per-sample incidence products and
+    # the records stay under the same 16 MiB limit.
+    monkeypatch.setattr(eh, "_CHUNK_BYTES", 4 * 2 ** 20)
+    cfg = eh.ExperimentConfig(experiment="fig1", n=60, samples=400, seed=1, p_grid=(0.5,))
+    assert 400 * 16 * 60 ** 2 > 16 * 2 ** 20
+    assert _traced_peak_bytes(lambda: eh.run_fig1(cfg)) < 16 * 2 ** 20
 
 
 def test_manifold_experiment_small():
