@@ -5,7 +5,6 @@ that validate every bound at desk scale."""
 
 from .graph_core import (
     Topology,
-    build_topology,
     complete_topology,
     degrees,
     incidence_matrix,
@@ -21,17 +20,14 @@ from .graph_core import (
     unweighted_laplacian,
     weighted_laplacians,
 )
-from .spectra import intrinsic_dimension, kron, operator_norm, psd_dominates
+from .spectra import intrinsic_dimension, operator_norm, psd_dominates
 from .admittance import (
-    AdmittanceMatrix,
     BoundedPerturbation,
     FixedBernoulli,
     FixedDeterministic,
     SphereUniform,
     UnitDisk,
     assemble_admittance,
-    elementary_jacobian,
-    elementary_laplacian,
     expected_admittance,
     flat_start_lift,
     lift_real,

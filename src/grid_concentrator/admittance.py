@@ -1,12 +1,12 @@
 """Admittance matrices Y = A^T diag(w) A and their lifted real forms.
 
 A line admittance is w = g + jb (conductance, susceptance, per-unit). The
-network admittance matrix is the complex symmetric Laplacian built from
-rank-one elementary Laplacians, Y = sum_l w_l (e_i - e_j)(e_i - e_j)^T.
-Its real 2n x 2n lift [[G, B], [B, -G]] has the same operator norm as Y;
-the flat-start power-flow Jacobian [[G, -B], [-B, -G]] differs only in the
-sign convention of the 2 x 2 per-line admittance block. Both conventions are
-exposed explicitly because conflating them corrupts reconstruction checks.
+network admittance matrix is the complex symmetric Laplacian
+Y = sum_l w_l (e_i - e_j)(e_i - e_j)^T, held as a plain complex (n, n)
+array. Its real 2n x 2n lift [[G, B], [B, -G]] has the same operator norm as
+Y; the flat-start power-flow Jacobian [[G, -B], [-B, -G]] differs only in the
+sign of the off-diagonal blocks. :func:`lift_blocks` takes that sign
+explicitly, because conflating the two corrupts reconstruction checks.
 
 Randomness enters through line laws. A law is one object for all m lines
 with scalar parameters: ``law.sample(rng, m)`` draws a complex (m,) weight
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Topology, incidence_matrix, weighted_laplacians
+from .graph_core import Topology, incidence_matrix
 
 __all__ = [
     "UnitDisk",
@@ -47,16 +47,12 @@ __all__ = [
     "line_law_from_json",
     "real_from_json",
     "complex_from_json",
-    "AdmittanceMatrix",
-    "elementary_laplacian",
     "line_weights",
     "assemble_admittance",
     "incidence_product",
     "lift_real",
     "flat_start_lift",
     "lift_blocks",
-    "admittance_block",
-    "elementary_jacobian",
     "expected_admittance",
 ]
 
@@ -260,46 +256,20 @@ def line_law_from_json(obj) -> LineLaw:
     return FixedBernoulli(admittance, real_from_json(obj.get("p"), "p"))
 
 
-@dataclass(frozen=True)
-class AdmittanceMatrix:
-    """Complex symmetric Laplacian Y together with the topology it came from."""
-
-    matrix: np.ndarray
-    topology: Topology
-
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
-        n = self.topology.n_nodes
-        if a.shape != (n, n):
-            raise ValueError(f"admittance matrix shape {a.shape} != ({n}, {n})")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("admittance matrix contains NaN or Inf")
-        object.__setattr__(self, "matrix", a)
-
-
-def elementary_laplacian(i: int, j: int, n: int) -> np.ndarray:
-    """Rank-one Laplacian (e_i - e_j)(e_i - e_j)^T of a single unit line.
-
-    Trace 2, operator norm 2, PSD. Raises ValueError for a self-loop or an
-    endpoint out of range.
-    """
-    return weighted_laplacians(Topology(n, ((i, j),)), np.ones(1))
-
-
 def line_weights(topology: Topology, weights) -> np.ndarray:
     """``weights`` as a complex (m,) array: one admittance per line, in edge
-    order. Raises ValueError for any other shape."""
+    order. Raises ValueError for any other shape or a NaN or Inf weight."""
     w = np.asarray(weights, dtype=complex)
     if w.shape != (topology.n_edges,):
         raise ValueError(f"weights of shape {w.shape} for {topology.n_edges} lines")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("line weights contain NaN or Inf")
     return w
 
 
-def assemble_admittance(topology: Topology, weights) -> AdmittanceMatrix:
-    """Y = A^T diag(w) A from a complex (m,) array of line admittances."""
-    w = line_weights(topology, weights)
-    return AdmittanceMatrix(matrix=incidence_product(incidence_matrix(topology), w),
-                            topology=topology)
+def assemble_admittance(topology: Topology, weights) -> np.ndarray:
+    """Y = A^T diag(w) A as a complex (n, n) array, from (m,) line admittances."""
+    return incidence_product(incidence_matrix(topology), line_weights(topology, weights))
 
 
 def incidence_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -317,44 +287,17 @@ def lift_blocks(g, b, sign: float) -> np.ndarray:
 
 
 def lift_real(y) -> np.ndarray:
-    """Real symmetric 2n x 2n lift [[G, B], [B, -G]] of Y = G + jB.
-
-    Has the same operator norm as Y. Accepts an AdmittanceMatrix or a raw
-    complex square array.
-    """
-    m = y.matrix if isinstance(y, AdmittanceMatrix) else np.asarray(y, dtype=complex)
+    """Real symmetric 2n x 2n lift [[G, B], [B, -G]] of Y = G + jB (same norm as Y)."""
+    m = np.asarray(y, dtype=complex)
     return lift_blocks(m.real, m.imag, +1.0)
 
 
 def flat_start_lift(y) -> np.ndarray:
     """Jacobian-convention lift [[G, -B], [-B, -G]] of Y = G + jB."""
-    m = y.matrix if isinstance(y, AdmittanceMatrix) else np.asarray(y, dtype=complex)
+    m = np.asarray(y, dtype=complex)
     return lift_blocks(m.real, m.imag, -1.0)
 
 
-def admittance_block(g: float, b: float, convention: str = "lifted") -> np.ndarray:
-    """Per-line 2 x 2 symmetric admittance block.
-
-    ``lifted`` gives [[g, b], [b, -g]] (the lift of Y); ``jacobian`` gives
-    [[g, -b], [-b, -g]] (the flat-start Jacobian). Either way the operator
-    norm is sqrt(g^2 + b^2).
-    """
-    sign = {"lifted": +1.0, "jacobian": -1.0}.get(convention)
-    if sign is None:
-        raise ValueError(f"unknown sign convention {convention!r}")
-    return lift_blocks(g, b, sign)
-
-
-def elementary_jacobian(g: float, b: float, i: int, j: int, n: int,
-                        convention: str = "lifted") -> np.ndarray:
-    """One line's 2n x 2n contribution: admittance block (x) elementary Laplacian.
-
-    Operator norm is 2*sqrt(g^2 + b^2); Frobenius norm is 2*sqrt(2) times the
-    block's operator norm.
-    """
-    return np.kron(admittance_block(g, b, convention), elementary_laplacian(i, j, n))
-
-
-def expected_admittance(topology: Topology, law: LineLaw) -> AdmittanceMatrix:
+def expected_admittance(topology: Topology, law: LineLaw) -> np.ndarray:
     """E[Y] = A^T diag(E w) A, every line carrying the law's closed-form mean."""
     return assemble_admittance(topology, np.full(topology.n_edges, law.mean))

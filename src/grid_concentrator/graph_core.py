@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "Topology",
-    "build_topology",
     "path_topology",
     "complete_topology",
     "star_topology",
@@ -75,11 +74,6 @@ class Topology:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-
-def build_topology(n_nodes: int, edges, reference_node: int | None = None) -> Topology:
-    """Validate and freeze a node count plus edge list into a Topology."""
-    return Topology(n_nodes=n_nodes, edges=tuple(edges), reference_node=reference_node)
 
 
 def path_topology(n_nodes: int, reference_node: int | None = None) -> Topology:

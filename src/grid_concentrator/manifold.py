@@ -15,7 +15,8 @@ distance to the manifold, which chains into the expectation bounds on ||Y||:
 True projection onto the manifold is nonconvex and not attempted; the
 certificate plus the same-voltage projection proxy sandwich the distance.
 Complex vectors are identified with stacked real/imaginary parts, so the
-complex 2-norm is the ambient Euclidean norm.
+complex 2-norm is the ambient Euclidean norm. ``y`` is the admittance matrix
+Y as a complex (n, n) array.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admittance import AdmittanceMatrix
 from .bounds import BoundReport
 
 __all__ = [
@@ -68,20 +68,16 @@ def _as_complex_vector(v, n: int | None = None, name: str = "vector") -> np.ndar
     return a
 
 
-def _matrix_of(y) -> np.ndarray:
-    return y.matrix if isinstance(y, AdmittanceMatrix) else np.asarray(y, dtype=complex)
-
-
 def power_flow_map(y, u) -> np.ndarray:
     """Injections s = diag(u) * conj(Y u)."""
-    ym = _matrix_of(y)
+    ym = np.asarray(y, dtype=complex)
     uv = _as_complex_vector(u, ym.shape[0], "voltage")
     return uv * np.conj(ym @ uv)
 
 
 def power_flow_derivative(y, u, h) -> np.ndarray:
     """Frechet derivative Dpsi(u)[h] = diag(h) conj(Y u) + diag(u) conj(Y h)."""
-    ym = _matrix_of(y)
+    ym = np.asarray(y, dtype=complex)
     uv = _as_complex_vector(u, ym.shape[0], "voltage")
     hv = _as_complex_vector(h, ym.shape[0], "step")
     return hv * np.conj(ym @ uv) + uv * np.conj(ym @ hv)
@@ -89,7 +85,7 @@ def power_flow_derivative(y, u, h) -> np.ndarray:
 
 def manifold_point(y, u) -> ManifoldPoint:
     """Feasible point (u, psi(u)) on the manifold of ``y``."""
-    uv = _as_complex_vector(u, _matrix_of(y).shape[0], "voltage")
+    uv = _as_complex_vector(u, np.shape(y)[0], "voltage")
     return ManifoldPoint(voltage=uv, power=power_flow_map(y, uv))
 
 
@@ -106,7 +102,7 @@ def tangent_residual(y, step: TangentStep) -> np.ndarray:
     against the direct Taylor subtraction (the map is exactly quadratic, so
     the two must agree to 1e-12).
     """
-    ym = _matrix_of(y)
+    ym = np.asarray(y, dtype=complex)
     u, h = step.base.voltage, step.step
     if h.shape != u.shape:
         raise ValueError("step/base dimension mismatch")

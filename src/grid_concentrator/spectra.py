@@ -1,4 +1,4 @@
-"""Dense linear-algebra services: operator norms, PSD ordering, Kronecker.
+"""Dense linear-algebra services: operator norms, intrinsic dimension, PSD ordering.
 
 Matrices are plain numpy arrays (real or complex); :func:`operator_norm` also
 takes (..., k, k) stacks. All of it is exact dense algebra for desk-scale
@@ -14,7 +14,6 @@ __all__ = [
     "operator_norm",
     "intrinsic_dimension",
     "psd_dominates",
-    "kron",
 ]
 
 # Max-abs asymmetry below which a matrix is treated as Hermitian and
@@ -99,8 +98,3 @@ def psd_dominates(a, b, tol: float = 0.0) -> bool:
     d = (d + d.conj().T) / 2.0
     return bool(np.linalg.eigvalsh(d)[0] >= -tol)
 
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product. Satisfies the mixed-product identity and
-    ||A (x) B|| = ||A|| * ||B||."""
-    return np.kron(_as_finite_matrix(a, "a"), _as_finite_matrix(b, "b"))

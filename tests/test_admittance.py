@@ -7,8 +7,13 @@ from grid_concentrator import admittance as adm
 from grid_concentrator import bounds as bnd
 from grid_concentrator import experiment_harness as eh
 from grid_concentrator import graph_core as gc
-from grid_concentrator.lcpf import flat_start_jacobian
+from grid_concentrator.lcpf import flat_start_jacobian, invert_tree_lcpf
 from grid_concentrator.spectra import operator_norm
+
+
+def _unit_line(i, j, n):
+    """The one-line Laplacian (e_i - e_j)(e_i - e_j)^T from the scatter kernel."""
+    return gc.weighted_laplacians(gc.Topology(n, ((i, j),)), np.ones(1))
 
 
 def _random_laplacian(rng, n, p=0.6):
@@ -19,12 +24,12 @@ def _random_laplacian(rng, n, p=0.6):
 
 
 def test_elementary_laplacian_2x2():
-    np.testing.assert_array_equal(adm.elementary_laplacian(0, 1, 2),
+    np.testing.assert_array_equal(_unit_line(0, 1, 2),
                                   [[1, -1], [-1, 1]])
 
 
 def test_elementary_laplacian_3x3():
-    np.testing.assert_array_equal(adm.elementary_laplacian(0, 2, 3),
+    np.testing.assert_array_equal(_unit_line(0, 2, 3),
                                   [[1, 0, -1], [0, 0, 0], [-1, 0, 1]])
 
 
@@ -33,29 +38,23 @@ def test_elementary_laplacian_trace_and_norm():
     for _ in range(20):
         n = int(rng.integers(2, 9))
         i, j = rng.choice(n, size=2, replace=False)
-        e = adm.elementary_laplacian(int(i), int(j), n)
+        e = _unit_line(int(i), int(j), n)
         assert np.trace(e) == pytest.approx(2.0)
         assert operator_norm(e) == pytest.approx(2.0, abs=1e-12)
         assert np.linalg.matrix_rank(e) == 1
 
 
-def test_elementary_laplacian_rejects_bad_endpoints():
-    with pytest.raises(ValueError):
-        adm.elementary_laplacian(1, 1, 3)
-    with pytest.raises(ValueError):
-        adm.elementary_laplacian(0, 3, 3)
-
-
 def test_assemble_single_line_unit():
-    t = gc.build_topology(2, [(0, 1)])
+    t = gc.Topology(2, [(0, 1)])
     y = adm.assemble_admittance(t, [1.0 + 0j])
-    np.testing.assert_allclose(y.matrix, [[1, -1], [-1, 1]])
+    assert y.dtype == complex
+    np.testing.assert_allclose(y, [[1, -1], [-1, 1]])
 
 
 def test_assemble_single_line_complex():
-    t = gc.build_topology(2, [(0, 1)])
+    t = gc.Topology(2, [(0, 1)])
     y = adm.assemble_admittance(t, [1.0 - 1.0j])
-    np.testing.assert_allclose(y.matrix,
+    np.testing.assert_allclose(y,
                                [[1 - 1j, -1 + 1j], [-1 + 1j, 1 - 1j]])
 
 
@@ -63,12 +62,26 @@ def test_assemble_k3_unit_norm():
     # complete-graph Laplacian eigenvalues {0, 3, 3}
     t = gc.complete_topology(3)
     y = adm.assemble_admittance(t, np.ones(3, dtype=complex))
-    assert operator_norm(y.matrix) == pytest.approx(3.0, abs=1e-10)
+    assert operator_norm(y) == pytest.approx(3.0, abs=1e-10)
 
 
 def test_assemble_rejects_length_mismatch():
     with pytest.raises(ValueError):
         adm.assemble_admittance(gc.complete_topology(3), [1.0 + 0j])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, -float("inf"))])
+def test_non_finite_weights_rejected(bad):
+    # Assembly, the flat-start Jacobian and the tree inverse all read weights
+    # through line_weights, which rejects NaN and Inf.
+    t = gc.path_topology(3, reference_node=0)
+    w = np.array([bad, 1.0 - 1.0j])
+    jacobian = flat_start_jacobian(t, np.ones(2), reduced=True)
+    for build in (lambda: adm.assemble_admittance(t, w),
+                  lambda: flat_start_jacobian(t, w),
+                  lambda: invert_tree_lcpf(jacobian, t, w)):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            build()
 
 
 def test_assemble_rejects_pairs_and_batches():
@@ -85,23 +98,23 @@ def test_assemble_invariants_random():
     for _ in range(25):
         t, w, y = _random_laplacian(rng, 6)
         # complex symmetric, zero row sums, and the rank-one reconstruction
-        np.testing.assert_allclose(y.matrix, y.matrix.T, atol=1e-12)
-        np.testing.assert_allclose(y.matrix.sum(axis=1), 0.0, atol=1e-12)
-        rebuilt = sum((wl * adm.elementary_laplacian(i, j, t.n_nodes)
+        np.testing.assert_allclose(y, y.T, atol=1e-12)
+        np.testing.assert_allclose(y.sum(axis=1), 0.0, atol=1e-12)
+        rebuilt = sum((wl * _unit_line(i, j, t.n_nodes)
                        for wl, (i, j) in zip(w, t.edges)),
                       start=np.zeros((t.n_nodes, t.n_nodes), dtype=complex))
-        np.testing.assert_allclose(y.matrix, rebuilt, atol=1e-12)
+        np.testing.assert_allclose(y, rebuilt, atol=1e-12)
 
 
 # P4 plus a chord and two more lines parallel to (0, 1)
-_PARALLEL = gc.build_topology(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 1), (1, 0)])
+_PARALLEL = gc.Topology(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 1), (1, 0)])
 
 
 def _line_order_sum(t, w):
-    """Reference: add w_l * elementary_laplacian term by term in edge order."""
+    """Reference: add w_l times each one-line Laplacian term by term in edge order."""
     y = np.zeros(w.shape[:-1] + (t.n_nodes, t.n_nodes), dtype=np.result_type(w, float))
     for l, (i, j) in enumerate(t.edges):
-        y = y + w[..., l, None, None] * adm.elementary_laplacian(i, j, t.n_nodes)
+        y = y + w[..., l, None, None] * _unit_line(i, j, t.n_nodes)
     return y
 
 
@@ -128,7 +141,7 @@ def test_weighted_laplacians_matches_incidence_product():
 
 
 def test_weighted_laplacians_no_lines_and_bad_shape():
-    t = gc.build_topology(3, [])
+    t = gc.Topology(3, [])
     np.testing.assert_array_equal(gc.weighted_laplacians(t, np.zeros((2, 0))),
                                   np.zeros((2, 3, 3)))
     with pytest.raises(ValueError):
@@ -141,7 +154,7 @@ def test_monte_carlo_sample_replays_alone(monkeypatch):
     t = _PARALLEL
     model = bnd.ContingencyModel(t, np.linspace(0.2, 0.8, t.n_edges),
                                  np.full(t.n_edges, 0.6 - 0.8j))
-    stats = eh.monte_carlo_distribution(t, model, 40, seed=17)
+    stats = eh.monte_carlo_distribution(model, 40, seed=17)
     for s in (0, 9, 39):
         pattern = eh.sample_rng(17, 0, s).random(t.n_edges) < model.probs
         ytilde = gc.weighted_laplacians(t, (pattern - model.probs) * model.admittances)
@@ -152,7 +165,7 @@ def test_lift_real_block_structure_real_y():
     t = gc.path_topology(3)
     y = adm.assemble_admittance(t, np.ones(2, dtype=complex))
     lifted = adm.lift_real(y)
-    g = y.matrix.real
+    g = y.real
     np.testing.assert_allclose(lifted[:3, :3], g)
     np.testing.assert_allclose(lifted[3:, 3:], -g)
     np.testing.assert_allclose(lifted[:3, 3:], 0.0)
@@ -161,10 +174,10 @@ def test_lift_real_block_structure_real_y():
 
 def test_lift_real_single_complex_line():
     # |w| * ||E|| = sqrt(2) * 2
-    t = gc.build_topology(2, [(0, 1)])
+    t = gc.Topology(2, [(0, 1)])
     y = adm.assemble_admittance(t, [1.0 - 1.0j])
     expected = 2.0 * np.sqrt(2.0)
-    assert operator_norm(y.matrix) == pytest.approx(expected, abs=1e-10)
+    assert operator_norm(y) == pytest.approx(expected, abs=1e-10)
     assert operator_norm(adm.lift_real(y)) == pytest.approx(expected, abs=1e-10)
 
 
@@ -175,13 +188,19 @@ def test_lift_real_norm_identity_random():
         lifted = adm.lift_real(y)
         np.testing.assert_allclose(lifted, lifted.T, atol=1e-12)
         assert operator_norm(lifted) == pytest.approx(
-            operator_norm(y.matrix), rel=1e-9, abs=1e-9)
+            operator_norm(y), rel=1e-9, abs=1e-9)
+
+
+def _line_jacobian(g, b, i, j, n, sign):
+    """One line's 2n x 2n term: its 2 x 2 admittance block (x) its Laplacian."""
+    return np.kron(adm.lift_blocks(g, b, sign), _unit_line(i, j, n))
 
 
 def test_elementary_jacobian_norms():
-    assert operator_norm(adm.elementary_jacobian(1.0, 0.0, 0, 1, 2)) == \
+    # 2 * sqrt(g^2 + b^2) in either sign convention
+    assert operator_norm(_line_jacobian(1.0, 0.0, 0, 1, 2, +1.0)) == \
         pytest.approx(2.0, abs=1e-12)
-    assert operator_norm(adm.elementary_jacobian(3.0, 4.0, 0, 1, 2, "jacobian")) == \
+    assert operator_norm(_line_jacobian(3.0, 4.0, 0, 1, 2, -1.0)) == \
         pytest.approx(10.0, abs=1e-9)
 
 
@@ -190,9 +209,9 @@ def test_elementary_jacobian_frobenius_identity():
     rng = np.random.default_rng(33)
     for _ in range(20):
         g, b = rng.standard_normal(2)
-        for convention in ("lifted", "jacobian"):
-            m = adm.elementary_jacobian(g, b, 0, 2, 4, convention)
-            upsilon_norm = operator_norm(adm.admittance_block(g, b, convention))
+        for sign in (+1.0, -1.0):
+            m = _line_jacobian(g, b, 0, 2, 4, sign)
+            upsilon_norm = operator_norm(adm.lift_blocks(g, b, sign))
             assert np.linalg.norm(m, "fro") == pytest.approx(
                 2.0 * np.sqrt(2.0) * upsilon_norm, rel=1e-9)
             assert upsilon_norm == pytest.approx(np.hypot(g, b), rel=1e-12)
@@ -206,8 +225,8 @@ def test_kronecker_reconstruction_of_lift_and_jacobian():
         lifted_sum = np.zeros((2 * n, 2 * n))
         jac_sum = np.zeros((2 * n, 2 * n))
         for wl, (i, j) in zip(w, t.edges):
-            lifted_sum += adm.elementary_jacobian(wl.real, wl.imag, i, j, n, "lifted")
-            jac_sum += adm.elementary_jacobian(wl.real, wl.imag, i, j, n, "jacobian")
+            lifted_sum += _line_jacobian(wl.real, wl.imag, i, j, n, +1.0)
+            jac_sum += _line_jacobian(wl.real, wl.imag, i, j, n, -1.0)
         np.testing.assert_allclose(lifted_sum, adm.lift_real(y), atol=1e-12)
         f = flat_start_jacobian(t, w)
         np.testing.assert_allclose(jac_sum, f.matrix, atol=1e-12)
@@ -258,9 +277,9 @@ def test_sample_weights_bounded_support():
 
 
 def test_expected_admittance_bernoulli():
-    t = gc.build_topology(2, [(0, 1)])
+    t = gc.Topology(2, [(0, 1)])
     ey = adm.expected_admittance(t, adm.FixedBernoulli(1.0 + 0.0j, 0.5))
-    np.testing.assert_allclose(ey.matrix, 0.5 * adm.elementary_laplacian(0, 1, 2))
+    np.testing.assert_allclose(ey, 0.5 * _unit_line(0, 1, 2))
 
 
 def test_center_deterministic_is_zero():
@@ -269,7 +288,7 @@ def test_center_deterministic_is_zero():
     rng = np.random.default_rng(39)
     sample = adm.assemble_admittance(t, law.sample(rng, t.n_edges))
     expected = adm.expected_admittance(t, law)
-    np.testing.assert_allclose(sample.matrix - expected.matrix, 0.0, atol=1e-15)
+    np.testing.assert_allclose(sample - expected, 0.0, atol=1e-15)
 
 
 def test_centered_samples_have_zero_mean():
@@ -281,7 +300,7 @@ def test_centered_samples_have_zero_mean():
     n_samples = 100_000
     xi = (rng.random((n_samples, 3)) < probs).astype(float)
     coeff = (xi - probs) * y
-    basis = np.stack([adm.elementary_laplacian(i, j, 3) for i, j in t.edges])
+    basis = np.stack([_unit_line(i, j, 3) for i, j in t.edges])
     centered = np.einsum("sl,lij->sij", coeff, basis)
     mean = centered.mean(axis=0)
     second = (centered * centered.conj()).real.mean(axis=0)

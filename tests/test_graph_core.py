@@ -7,35 +7,35 @@ from grid_concentrator import graph_core as gc
 
 
 def test_build_topology_minimal():
-    t = gc.build_topology(2, [(0, 1)])
+    t = gc.Topology(2, [(0, 1)])
     assert t.n_edges == 1
     assert t.edges == ((0, 1),)
 
 
 def test_build_topology_path():
-    t = gc.build_topology(3, [(0, 1), (1, 2)])
+    t = gc.Topology(3, [(0, 1), (1, 2)])
     assert t.n_edges == 2
     assert t == gc.path_topology(3)
 
 
 def test_build_topology_rejects_out_of_range_endpoint():
     with pytest.raises(ValueError, match="out of range"):
-        gc.build_topology(3, [(0, 3)])
+        gc.Topology(3, [(0, 3)])
 
 
 def test_build_topology_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
-        gc.build_topology(3, [(1, 1)])
+        gc.Topology(3, [(1, 1)])
 
 
 def test_build_topology_rejects_zero_nodes():
     with pytest.raises(ValueError):
-        gc.build_topology(0, [])
+        gc.Topology(0, [])
 
 
 def test_build_topology_rejects_bad_reference():
     with pytest.raises(ValueError, match="reference"):
-        gc.build_topology(2, [(0, 1)], reference_node=5)
+        gc.Topology(2, [(0, 1)], reference_node=5)
 
 
 def test_topology_rejects_non_integral_nodes():
@@ -55,7 +55,7 @@ def test_incidence_p3():
 
 
 def test_incidence_single_edge():
-    a = gc.incidence_matrix(gc.build_topology(2, [(0, 1)]))
+    a = gc.incidence_matrix(gc.Topology(2, [(0, 1)]))
     np.testing.assert_array_equal(a, [[1, -1]])
 
 
@@ -105,7 +105,7 @@ def test_degrees_star():
 
 
 def test_degrees_count_parallel_edges():
-    t = gc.build_topology(2, [(0, 1), (0, 1)])
+    t = gc.Topology(2, [(0, 1), (0, 1)])
     np.testing.assert_array_equal(gc.degrees(t), [2, 2])
 
 
@@ -157,7 +157,7 @@ def test_sample_er_lines_match_topology():
 
 
 def test_laplacian_counts_parallel_edges():
-    t = gc.build_topology(3, [(0, 1), (0, 1), (1, 2)])
+    t = gc.Topology(3, [(0, 1), (0, 1), (1, 2)])
     lap = gc.unweighted_laplacian(t)
     np.testing.assert_array_equal(lap, [[2, -2, 0], [-2, 3, -1], [0, -1, 1]])
 
@@ -209,7 +209,7 @@ def test_er_seeded_replay_is_bit_identical():
 def test_is_tree():
     assert gc.is_tree(gc.path_topology(3))
     assert not gc.is_tree(gc.complete_topology(3))
-    two_disconnected = gc.build_topology(4, [(0, 1), (2, 3)])
+    two_disconnected = gc.Topology(4, [(0, 1), (2, 3)])
     assert not gc.is_tree(two_disconnected)
 
 
@@ -220,11 +220,11 @@ def test_random_tree_is_tree():
 
 
 def test_topology_json_round_trip():
-    t = gc.build_topology(4, [(0, 1), (1, 2), (1, 3)], reference_node=2)
+    t = gc.Topology(4, [(0, 1), (1, 2), (1, 3)], reference_node=2)
     obj = gc.topology_to_json(t)
     assert obj == {"n": 4, "edges": [[0, 1], [1, 2], [1, 3]], "reference": 2}
     assert gc.topology_from_json(json.loads(json.dumps(obj))) == t
-    t2 = gc.build_topology(2, [(0, 1)])
+    t2 = gc.Topology(2, [(0, 1)])
     assert gc.topology_from_json(gc.topology_to_json(t2)) == t2
     assert gc.topology_from_json(t2) is t2
     assert gc.topology_from_json({"name": "star", "n": 2, "reference": 0}) == \

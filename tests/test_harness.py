@@ -151,7 +151,7 @@ def _fig1_per_sample(cfg):
             rng = eh.sample_rng(cfg.seed, sweep_index, s)
             topology = gc.sample_er_topology(cfg.n, p, rng)
             weights = cfg.line_model.sample(rng, topology.n_edges)
-            norm = operator_norm(assemble_admittance(topology, weights).matrix)
+            norm = operator_norm(assemble_admittance(topology, weights))
             delta = gc.max_degree(topology)
             bound = bnd.thm1_expectation_bound(cfg.n, delta).value
             records.append({"p": p, "sample_index": s, "m": topology.n_edges,
@@ -186,17 +186,17 @@ def test_fig1_independent_of_chunking(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_brute_force_all_lines_certain():
-    t, model = _k3_model(p=1.0)
-    stats = eh.brute_force_distribution(t, model)
+    _, model = _k3_model(p=1.0)
+    stats = eh.brute_force_distribution(model)
     assert stats.exact
     assert stats.mean == pytest.approx(0.0, abs=1e-15)
     assert stats.tail_at(0.5) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_brute_force_single_line_half():
-    t = gc.build_topology(2, [(0, 1)])
+    t = gc.Topology(2, [(0, 1)])
     model = bnd.ContingencyModel(t, np.array([0.5]), np.array([1.0 + 0j]))
-    stats = eh.brute_force_distribution(t, model)
+    stats = eh.brute_force_distribution(model)
     # ||(xi - 1/2) E_01|| = 1 for either switch state
     np.testing.assert_allclose(stats.norms, 1.0, atol=1e-12)
     assert stats.mean == pytest.approx(1.0, rel=1e-12)
@@ -209,7 +209,7 @@ def test_brute_force_probabilities_sum_to_one():
     t = gc.sample_er_topology(5, 0.7, rng)
     model = bnd.ContingencyModel(t, rng.uniform(0.1, 0.9, t.n_edges),
                                  rng.uniform(0.2, 1.0, t.n_edges).astype(complex))
-    stats = eh.brute_force_distribution(t, model)
+    stats = eh.brute_force_distribution(model)
     assert stats.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     assert len(stats.norms) == 2 ** t.n_edges
 
@@ -218,12 +218,12 @@ def test_brute_force_line_cap():
     t = gc.complete_topology(7)  # 21 lines
     model = bnd.ContingencyModel(t, np.full(21, 0.5), np.ones(21, dtype=complex))
     with pytest.raises(ValueError, match="capped"):
-        eh.brute_force_distribution(t, model)
+        eh.brute_force_distribution(model)
 
 
 def test_brute_force_k3_expectation_below_bound():
-    t, model = _k3_model()
-    stats = eh.brute_force_distribution(t, model)
+    _, model = _k3_model()
+    stats = eh.brute_force_distribution(model)
     explicit = bnd.thm2_expectation_bound(bnd.contingency_factors(model))
     assert stats.mean <= explicit.value
     assert stats.mean == pytest.approx(1.5, abs=1e-9)
@@ -241,11 +241,11 @@ def test_tail_experiment_empty_grid():
 
 
 def test_tail_experiment_matches_brute_force():
-    t, model = _k3_model()
+    _, model = _k3_model()
     grid = (0.5, 1.0, 1.5, 2.5)
     cfg = eh.ExperimentConfig(experiment="thm2_tail", t_grid=grid)
     result = eh.run_tail_experiment(cfg)
-    stats = eh.brute_force_distribution(t, model)
+    stats = eh.brute_force_distribution(model)
     for rec, threshold in zip(result.records, grid):
         assert rec["tail_empirical"] == pytest.approx(stats.tail_at(threshold), abs=1e-15)
         assert rec["exact"]
@@ -315,12 +315,12 @@ def test_lcpf_and_monte_carlo_independent_of_chunking(monkeypatch):
                                    topology=gc.complete_topology(5), delta=0.2)
     t, model = _k3_model(0.3)
     whole = (eh.run_lcpf_experiment(lcpf_cfg).records,
-             eh.monte_carlo_distribution(t, model, 60, seed=4).norms)
+             eh.monte_carlo_distribution(model, 60, seed=4).norms)
     monkeypatch.setattr(eh, "_CHUNK_BYTES", 1)  # one sample per chunk
     assert list(eh._chunks(3, eh._row_bytes(t))) == [(0, 1), (1, 2), (2, 3)]
     assert eh.run_lcpf_experiment(lcpf_cfg).records == whole[0]
     np.testing.assert_array_equal(
-        eh.monte_carlo_distribution(t, model, 60, seed=4).norms, whole[1])
+        eh.monte_carlo_distribution(model, 60, seed=4).norms, whole[1])
 
 
 def _traced_peak_bytes(fn):
@@ -343,7 +343,7 @@ def test_lcpf_and_monte_carlo_memory_is_not_per_line():
     model = bnd.ContingencyModel(k60, np.full(k60.n_edges, 0.5),
                                  np.ones(k60.n_edges, dtype=complex))
     assert _traced_peak_bytes(
-        lambda: eh.monte_carlo_distribution(k60, model, 3, seed=1)) < limit
+        lambda: eh.monte_carlo_distribution(model, 3, seed=1)) < limit
 
 
 def test_fig1_memory_is_chunked(monkeypatch):

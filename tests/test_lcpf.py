@@ -7,7 +7,7 @@ from grid_concentrator import lcpf
 
 def _single_line():
     # one line to the reference node: reduced blocks are 1x1
-    return gc.build_topology(2, [(0, 1)], reference_node=1)
+    return gc.Topology(2, [(0, 1)], reference_node=1)
 
 
 def test_flat_start_single_reduced_line():
@@ -57,7 +57,7 @@ def test_flat_start_matches_incidence_product():
     for _ in range(10):
         n = int(rng.integers(2, 9))
         er = gc.sample_er_topology(n, 0.6, rng)
-        t = gc.build_topology(n, er.edges + er.edges[:1], int(rng.integers(0, n)))
+        t = gc.Topology(n, er.edges + er.edges[:1], int(rng.integers(0, n)))
         w = rng.uniform(-1, 1, t.n_edges) + 1j * rng.uniform(-1, 1, t.n_edges)
         for reduced in (False, True):
             a = gc.incidence_matrix(t, reduced=reduced)

@@ -170,35 +170,12 @@ def test_psd_dominates_monte_carlo_sphere_envelope():
     mean = ffs.sum(axis=0) / n_samples
     var = (ffs * ffs).sum(axis=0) / n_samples - mean * mean
     stderr = float(np.sqrt(np.clip(var, 0.0, None).sum() / n_samples))
-    envelope = (2.0 / n) * spectra.kron(np.eye(2), gc.unweighted_laplacian(topology))
+    envelope = (2.0 / n) * np.kron(np.eye(2), gc.unweighted_laplacian(topology))
     assert spectra.psd_dominates(mean, envelope, tol=5 * stderr)
-
-
-def test_kron_identities():
-    np.testing.assert_array_equal(spectra.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kron_block_pattern():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    k = spectra.kron(swap, E12)
-    np.testing.assert_array_equal(k[:2, 2:], E12)
-    np.testing.assert_array_equal(k[2:, :2], E12)
-    np.testing.assert_array_equal(k[:2, :2], np.zeros((2, 2)))
 
 
 def test_kron_norm_admittance_block():
     # 2 * sqrt(g^2 + b^2) with g = 3, b = 4
     upsilon = np.array([[3.0, -4.0], [-4.0, -3.0]])
-    assert spectra.operator_norm(spectra.kron(upsilon, E12)) == pytest.approx(10.0, abs=1e-9)
+    assert spectra.operator_norm(np.kron(upsilon, E12)) == pytest.approx(10.0, abs=1e-9)
 
-
-def test_kron_mixed_product_and_norm_factorization():
-    rng = np.random.default_rng(25)
-    for _ in range(20):
-        a, b = _random_complex(rng, 3), _random_complex(rng, 2)
-        c, d = _random_complex(rng, 3), _random_complex(rng, 2)
-        lhs = spectra.kron(a, b) @ spectra.kron(c, d)
-        rhs = spectra.kron(a @ c, b @ d)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-        assert spectra.operator_norm(spectra.kron(a, b)) == pytest.approx(
-            spectra.operator_norm(a) * spectra.operator_norm(b), rel=1e-9)
