@@ -43,6 +43,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failing_rows(records, shown: int = 5) -> str:
+    """Count and first indices of the 0-based rows with a false ``*_ok`` field."""
+    failing = [index for index, rec in enumerate(records)
+               if any(key.endswith("_ok") and ok is False for key, ok in rec.items())]
+    more = f" and {len(failing) - shown} more" if len(failing) > shown else ""
+    return f"{len(failing)} of {len(records)} rows: {str(failing[:shown])[1:-1]}{more}"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -75,7 +83,8 @@ def main(argv=None) -> int:
     else:
         print(f"{cfg.experiment}: wrote {len(result.records)} records to {cfg.out}")
     if not result.bounds_ok:
-        print(f"{cfg.experiment}: dominance check FAILED", file=sys.stderr)
+        print(f"{cfg.experiment}: dominance check FAILED on {_failing_rows(result.records)}",
+              file=sys.stderr)
         if args.assert_bounds:
             return 2
     return 0

@@ -408,7 +408,8 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
 
 def _centered_norms_for_patterns(model: bnd.ContingencyModel,
                                  patterns: np.ndarray) -> np.ndarray:
-    coeff = (patterns - model.probs) * model.admittances  # (s, m) complex
+    y = model.admittances  # real lines: a real symmetric stack, for eigvalsh
+    coeff = (patterns - model.probs) * (y if np.any(y.imag) else y.real)  # (s, m)
     return operator_norm(gc.weighted_laplacians(model.topology, coeff))
 
 
@@ -417,22 +418,27 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
 
     Enumerates every on/off pattern with its Bernoulli probability, computes
     the centered norm exactly, and returns exact mean and tail values.
-    Limited to m <= 20 lines.
+    Limited to m <= 20 lines. Real admittances give real symmetric matrices,
+    for the eigensolver; if every p_l = 1/2, pattern 2^m - 1 - k has the negated
+    matrix of pattern k, so only the first half is normed (round-off changes only).
     """
     m = model.topology.n_edges
     if m > BRUTE_FORCE_MAX_LINES:
         raise ValueError(f"exhaustive enumeration capped at "
                          f"{BRUTE_FORCE_MAX_LINES} lines, got {m}")
     total = 1 << m
+    normed = total >> 1 if m and np.all(model.probs == 0.5) else total
     norms = np.empty(total)
     probs = np.empty(total)
-    bit_index = np.arange(m, dtype=np.uint64)
     for start, stop in _chunks(total, _row_bytes(model.topology)):
-        idx = np.arange(start, stop, dtype=np.uint64)
-        patterns = ((idx[:, None] >> bit_index) & 1).astype(float)
-        norms[start:stop] = _centered_norms_for_patterns(model, patterns)
+        idx = np.arange(start, stop, dtype=np.uint64)[:, None]
+        patterns = ((idx >> np.arange(m, dtype=np.uint64)) & 1).astype(float)
+        if start < normed:
+            norms[start:min(stop, normed)] = _centered_norms_for_patterns(
+                model, patterns[:normed - start])
         probs[start:stop] = np.prod(
             np.where(patterns == 1.0, model.probs, 1.0 - model.probs), axis=1)
+    norms[normed:] = norms[:total - normed][::-1]  # complements, when p = 1/2
     total_prob = probs.sum()
     if abs(total_prob - 1.0) > 1e-12:
         raise ArithmeticError(f"pattern probabilities sum to {total_prob!r}, not 1")

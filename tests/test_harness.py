@@ -229,6 +229,53 @@ def test_brute_force_k3_expectation_below_bound():
     assert stats.mean == pytest.approx(1.5, abs=1e-9)
 
 
+_K4 = gc.complete_topology(4)  # 6 lines, 64 patterns
+_REAL_Y = np.linspace(0.3, 1.0, 6).astype(complex)
+_MIXED_Y = np.array([0.6 - 0.8j, 1.0, 0.5 - 0.5j, 0.3 - 0.9j, 0.9, 0.2 - 0.7j])
+_MIXED_P = np.linspace(0.2, 0.8, 6)
+# (probs, admittances, whether the enumeration takes no shortcut)
+_ENUMERATION_MODELS = {
+    "half_real": (np.full(6, 0.5), _REAL_Y, False),  # eigensolver and half
+    "half_complex": (np.full(6, 0.5), _MIXED_Y, False),  # half only
+    "mixed_p_real": (_MIXED_P, _REAL_Y, False),  # eigensolver only
+    "mixed_p_complex": (_MIXED_P, _MIXED_Y, True),  # neither
+}
+
+
+def _reference_norms(model):
+    """Every pattern's own complex matrix, normed one by one (complex SVD)."""
+    m = model.topology.n_edges
+    patterns = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    coeff = (patterns - model.probs) * model.admittances
+    return np.array([operator_norm(gc.weighted_laplacians(model.topology, c)) for c in coeff])
+
+
+@pytest.mark.parametrize("name", sorted(_ENUMERATION_MODELS))
+def test_brute_force_norms_match_complex_reference(name):
+    probs, y, bit_equal = _ENUMERATION_MODELS[name]
+    model = bnd.ContingencyModel(_K4, probs, y)
+    norms = eh.brute_force_distribution(model).norms
+    reference = _reference_norms(model)
+    if bit_equal:
+        np.testing.assert_array_equal(norms, reference)
+    else:
+        np.testing.assert_allclose(norms, reference, rtol=1e-14, atol=0)
+    if np.all(probs == 0.5):  # pattern 2^m - 1 - k is the complement of k
+        np.testing.assert_array_equal(norms, norms[::-1])
+
+
+@pytest.mark.parametrize("rows", [5, 7, 9])
+def test_brute_force_independent_of_chunking_across_half(monkeypatch, rows):
+    model = bnd.ContingencyModel(_K4, np.full(6, 0.5), _MIXED_Y)
+    whole = eh.brute_force_distribution(model)
+    monkeypatch.setattr(eh, "_CHUNK_BYTES", rows * eh._row_bytes(_K4))
+    assert any(start < 32 < stop for start, stop in eh._chunks(64, eh._row_bytes(_K4)))
+    chunked = eh.brute_force_distribution(model)
+    np.testing.assert_array_equal(chunked.norms, whole.norms)
+    np.testing.assert_array_equal(chunked.probabilities, whole.probabilities)
+    assert chunked.mean == whole.mean
+
+
 # ---------------------------------------------------------------------------
 # tail / expectation experiments
 # ---------------------------------------------------------------------------
@@ -568,6 +615,19 @@ def test_cli_assert_bounds_failure_exit_2(monkeypatch, tmp_path):
     assert cli.main(["bruteforce", "--out", str(out), "--assert-bounds"]) == 2
     # without --assert-bounds the failure is reported but exit stays 0
     assert cli.main(["bruteforce", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("samples, rows", [(5, "5 of 5 rows: 0, 1, 2, 3, 4\n"),
+                                           (8, "8 of 8 rows: 0, 1, 2, 3, 4 and 3 more\n")])
+def test_cli_failure_names_the_failing_rows(tmp_path, capsys, samples, rows):
+    # Dense n = 100 grid: every sample's norm exceeds the bound on the mean.
+    config = {"n": 100, "p_grid": [1.0], "samples": samples, "seed": 0}
+    path, out = tmp_path / "fig1.json", tmp_path / "fig1.csv"
+    path.write_text(json.dumps(config))
+    assert cli.main(["fig1", "--config", str(path), "--out", str(out), "--assert-bounds"]) == 2
+    assert capsys.readouterr().err == f"fig1: dominance check FAILED on {rows}"
+    result = eh.run_experiment(eh.ExperimentConfig.from_dict({"experiment": "fig1", **config}))
+    assert out.read_text() == eh.emit(result.records, "csv", None, result.fieldnames)
 
 
 def test_cli_seed_and_format_overrides(tmp_path):
