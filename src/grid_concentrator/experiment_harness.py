@@ -5,7 +5,8 @@ JSON file), runs a deterministic sampling or enumeration loop, and produces a
 flat table of records ready for CSV/JSON emission. Per-sample generators are
 derived as ``SeedSequence((master_seed, sweep_index, sample_index))``, so any
 sample can be replayed in isolation and identical configs give byte-identical
-output files.
+output files. Monte Carlo and ``lcpf_bounds`` derive the same streams per chunk
+in one vectorized pass (:func:`sample_uniforms`, pinned by tests/test_streams.py).
 
 Every runner but ``manifold`` works in bounded chunks of samples, each normed
 by one batched call. The Monte Carlo, enumeration and ``lcpf_bounds`` chunks
@@ -37,6 +38,7 @@ Experiments
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -67,6 +69,7 @@ __all__ = [
     "RunResult",
     "EXPERIMENT_NAMES",
     "sample_rng",
+    "sample_uniforms",
     "run_fig1",
     "brute_force_distribution",
     "monte_carlo_distribution",
@@ -186,7 +189,10 @@ def _line_model(value, cfg):
 def _samples(value, cfg):
     if cfg.backend == "bruteforce":
         raise ValueError("is not used by the bruteforce backend")
-    return gc.int_from_json(value, minimum=1)
+    samples = gc.int_from_json(value, minimum=1)
+    if samples > 1 << 32:  # each sample index hashes as one 32-bit seed word
+        raise ValueError(f"must be at most 2^32, got {samples}")
+    return samples
 
 
 def _topology(value, cfg):
@@ -346,9 +352,64 @@ class RunResult:
 
 
 def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Generator:
-    """Deterministic per-sample generator: hash of (master seed, sweep, sample)."""
+    """Deterministic per-sample generator: hash of (master seed, sweep, sample). Monte Carlo
+    and lcpf_bounds draw the same streams by :func:`sample_uniforms` (tests/test_streams.py)."""
     return np.random.default_rng(
         np.random.SeedSequence((int(seed) % (1 << 64), int(sweep_index), int(sample_index))))
+
+
+_M32, _M64, _PCG_MULT = (1 << 32) - 1, (1 << 64) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _mul_add128(x, c: int, add=(0, 0)):
+    """x * c + add mod 2^128, for x and add as (low, high) uint64 array halves."""
+    (lo, hi), c_lo, c_hi = x, c & _M64, c >> 64
+    a0, a1, b0, b1 = lo & _M32, lo >> 32, c_lo & _M32, c_lo >> 32
+    p01, p10, low = a0 * b1, a1 * b0, lo * c_lo + add[0]
+    mid = ((a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)) >> 32
+    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + mid + hi * c_lo + lo * c_hi + add[1]
+    return low, high + (low < add[0])
+
+
+def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
+                    count: int) -> np.ndarray:
+    """Row k is ``sample_rng(seed, sweep_index, start + k).random(count)`` bit for bit, by
+    ``SeedSequence`` and ``PCG64`` (NEP 19 stable) in wrapping uint32/uint64 array ops."""
+    if not 0 <= start <= stop <= 1 << 32 or sweep_index < 0:
+        raise ValueError(f"indices must be >= 0 and below 2^32: {sweep_index}, [{start}, {stop})")
+    words = [np.full(stop - start, x >> shift & _M32, np.uint32)  # the entropy words
+             for x in (int(seed) % (1 << 64), int(sweep_index))
+             for shift in range(0, max(x.bit_length(), 1), 32)]
+    words.append(np.arange(start, stop, dtype=np.uint32))
+    consts, xorshift = [0x43B0D7E5], lambda v: v ^ v >> 16
+
+    def hashmix(value, mult=0x931E8875):  # the hash constant advances on every call
+        consts.append(consts[-1] * mult & _M32)
+        return xorshift((value ^ consts[-2]) * consts[-1])
+    pool = [hashmix(w) for w in (words + [0 * words[0]])[:4]]  # mix_entropy
+    for i, j in itertools.permutations(range(4), 2):
+        pool[j] = xorshift(pool[j] * 0xCA01F9DD - hashmix(pool[i]) * 0x4973F715)
+    for w in words[4:]:
+        pool = [xorshift(p * 0xCA01F9DD - hashmix(w) * 0x4973F715) for p in pool]
+    consts.append(0x8B51F9DD)  # generate_state(4, uint64) restarts the hash constant
+    state = [hashmix(pool[i % 4], 0x58F38DED).astype(np.uint64)[:, None] for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in (0, 2, 4, 6))
+    inc = (seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63)  # PCG64 from here on
+    del words, pool, state  # free the hashing arrays before the draws
+
+    def advance(x, steps: int):  # x * MULT^steps + inc * sum(MULT^i for i < steps)
+        offset = (pow(_PCG_MULT, steps, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
+        return _mul_add128(x, pow(_PCG_MULT, steps, 1 << 128), _mul_add128(inc, offset))
+    tile = advance(_mul_add128(inc, 1, (seed_lo, seed_hi)), 2)  # srandom, then draw 0's state
+    width = max(1, min(count, 8192 // max(stop - start, 1)))  # 8192-draw tiles stay in cache
+    while tile[0].shape[1] < width:  # doubling: the states of the first width draws
+        tile = tuple(map(np.hstack, zip(tile, advance(tile, tile[0].shape[1]))))
+    out = np.empty((stop - start, count))
+    for first in range(0, count, width):
+        lo, hi = advance([half[:, :min(width, count - first)] for half in tile], first)
+        x, rot = lo ^ hi, hi >> 58  # XSL-RR output, then its top 53 bits as a double
+        out[:, first:first + width] = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
+    return out
 
 
 def _chunks(total: int, row_bytes: int):
@@ -448,15 +509,11 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
 
 def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int, seed: int,
                              sweep_index: int = 0) -> SampleStats:
-    """Monte Carlo estimate of the ||Y - EY|| distribution (per-sample seeds)."""
-    m = model.topology.n_edges
+    """Monte Carlo estimate of the ||Y - EY|| distribution (per-sample streams)."""
     norms = np.empty(samples)
     for start, stop in _chunks(samples, _row_bytes(model.topology)):
-        draws = np.empty((stop - start, m))
-        for k, s in enumerate(range(start, stop)):
-            draws[k] = sample_rng(seed, sweep_index, s).random(m)
-        patterns = (draws < model.probs).astype(float)
-        norms[start:stop] = _centered_norms_for_patterns(model, patterns)
+        norms[start:stop] = _centered_norms_for_patterns(
+            model, sample_uniforms(seed, sweep_index, start, stop, len(model.probs)) < model.probs)
     return SampleStats.sampled(norms)
 
 
@@ -479,21 +536,18 @@ def run_tail_experiment(cfg: ExperimentConfig) -> RunResult:
     profile = bnd.contingency_factors(cfg.model)
     stats = _contingency_stats(cfg)
     records = []
-    all_ok = True
     for t in cfg.t_grid:
         emp = stats.tail_at(t)
         report = bnd.thm2_tail_bound(float(t), profile)
         n_samp = len(stats.norms)
         allowance = 0.0 if stats.exact else \
             2.576 * math.sqrt(max(emp * (1 - emp), 0.0) / n_samp) + 1.0 / n_samp
-        ok = bool(emp <= report.value + allowance) if report.valid else True
-        all_ok = all_ok and ok
         records.append({"t": float(t), "tail_empirical": float(emp),
                         "tail_bound": report.value,
                         "tail_bound_clamped": report.clamped,
                         "valid": report.valid, "exact": stats.exact,
-                        "bound_ok": ok})
-    return RunResult(records, TAIL_FIELDS, all_ok)
+                        "bound_ok": not report.valid or bool(emp <= report.value + allowance)})
+    return RunResult(records, TAIL_FIELDS, all(rec["bound_ok"] for rec in records))
 
 
 EXPECTATION_FIELDS = ["form", "constant", "expectation_empirical",
@@ -546,28 +600,24 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
     n, m = topology.n_nodes, topology.n_edges
     norms = np.empty(samples)
     for start, stop in _chunks(samples, _row_bytes(topology)):
-        draws = np.empty((2, stop - start, m))
-        for k, s in enumerate(range(start, stop)):  # per sample: all of dG, then all of dB
-            draws[:, k] = sample_rng(cfg.seed, 0, s).uniform(-delta, delta, (2, m))
-        g, b = gc.weighted_laplacians(topology, draws)
+        # Generator.uniform(-delta, delta, (2, m)) per sample: all of dG, then all of dB
+        draws = -delta + (2 * delta) * sample_uniforms(cfg.seed, 0, start, stop, 2 * m)
+        g, b = gc.weighted_laplacians(topology, draws.reshape(stop - start, 2, m).swapaxes(0, 1))
         norms[start:stop] = operator_norm(lift_blocks(g, b, -1.0))
     stats = SampleStats.sampled(norms)
     exp_bound = bnd.lcpf_expectation_bound(n, delta)
     mean_ok = bool(stats.mean <= exp_bound.value)
     records = []
-    all_ok = mean_ok
     for t in cfg.t_grid:
         tail_emp = stats.tail_at(t)
         tail_bound = bnd.lcpf_tail_bound(float(t), n, delta)
         slacked = LCPF_TAIL_SLACK * tail_bound.value
-        ok = bool(tail_emp <= slacked)
-        all_ok = all_ok and ok
         records.append({"t": float(t), "tail_empirical": tail_emp,
                         "tail_bound": tail_bound.value,
-                        "tail_bound_slack4": slacked, "tail_ok": ok,
+                        "tail_bound_slack4": slacked, "tail_ok": bool(tail_emp <= slacked),
                         "mean_norm": stats.mean,
                         "expectation_bound": exp_bound.value, "mean_ok": mean_ok})
-    return RunResult(records, LCPF_FIELDS, all_ok)
+    return RunResult(records, LCPF_FIELDS, mean_ok and all(rec["tail_ok"] for rec in records))
 
 
 # ---------------------------------------------------------------------------

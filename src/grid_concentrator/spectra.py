@@ -16,8 +16,9 @@ __all__ = [
     "psd_dominates",
 ]
 
-# Max-abs asymmetry below which a matrix is treated as Hermitian and
-# symmetrized before eigensolving.
+# Max-abs asymmetry up to which the PSD checks (intrinsic_dimension with
+# psd=True, psd_dominates) accept a matrix as Hermitian; operator_norm
+# does not use it.
 HERMITIAN_TOL = 1e-10
 
 
