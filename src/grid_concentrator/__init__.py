@@ -49,23 +49,18 @@ from .bounds import (
     variance_laplacian,
 )
 from .lcpf import (
-    FlatStartJacobian,
     ImpedanceBlocks,
     flat_start_jacobian,
     invert_tree_lcpf,
     lcpf_solve,
 )
 from .manifold import (
-    ManifoldPoint,
-    TangentStep,
     distance_bound,
     expected_distance_bound,
-    manifold_point,
     power_flow_derivative,
     power_flow_map,
     projection_distance,
     tangent_residual,
-    tangent_step,
 )
 from .experiment_harness import (
     ConfigError,

@@ -43,12 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _failing_rows(records, shown: int = 5) -> str:
+def _failing_rows(result, shown: int = 5) -> str:
     """Count and first indices of the 0-based rows with a false ``*_ok`` field."""
-    failing = [index for index, rec in enumerate(records)
-               if any(key.endswith("_ok") and ok is False for key, ok in rec.items())]
+    failing = result.failing_rows
     more = f" and {len(failing) - shown} more" if len(failing) > shown else ""
-    return f"{len(failing)} of {len(records)} rows: {str(failing[:shown])[1:-1]}{more}"
+    return f"{len(failing)} of {len(result.records)} rows: {str(failing[:shown])[1:-1]}{more}"
 
 
 def main(argv=None) -> int:
@@ -59,17 +58,22 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help; treat anything else as a config error.
         return 0 if exc.code == 0 else 1
 
-    try:
-        cfg_dict = {}
-        if args.config:
+    cfg_dict = {}
+    if args.config:
+        try:
             with open(args.config, encoding="utf-8") as fh:
                 cfg_dict = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON or non-UTF-8 bytes; RecursionError: deep nesting.
+            print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
+            return 1
+    try:
         overrides = {"experiment": args.experiment, "seed": args.seed,
                      "samples": args.samples, "out": args.out, "format": args.fmt}
         cfg = ExperimentConfig.from_dict(
             cfg_dict, **{k: v for k, v in overrides.items() if v is not None})
         result = run_experiment(cfg)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -83,7 +87,7 @@ def main(argv=None) -> int:
     else:
         print(f"{cfg.experiment}: wrote {len(result.records)} records to {cfg.out}")
     if not result.bounds_ok:
-        print(f"{cfg.experiment}: dominance check FAILED on {_failing_rows(result.records)}",
+        print(f"{cfg.experiment}: dominance check FAILED on {_failing_rows(result)}",
               file=sys.stderr)
         if args.assert_bounds:
             return 2

@@ -58,7 +58,7 @@ from .admittance import (
     line_law_from_json,
     real_from_json,
 )
-from .manifold import distance_bound, expected_distance_bound, projection_distance, tangent_step
+from .manifold import distance_bound, expected_distance_bound, projection_distance
 from .spectra import operator_norm
 
 __all__ = [
@@ -325,15 +325,18 @@ class SampleStats:
     probabilities: np.ndarray | None
     mean: float
     stderr: float
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        """True for enumeration, whose norms carry exact pattern probabilities."""
+        return self.probabilities is not None
 
     @classmethod
     def sampled(cls, norms: np.ndarray) -> "SampleStats":
         """Equally weighted samples: their mean and its standard error."""
         count = len(norms)
         stderr = float(np.std(norms, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        return cls(norms=norms, probabilities=None, mean=float(np.mean(norms)),
-                   stderr=stderr, exact=False)
+        return cls(norms=norms, probabilities=None, mean=float(np.mean(norms)), stderr=stderr)
 
     def tail_at(self, t: float) -> float:
         """Pr(norm >= t) under the sample/pattern weights."""
@@ -344,11 +347,21 @@ class SampleStats:
 
 @dataclass
 class RunResult:
-    """Records plus the schema and the overall dominance verdict."""
+    """Records plus the schema; the dominance verdict is read from the records."""
 
     records: list
     fieldnames: list
-    bounds_ok: bool
+
+    @property
+    def failing_rows(self) -> list:
+        """0-based indices of the rows with a ``*_ok`` cell that is False."""
+        return [index for index, rec in enumerate(self.records)
+                if any(key.endswith("_ok") and ok is False for key, ok in rec.items())]
+
+    @property
+    def bounds_ok(self) -> bool:
+        """True when no row has a ``*_ok`` cell that is False (None is no verdict)."""
+        return not self.failing_rows
 
 
 def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Generator:
@@ -460,7 +473,7 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
                 records.append({"p": p, "sample_index": s, "m": m, "delta": delta,
                                 "norm": norm, "bound": bound, "bound_ok": bool(bound >= norm)})
             del ys  # before the next chunk's stack is allocated
-    return RunResult(records, FIG1_FIELDS, all(rec["bound_ok"] for rec in records))
+    return RunResult(records, FIG1_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +517,7 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
     if abs(total_prob - 1.0) > 1e-12:
         raise ArithmeticError(f"pattern probabilities sum to {total_prob!r}, not 1")
     return SampleStats(norms=norms, probabilities=probs,
-                       mean=float(probs @ norms), stderr=0.0, exact=True)
+                       mean=float(probs @ norms), stderr=0.0)
 
 
 def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int, seed: int,
@@ -547,7 +560,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> RunResult:
                         "tail_bound_clamped": report.clamped,
                         "valid": report.valid, "exact": stats.exact,
                         "bound_ok": not report.valid or bool(emp <= report.value + allowance)})
-    return RunResult(records, TAIL_FIELDS, all(rec["bound_ok"] for rec in records))
+    return RunResult(records, TAIL_FIELDS)
 
 
 EXPECTATION_FIELDS = ["form", "constant", "expectation_empirical",
@@ -565,16 +578,15 @@ def run_expectation_experiment(cfg: ExperimentConfig) -> RunResult:
     explicit = bnd.thm2_expectation_bound(profile)
     with_c1 = bnd.thm2_expectation_bound(profile, constant=1.0)
     slack = 0.0 if stats.exact else 3.0 * stats.stderr
-    explicit_ok = bool(stats.mean <= explicit.value + slack)
     records = [
         {"form": "explicit", "constant": None,
          "expectation_empirical": stats.mean, "expectation_bound": explicit.value,
-         "exact": stats.exact, "bound_ok": explicit_ok},
+         "exact": stats.exact, "bound_ok": bool(stats.mean <= explicit.value + slack)},
         {"form": "with_constant", "constant": 1.0,
          "expectation_empirical": stats.mean, "expectation_bound": with_c1.value,
          "exact": stats.exact, "bound_ok": None},
     ]
-    return RunResult(records, EXPECTATION_FIELDS, explicit_ok)
+    return RunResult(records, EXPECTATION_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +629,7 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
                         "tail_bound_slack4": slacked, "tail_ok": bool(tail_emp <= slacked),
                         "mean_norm": stats.mean,
                         "expectation_bound": exp_bound.value, "mean_ok": mean_ok})
-    return RunResult(records, LCPF_FIELDS, mean_ok and all(rec["tail_ok"] for rec in records))
+    return RunResult(records, LCPF_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +660,7 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
         rng = sample_rng(cfg.seed, 0, s)
         y = assemble_admittance(topology, cfg.line_model.sample(rng, topology.n_edges))
         y_norm = operator_norm(y)
-        step = tangent_step(y, u_flat, h)
-        residual_cert = 3.0 * projection_distance(y, step)
+        residual_cert = 3.0 * projection_distance(y, u_flat, h)
         holder_cert = distance_bound(h, y_norm)
         res_ok = bool(residual_cert <= holder_cert + 1e-12)
         rows.append({"sample_index": s, "y_norm": y_norm,
@@ -660,7 +671,7 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     for row in rows:
         row.update({"mean_certificate": mean_cert, "analytic_bound": analytic.value,
                     "bound_ok": bound_ok})
-    return RunResult(rows, MANIFOLD_FIELDS, bound_ok)
+    return RunResult(rows, MANIFOLD_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +691,7 @@ def run_bruteforce(cfg: ExperimentConfig) -> RunResult:
     records = [{"t": float(t), "tail_exact": stats.tail_at(t),
                 "mean_norm": stats.mean, "n_patterns": len(stats.norms)}
                for t in grid]
-    return RunResult(records, BRUTEFORCE_FIELDS, True)
+    return RunResult(records, BRUTEFORCE_FIELDS)
 
 
 _RUNNERS = {

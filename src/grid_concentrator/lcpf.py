@@ -5,16 +5,18 @@ at the flat start (unit magnitudes, zero angles, no shunts):
 
     [p; q] = [[G, -B], [-B, -G]] [eps; theta],   eps := v - 1,
 
-with G = A^T diag(g) A and B = A^T diag(b) A. On a tree with a reference
-node removed, the reduced incidence A is square and invertible and the block
-matrix inverts in closed form to [[R, X], [X, -R]], where
+with G = A^T diag(g) A and B = A^T diag(b) A. The Jacobian J is a plain real
+(2k, 2k) array; its blocks read back as G = J[:k, :k] and B = -J[:k, k:]. On
+a tree with a reference node removed, the reduced incidence A is square and
+invertible, and the block matrix inverts in closed form to [[R, X], [X, -R]], where
 
     R = A^{-1} diag(g / (g^2 + b^2)) A^{-T},
     X = A^{-1} diag(-b / (g^2 + b^2)) A^{-T}
 
 are the resistance and reactance matrices. The same blocks fall out of the
 Schur complement of the block matrix in -G: R = (G + B G^{-1} B)^{-1} and
-X = -R B G^{-1}. Both derivations are computed and cross-checked here.
+X = -R B G^{-1}. :func:`invert_tree_lcpf` builds G and B from the topology
+and weights it is given, computes both derivations and cross-checks them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .admittance import lift_blocks, line_weights
 from .graph_core import Topology, incidence_matrix, is_tree, weighted_laplacians
 
 __all__ = [
-    "FlatStartJacobian",
     "ImpedanceBlocks",
     "flat_start_jacobian",
     "invert_tree_lcpf",
@@ -38,31 +39,6 @@ __all__ = [
 # residual of linear solves (relative to the right-hand side).
 _AGREE_TOL = 1e-9
 _MAX_CONDITION = 1e12
-
-
-@dataclass(frozen=True)
-class FlatStartJacobian:
-    """Block operator [[G, -B], [-B, -G]] with its Laplacian blocks."""
-
-    g_matrix: np.ndarray
-    b_matrix: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.g_matrix, dtype=float)
-        b = np.asarray(self.b_matrix, dtype=float)
-        if g.shape != b.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"G and B must be square and same shape, got "
-                             f"{g.shape} and {b.shape}")
-        object.__setattr__(self, "g_matrix", g)
-        object.__setattr__(self, "b_matrix", b)
-
-    @property
-    def size(self) -> int:
-        return self.g_matrix.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return lift_blocks(self.g_matrix, self.b_matrix, -1.0)
 
 
 @dataclass(frozen=True)
@@ -77,14 +53,8 @@ class ImpedanceBlocks:
         return lift_blocks(self.r_matrix, self.x_matrix, +1.0)
 
 
-def flat_start_jacobian(topology: Topology, weights,
-                        reduced: bool = False) -> FlatStartJacobian:
-    """Assemble [[G, -B], [-B, -G]] from line admittances w = g + jb.
-
-    ``weights`` is a complex (m,) array in edge order. With ``reduced``
-    the reference node's row and column are dropped from G and B (blocks
-    become (n-1) x (n-1)), which is the invertible form used on trees.
-    """
+def _laplacian_blocks(topology: Topology, weights, reduced: bool) -> np.ndarray:
+    # The (2, k, k) stack [G, B]; ``reduced`` drops the reference node's row and column.
     w = line_weights(topology, weights)
     gb = weighted_laplacians(topology, np.stack([w.real, w.imag]))
     if reduced:
@@ -92,7 +62,17 @@ def flat_start_jacobian(topology: Topology, weights,
             raise ValueError("reduced Jacobian requested but no reference node is set")
         keep = np.arange(topology.n_nodes) != topology.reference_node
         gb = gb[:, keep][..., keep]
-    return FlatStartJacobian(*gb)
+    return gb
+
+
+def flat_start_jacobian(topology: Topology, weights, reduced: bool = False) -> np.ndarray:
+    """The real (2k, 2k) array [[G, -B], [-B, -G]] from line admittances w = g + jb.
+
+    ``weights`` is a complex (m,) array in edge order. With ``reduced``
+    the reference node's row and column are dropped from G and B (blocks
+    become (n-1) x (n-1)), which is the invertible form used on trees.
+    """
+    return lift_blocks(*_laplacian_blocks(topology, weights, reduced), -1.0)
 
 
 def _check_numerical_agreement(lhs: np.ndarray, rhs: np.ndarray, what: str):
@@ -103,14 +83,13 @@ def _check_numerical_agreement(lhs: np.ndarray, rhs: np.ndarray, what: str):
                               f"(tolerance {_AGREE_TOL:.0e} at scale {scale:.3e})")
 
 
-def invert_tree_lcpf(jacobian: FlatStartJacobian, topology: Topology,
-                     weights) -> ImpedanceBlocks:
+def invert_tree_lcpf(topology: Topology, weights) -> ImpedanceBlocks:
     """Closed-form inverse blocks R, X of the reduced flat-start operator.
 
-    Requires a tree with a reference node, all conductances strictly
-    positive, and the jacobian built reduced. R and X are computed twice --
-    through the Schur complement chain and through the line-space closed
-    form -- and the two must agree to 1e-9; the Schur result is returned.
+    Requires a tree with a reference node and all conductances strictly
+    positive. R and X are computed twice -- through the Schur complement
+    chain on the reduced G and B and through the line-space closed form --
+    and the two must agree to 1e-9; the Schur result is returned.
     """
     if not is_tree(topology):
         raise ValueError("closed-form inverse requires a tree topology")
@@ -120,13 +99,9 @@ def invert_tree_lcpf(jacobian: FlatStartJacobian, topology: Topology,
     g, b = w.real, w.imag
     if np.any(g <= 0.0):
         raise ValueError("all line conductances must be > 0 (G would be singular)")
-    n_red = topology.n_nodes - 1
-    if jacobian.size != n_red:
-        raise ValueError(f"jacobian blocks are {jacobian.size} x {jacobian.size}; "
-                         f"expected the reduced size {n_red}")
 
     # Schur path: R = (G + B G^{-1} B)^{-1}, X = -R B G^{-1}.
-    gm, bm = jacobian.g_matrix, jacobian.b_matrix
+    gm, bm = _laplacian_blocks(topology, w, reduced=True)
     g_inv_b = np.linalg.solve(gm, bm)
     r_schur = np.linalg.inv(gm + bm @ g_inv_b)
     x_schur = -r_schur @ g_inv_b.T
@@ -149,21 +124,24 @@ def _congruence_by_inverse(a: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, z.T).T
 
 
-def lcpf_solve(jacobian: FlatStartJacobian, p, q,
+def lcpf_solve(jacobian, p, q,
                blocks: ImpedanceBlocks | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve [p; q] = [[G, -B], [-B, -G]] [eps; theta] for (eps, theta).
+    """Solve [p; q] = J [eps; theta] for (eps, theta), J = [[G, -B], [-B, -G]].
 
+    ``jacobian`` is the real (2k, 2k) array of :func:`flat_start_jacobian`.
     With precomputed tree ``blocks`` this is eps = R p + X q,
     theta = X p - R q; otherwise a dense solve with a condition-number guard
     (meshed networks are fine as long as the operator is nonsingular). The
     solution's residual is verified to 1e-9 relative to ||[p; q]||.
     """
+    m = np.asarray(jacobian, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        raise ValueError(f"jacobian must be a square (2k, 2k) array, got {m.shape}")
+    n = m.shape[0] // 2
     p = np.asarray(p, dtype=float).ravel()
     q = np.asarray(q, dtype=float).ravel()
-    n = jacobian.size
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError(f"p and q must have length {n}")
-    m = jacobian.matrix
     if blocks is not None:
         eps = blocks.r_matrix @ p + blocks.x_matrix @ q
         theta = blocks.x_matrix @ p - blocks.r_matrix @ q

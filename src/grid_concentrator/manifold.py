@@ -15,23 +15,20 @@ distance to the manifold, which chains into the expectation bounds on ||Y||:
 True projection onto the manifold is nonconvex and not attempted; the
 certificate plus the same-voltage projection proxy sandwich the distance.
 Complex vectors are identified with stacked real/imaginary parts, so the
-complex 2-norm is the ambient Euclidean norm. ``y`` is the admittance matrix
-Y as a complex (n, n) array.
+complex 2-norm is the ambient Euclidean norm. Every function takes plain
+arrays: ``y`` is the admittance matrix Y as a complex (n, n) array, ``u`` the
+base voltage and ``h`` the step, both of length n. The residual functions
+evaluate psi(u) from the ``y`` they are given, so base point and matrix
+cannot disagree.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundReport
 
 __all__ = [
-    "ManifoldPoint",
-    "TangentStep",
-    "manifold_point",
-    "tangent_step",
     "power_flow_map",
     "power_flow_derivative",
     "tangent_residual",
@@ -41,22 +38,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ManifoldPoint:
-    """A feasible (voltage, injection) pair with injection = psi(voltage)."""
-
-    voltage: np.ndarray
-    power: np.ndarray
-
-
-@dataclass(frozen=True)
-class TangentStep:
-    """A complex voltage step taken from a feasible base point."""
-
-    base: ManifoldPoint
-    step: np.ndarray
 
 
 def _as_complex_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -83,45 +64,32 @@ def power_flow_derivative(y, u, h) -> np.ndarray:
     return hv * np.conj(ym @ uv) + uv * np.conj(ym @ hv)
 
 
-def manifold_point(y, u) -> ManifoldPoint:
-    """Feasible point (u, psi(u)) on the manifold of ``y``."""
-    uv = _as_complex_vector(u, np.shape(y)[0], "voltage")
-    return ManifoldPoint(voltage=uv, power=power_flow_map(y, uv))
-
-
-def tangent_step(y, u, h) -> TangentStep:
-    """Tangent step ``h`` from the feasible point at voltage ``u``."""
-    base = manifold_point(y, u)
-    return TangentStep(base=base, step=_as_complex_vector(h, base.voltage.shape[0], "step"))
-
-
-def tangent_residual(y, step: TangentStep) -> np.ndarray:
-    """Second-order remainder psi(u+h) - psi(u) - Dpsi(u)[h].
+def tangent_residual(y, u, h) -> np.ndarray:
+    """Second-order remainder psi(u+h) - psi(u) - Dpsi(u)[h] of the step h from u.
 
     Computed by the closed form diag(h) * conj(Y h) and cross-checked
-    against the direct Taylor subtraction (the map is exactly quadratic, so
-    the two must agree to 1e-12).
+    against the direct Taylor subtraction, with psi(u) taken from the same
+    ``y`` (the map is exactly quadratic, so the two must agree to 1e-12).
     """
     ym = np.asarray(y, dtype=complex)
-    u, h = step.base.voltage, step.step
-    if h.shape != u.shape:
-        raise ValueError("step/base dimension mismatch")
-    closed = h * np.conj(ym @ h)
-    direct = (power_flow_map(ym, u + h) - step.base.power
-              - power_flow_derivative(ym, u, h))
+    uv = _as_complex_vector(u, ym.shape[0], "voltage")
+    hv = _as_complex_vector(h, ym.shape[0], "step")
+    closed = hv * np.conj(ym @ hv)
+    direct = (power_flow_map(ym, uv + hv) - power_flow_map(ym, uv)
+              - power_flow_derivative(ym, uv, hv))
     scale = max(1.0, float(np.max(np.abs(closed), initial=0.0)))
     if float(np.max(np.abs(closed - direct), initial=0.0)) > _RESIDUAL_TOL * scale:
         raise ArithmeticError("quadratic-map identity violated beyond 1e-12")
     return closed
 
 
-def projection_distance(y, step: TangentStep) -> float:
-    """Distance from the tangent point to the manifold point sharing its voltage.
+def projection_distance(y, u, h) -> float:
+    """Distance from the tangent point of step h at u to the manifold point sharing its voltage.
 
     An upper proxy for the true manifold distance: only the injection part
     differs, so it equals the 2-norm of the tangent residual.
     """
-    return float(np.linalg.norm(tangent_residual(y, step)))
+    return float(np.linalg.norm(tangent_residual(y, u, h)))
 
 
 def distance_bound(h, y_norm: float, mode: str = "holder") -> float:

@@ -1,8 +1,11 @@
-"""Every exported name resolves, so a deleted function leaves no stale export."""
+"""Every exported name resolves, so a deleted function leaves no stale export,
+and so does every name the traced benchmark patches."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,17 @@ def test_package_exports_resolve_and_are_public():
         module = importlib.import_module(f"grid_concentrator.{module_name}")
         assert getattr(grid_concentrator, name) is getattr(module, name)
         assert name in module.__all__, f"{module_name}.{name} is exported but not public"
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # The traced benchmark patches these names; one that no longer exists
+    # would break `bench/run.py --trace 1`, whose own tests are not tier-1.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    targets = tracing.trace_targets()
+    assert targets
+    for owner, attr, span in targets:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({span})"

@@ -508,6 +508,26 @@ def test_cli_config_error_exit_1(tmp_path):
     assert cli.main(["fig1", "--config", str(not_json)]) == 1
 
 
+# Config files that cannot be read as a JSON object; None is a directory.
+BAD_CONFIG_FILES = {"not_utf8.json": b"\xff{}", "deep.json": b"[" * 100_000,
+                    "truncated.json": b'{"n": ', "list.json": b"[1, 2]", "directory": None}
+
+
+@pytest.mark.parametrize("name", BAD_CONFIG_FILES)
+def test_cli_unreadable_config_file_is_config_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    content = BAD_CONFIG_FILES[name]
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert cli.main(["fig1", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert name in err or name == "list.json"  # a list reads fine; the schema rejects it
+
+
 @pytest.mark.parametrize("experiment,config,field", [
     ("lcpf_bounds", {"delta": float("nan")}, "delta"),
     ("lcpf_bounds", {"delta": "0.1"}, "delta"),
@@ -608,8 +628,18 @@ def test_cli_unknown_experiment_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_verdict_is_read_from_the_ok_cells():
+    rows = [{"t": 0.0}, {"bound_ok": None}, {"tail_ok": True, "mean_ok": False},
+            {"residual_ok": False}]
+    result = eh.RunResult(records=rows, fieldnames=[])
+    assert result.failing_rows == [2, 3]  # None is no verdict
+    assert not result.bounds_ok
+    assert eh.RunResult(records=rows[:2], fieldnames=[]).bounds_ok
+    assert eh.RunResult(records=[], fieldnames=[]).bounds_ok
+
+
 def test_cli_assert_bounds_failure_exit_2(monkeypatch, tmp_path):
-    failing = eh.RunResult(records=[{"t": 0.0}], fieldnames=["t"], bounds_ok=False)
+    failing = eh.RunResult(records=[{"t": 0.0, "bound_ok": False}], fieldnames=["t", "bound_ok"])
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: failing)
     out = tmp_path / "x.csv"
     assert cli.main(["bruteforce", "--out", str(out), "--assert-bounds"]) == 2

@@ -10,27 +10,33 @@ def _single_line():
     return gc.Topology(2, [(0, 1)], reference_node=1)
 
 
+def _blocks(j):
+    # G and B read back from [[G, -B], [-B, -G]]
+    k = j.shape[0] // 2
+    return j[:k, :k], -j[:k, k:]
+
+
 def test_flat_start_single_reduced_line():
     t = _single_line()
     j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)], reduced=True)
-    np.testing.assert_allclose(j.matrix, [[1.0, 1.0], [1.0, -1.0]])
+    np.testing.assert_allclose(j, [[1.0, 1.0], [1.0, -1.0]])
 
 
 def test_flat_start_p3_real_is_block_diagonal():
     t = gc.path_topology(3)
     j = lcpf.flat_start_jacobian(t, [complex(1.0, 0.0), complex(1.0, 0.0)])
     lap = gc.unweighted_laplacian(t)
-    np.testing.assert_allclose(j.matrix[:3, :3], lap)
-    np.testing.assert_allclose(j.matrix[3:, 3:], -lap)
-    np.testing.assert_allclose(j.matrix[:3, 3:], 0.0)
+    np.testing.assert_allclose(j[:3, :3], lap)
+    np.testing.assert_allclose(j[3:, 3:], -lap)
+    np.testing.assert_allclose(j[:3, 3:], 0.0)
 
 
 def test_flat_start_k3_indefinite():
     t = gc.complete_topology(3)
     j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)] * 3)
-    eigs = np.linalg.eigvalsh(j.matrix)
+    eigs = np.linalg.eigvalsh(j)
     assert eigs[0] < 0 < eigs[-1]
-    np.testing.assert_allclose(j.matrix, j.matrix.T, atol=1e-12)
+    np.testing.assert_allclose(j, j.T, atol=1e-12)
 
 
 def test_flat_start_sign_semidefiniteness():
@@ -40,9 +46,9 @@ def test_flat_start_sign_semidefiniteness():
         t = gc.sample_random_tree(int(rng.integers(2, 10)), rng)
         lines = [complex(rng.uniform(0.01, 2.0), rng.uniform(-2.0, 0.0))
                  for _ in range(t.n_edges)]
-        j = lcpf.flat_start_jacobian(t, lines)
-        assert np.linalg.eigvalsh(j.g_matrix)[0] >= -1e-10
-        assert np.linalg.eigvalsh(j.b_matrix)[-1] <= 1e-10
+        g, b = _blocks(lcpf.flat_start_jacobian(t, lines))
+        assert np.linalg.eigvalsh(g)[0] >= -1e-10
+        assert np.linalg.eigvalsh(b)[-1] <= 1e-10
 
 
 def test_flat_start_rejects_length_mismatch():
@@ -61,9 +67,9 @@ def test_flat_start_matches_incidence_product():
         w = rng.uniform(-1, 1, t.n_edges) + 1j * rng.uniform(-1, 1, t.n_edges)
         for reduced in (False, True):
             a = gc.incidence_matrix(t, reduced=reduced)
-            j = lcpf.flat_start_jacobian(t, w, reduced=reduced)
-            np.testing.assert_allclose(j.g_matrix, a.T @ np.diag(w.real) @ a, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(j.b_matrix, a.T @ np.diag(w.imag) @ a, rtol=0, atol=1e-12)
+            g, b = _blocks(lcpf.flat_start_jacobian(t, w, reduced=reduced))
+            np.testing.assert_allclose(g, a.T @ np.diag(w.real) @ a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b, a.T @ np.diag(w.imag) @ a, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="reference"):
         lcpf.flat_start_jacobian(gc.path_topology(3), [1.0, 1.0], reduced=True)
 
@@ -71,20 +77,20 @@ def test_flat_start_matches_incidence_product():
 def test_invert_single_line():
     t = _single_line()
     j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)], reduced=True)
-    blocks = lcpf.invert_tree_lcpf(j, t, [complex(1.0, -1.0)])
+    blocks = lcpf.invert_tree_lcpf(t, [complex(1.0, -1.0)])
     np.testing.assert_allclose(blocks.r_matrix, [[0.5]], atol=1e-12)
     np.testing.assert_allclose(blocks.x_matrix, [[0.5]], atol=1e-12)
-    np.testing.assert_allclose(j.matrix @ blocks.matrix, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(j @ blocks.matrix, np.eye(2), atol=1e-12)
 
 
 def test_invert_pure_conductance_decouples():
     # b = 0: R is the inverse of the reduced conductance Laplacian, X = 0
     t = gc.path_topology(4, reference_node=0)
     lines = [complex(1.0, 0.0)] * 3
-    j = lcpf.flat_start_jacobian(t, lines, reduced=True)
-    blocks = lcpf.invert_tree_lcpf(j, t, lines)
+    g, _ = _blocks(lcpf.flat_start_jacobian(t, lines, reduced=True))
+    blocks = lcpf.invert_tree_lcpf(t, lines)
     np.testing.assert_allclose(blocks.x_matrix, 0.0, atol=1e-12)
-    np.testing.assert_allclose(blocks.r_matrix, np.linalg.inv(j.g_matrix), atol=1e-10)
+    np.testing.assert_allclose(blocks.r_matrix, np.linalg.inv(g), atol=1e-10)
 
 
 def test_invert_p3_against_dense_oracle():
@@ -92,8 +98,8 @@ def test_invert_p3_against_dense_oracle():
     t = gc.path_topology(3, reference_node=0)
     lines = [complex(1.0, -1.0), complex(2.0, -1.0)]
     j = lcpf.flat_start_jacobian(t, lines, reduced=True)
-    blocks = lcpf.invert_tree_lcpf(j, t, lines)
-    dense = np.linalg.inv(j.matrix)
+    blocks = lcpf.invert_tree_lcpf(t, lines)
+    dense = np.linalg.inv(j)
     np.testing.assert_allclose(blocks.matrix, dense, atol=1e-10)
     np.testing.assert_allclose(blocks.r_matrix, [[0.5, 0.5], [0.5, 0.9]], atol=1e-10)
     np.testing.assert_allclose(blocks.x_matrix, [[0.5, 0.5], [0.5, 0.7]], atol=1e-10)
@@ -101,24 +107,15 @@ def test_invert_p3_against_dense_oracle():
 
 def test_invert_errors():
     k3 = gc.complete_topology(3, reference_node=0)
-    j3 = lcpf.flat_start_jacobian(k3, [complex(1.0, -1.0)] * 3, reduced=True)
     with pytest.raises(ValueError, match="tree"):
-        lcpf.invert_tree_lcpf(j3, k3, [complex(1.0, -1.0)] * 3)
+        lcpf.invert_tree_lcpf(k3, [complex(1.0, -1.0)] * 3)
 
     t = gc.path_topology(3, reference_node=0)
-    lines = [complex(1.0, -1.0), complex(0.0, -1.0)]
-    j = lcpf.flat_start_jacobian(t, lines, reduced=True)
     with pytest.raises(ValueError, match="conductance"):
-        lcpf.invert_tree_lcpf(j, t, lines)
+        lcpf.invert_tree_lcpf(t, [complex(1.0, -1.0), complex(0.0, -1.0)])
 
-    no_ref = gc.path_topology(3)
-    j_full = lcpf.flat_start_jacobian(no_ref, [complex(1.0, -1.0)] * 2)
     with pytest.raises(ValueError, match="reference"):
-        lcpf.invert_tree_lcpf(j_full, no_ref, [complex(1.0, -1.0)] * 2)
-
-    j_unreduced = lcpf.flat_start_jacobian(t, lines)
-    with pytest.raises(ValueError, match="reduced"):
-        lcpf.invert_tree_lcpf(j_unreduced, t, [complex(1.0, -1.0), complex(1.0, -1.0)])
+        lcpf.invert_tree_lcpf(gc.path_topology(3), [complex(1.0, -1.0)] * 2)
 
 
 def test_invert_random_trees_both_paths_and_identity():
@@ -129,9 +126,9 @@ def test_invert_random_trees_both_paths_and_identity():
         lines = [complex(rng.uniform(0.05, 2.0), rng.uniform(-2.0, -0.05))
                  for _ in range(t.n_edges)]
         j = lcpf.flat_start_jacobian(t, lines, reduced=True)
-        blocks = lcpf.invert_tree_lcpf(j, t, lines)  # raises if paths disagree
+        blocks = lcpf.invert_tree_lcpf(t, lines)  # raises if paths disagree
         size = 2 * (n - 1)
-        np.testing.assert_allclose(j.matrix @ blocks.matrix, np.eye(size), atol=1e-9)
+        np.testing.assert_allclose(j @ blocks.matrix, np.eye(size), atol=1e-9)
         assert np.linalg.eigvalsh((blocks.r_matrix + blocks.r_matrix.T) / 2)[0] > 0
         assert np.linalg.eigvalsh((blocks.x_matrix + blocks.x_matrix.T) / 2)[0] > 0
 
@@ -151,7 +148,7 @@ def test_solve_single_line():
     np.testing.assert_allclose(eps, [0.5], atol=1e-12)
     np.testing.assert_allclose(theta, [0.5], atol=1e-12)
     # tree path through the closed-form blocks gives the same answer
-    blocks = lcpf.invert_tree_lcpf(j, t, [complex(1.0, -1.0)])
+    blocks = lcpf.invert_tree_lcpf(t, [complex(1.0, -1.0)])
     eps2, theta2 = lcpf.lcpf_solve(j, [1.0], [0.0], blocks=blocks)
     np.testing.assert_allclose(eps2, eps)
     np.testing.assert_allclose(theta2, theta)
@@ -166,7 +163,7 @@ def test_solve_residual_random_p3():
         p = rng.standard_normal(2)
         q = rng.standard_normal(2)
         eps, theta = lcpf.lcpf_solve(j, p, q)
-        residual = j.matrix @ np.concatenate([eps, theta]) - np.concatenate([p, q])
+        residual = j @ np.concatenate([eps, theta]) - np.concatenate([p, q])
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm([p, q]))
 
 
@@ -178,7 +175,7 @@ def test_solve_meshed_network_dense_path():
     rng = np.random.default_rng(64)
     p, q = rng.standard_normal(3), rng.standard_normal(3)
     eps, theta = lcpf.lcpf_solve(j, p, q)
-    np.testing.assert_allclose(j.matrix @ np.concatenate([eps, theta]),
+    np.testing.assert_allclose(j @ np.concatenate([eps, theta]),
                                np.concatenate([p, q]), atol=1e-10)
 
 
@@ -187,3 +184,12 @@ def test_solve_singular_operator_rejected():
     j = lcpf.flat_start_jacobian(t, [complex(1.0, 0.0), complex(1.0, 0.0)])
     with pytest.raises(np.linalg.LinAlgError):
         lcpf.lcpf_solve(j, np.ones(3), np.zeros(3))
+
+
+def test_solve_rejects_malformed_jacobian():
+    j = lcpf.flat_start_jacobian(_single_line(), [complex(1.0, -1.0)], reduced=True)
+    for bad in (j[:1], j[0], np.zeros((3, 3))):
+        with pytest.raises(ValueError, match=r"\(2k, 2k\)"):
+            lcpf.lcpf_solve(bad, [1.0], [0.0])
+    with pytest.raises(ValueError, match="length 1"):
+        lcpf.lcpf_solve(j, [1.0, 0.0], [0.0])

@@ -46,35 +46,33 @@ def test_power_flow_map_dimension_mismatch():
         mf.power_flow_map(_single_line_y(), [1.0, 1.0, 1.0])
 
 
-def test_manifold_point_satisfies_map():
-    y = _single_line_y()
-    point = mf.manifold_point(y, [1.0, 0.9])
-    np.testing.assert_allclose(point.power, mf.power_flow_map(y, point.voltage),
-                               atol=1e-14)
-
-
 def test_tangent_residual_zero_step():
     y = _single_line_y()
-    step = mf.tangent_step(y, np.ones(2, dtype=complex), np.zeros(2, dtype=complex))
-    np.testing.assert_allclose(mf.tangent_residual(y, step), 0.0, atol=1e-15)
+    residual = mf.tangent_residual(y, np.ones(2, dtype=complex), np.zeros(2, dtype=complex))
+    np.testing.assert_allclose(residual, 0.0, atol=1e-15)
 
 
 def test_tangent_residual_single_line():
     y = _single_line_y()
-    step = mf.tangent_step(y, np.ones(2, dtype=complex), [0.1, 0.0])
-    residual = mf.tangent_residual(y, step)
+    residual = mf.tangent_residual(y, np.ones(2, dtype=complex), [0.1, 0.0])
     np.testing.assert_allclose(residual, [0.01, 0.0], atol=1e-14)
     assert np.linalg.norm(residual) == pytest.approx(0.01, abs=1e-14)
 
 
+def test_tangent_residual_rejects_mismatched_lengths():
+    y = _single_line_y()
+    with pytest.raises(ValueError, match="step"):
+        mf.tangent_residual(y, np.ones(2), [0.1, 0.0, 0.0])
+    with pytest.raises(ValueError, match="voltage"):
+        mf.projection_distance(y, np.ones(3), [0.1, 0.0])
+
+
 def test_tangent_residual_quadratic_scaling():
     y = _single_line_y()
-    base = mf.tangent_step(y, np.ones(2, dtype=complex), [0.1, -0.05 + 0.02j])
-    r1 = mf.tangent_residual(y, base)
+    u, h = np.ones(2, dtype=complex), np.array([0.1, -0.05 + 0.02j])
+    r1 = mf.tangent_residual(y, u, h)
     for alpha in (2.0, 0.5):
-        scaled = mf.tangent_step(y, np.ones(2, dtype=complex),
-                                 alpha * np.asarray(base.step))
-        r2 = mf.tangent_residual(y, scaled)
+        r2 = mf.tangent_residual(y, u, alpha * h)
         np.testing.assert_allclose(r2, alpha ** 2 * r1, rtol=1e-10)
 
 
@@ -82,9 +80,8 @@ def test_tangent_residual_matches_taylor_subtraction():
     rng = np.random.default_rng(71)
     for _ in range(100):
         y, u, h = _random_instance(rng)
-        step = mf.tangent_step(y, u, h)
-        closed = mf.tangent_residual(y, step)  # cross-checks internally to 1e-12
-        direct = (mf.power_flow_map(y, u + h) - step.base.power
+        closed = mf.tangent_residual(y, u, h)  # cross-checks internally to 1e-12
+        direct = (mf.power_flow_map(y, u + h) - mf.power_flow_map(y, u)
                   - mf.power_flow_derivative(y, u, h))
         np.testing.assert_allclose(closed, direct, atol=1e-12)
 
@@ -93,8 +90,7 @@ def test_residual_norm_chain():
     rng = np.random.default_rng(72)
     for _ in range(50):
         y, u, h = _random_instance(rng)
-        step = mf.tangent_step(y, u, h)
-        res = np.linalg.norm(mf.tangent_residual(y, step))
+        res = np.linalg.norm(mf.tangent_residual(y, u, h))
         y_norm = operator_norm(y)
         hinf = np.max(np.abs(h))
         h2 = np.linalg.norm(h)
@@ -115,12 +111,11 @@ def test_derivative_matches_finite_differences():
 def test_projection_distance_equals_residual_norm():
     rng = np.random.default_rng(74)
     y, u, h = _random_instance(rng)
-    step = mf.tangent_step(y, u, h)
-    assert mf.projection_distance(y, step) == pytest.approx(
-        float(np.linalg.norm(mf.tangent_residual(y, step))), rel=1e-12)
+    assert mf.projection_distance(y, u, h) == pytest.approx(
+        float(np.linalg.norm(mf.tangent_residual(y, u, h))), rel=1e-12)
     # the certificate 3||F|| dominates the same-voltage projection proxy
-    assert 3.0 * np.linalg.norm(mf.tangent_residual(y, step)) >= \
-        mf.projection_distance(y, step)
+    assert 3.0 * np.linalg.norm(mf.tangent_residual(y, u, h)) >= \
+        mf.projection_distance(y, u, h)
 
 
 def test_distance_bound_modes():
@@ -130,8 +125,8 @@ def test_distance_bound_modes():
     assert mf.distance_bound(np.zeros(3), 5.0) == 0.0
     # residual certificate from the worked single-line example
     y = _single_line_y()
-    step = mf.tangent_step(y, np.ones(2, dtype=complex), h)
-    assert 3.0 * np.linalg.norm(mf.tangent_residual(y, step)) == pytest.approx(0.03)
+    residual = mf.tangent_residual(y, np.ones(2, dtype=complex), h)
+    assert 3.0 * np.linalg.norm(residual) == pytest.approx(0.03)
     assert mf.distance_bound(h, operator_norm(y)) >= 0.03
 
 
