@@ -16,11 +16,10 @@ from .graph_core import (
     sample_random_tree,
     star_topology,
     topology_from_json,
-    topology_to_json,
     unweighted_laplacian,
     weighted_laplacians,
 )
-from .spectra import intrinsic_dimension, operator_norm, psd_dominates
+from .spectra import intrinsic_dimension, operator_norm
 from .admittance import (
     BoundedPerturbation,
     FixedBernoulli,
@@ -28,9 +27,6 @@ from .admittance import (
     SphereUniform,
     UnitDisk,
     assemble_admittance,
-    expected_admittance,
-    flat_start_lift,
-    lift_real,
     line_law_from_json,
 )
 from .bounds import (
@@ -39,7 +35,6 @@ from .bounds import (
     CriticalityProfile,
     bernstein_tail,
     contingency_factors,
-    deterministic_norm_bound,
     lcpf_expectation_bound,
     lcpf_tail_bound,
     lcpf_variance_envelope,

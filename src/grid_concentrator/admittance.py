@@ -50,10 +50,7 @@ __all__ = [
     "line_weights",
     "assemble_admittance",
     "incidence_product",
-    "lift_real",
-    "flat_start_lift",
     "lift_blocks",
-    "expected_admittance",
 ]
 
 
@@ -285,19 +282,3 @@ def lift_blocks(g, b, sign: float) -> np.ndarray:
     the flat-start Jacobian convention."""
     return np.block([[g, sign * b], [sign * b, -g]])
 
-
-def lift_real(y) -> np.ndarray:
-    """Real symmetric 2n x 2n lift [[G, B], [B, -G]] of Y = G + jB (same norm as Y)."""
-    m = np.asarray(y, dtype=complex)
-    return lift_blocks(m.real, m.imag, +1.0)
-
-
-def flat_start_lift(y) -> np.ndarray:
-    """Jacobian-convention lift [[G, -B], [-B, -G]] of Y = G + jB."""
-    m = np.asarray(y, dtype=complex)
-    return lift_blocks(m.real, m.imag, -1.0)
-
-
-def expected_admittance(topology: Topology, law: LineLaw) -> np.ndarray:
-    """E[Y] = A^T diag(E w) A, every line carrying the law's closed-form mean."""
-    return assemble_admittance(topology, np.full(topology.n_edges, law.mean))

@@ -1,16 +1,15 @@
 """Closed-form concentration bounds for random admittance matrices.
 
-Every evaluator returns a :class:`BoundReport` carrying the raw bound value
-(tail probabilities are NOT clamped to 1; use ``report.clamped`` for
-presentation), a validity flag for any hypothesis window, and notes on
-unpinned constants. Natural logarithms throughout.
+Every evaluator returns a :class:`BoundReport` carrying its kind, the raw
+bound value (tail probabilities are NOT clamped to 1; use ``report.clamped``
+for presentation) and a validity flag for any hypothesis window. Natural
+logarithms throughout.
 
 The bounds implemented:
 
 * bounded-admittance expectation bound
       E||Y|| <= sqrt(4 * Delta * log(4n)) + (2/3) * log(4n)
-  for any per-line law with |w| <= 1, where Delta is the max node degree;
-  plus the cruder deterministic envelope ||Y|| <= 2 * Delta.
+  for any per-line law with |w| <= 1, where Delta is the max node degree.
 
 * Bernoulli line-switching (contingency) bounds, driven by the per-line
   contingency factors c_l = 2 p_l (1 - p_l) |y_l|^2, the nodal criticality
@@ -37,7 +36,7 @@ The bounds implemented:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +49,6 @@ __all__ = [
     "CriticalityProfile",
     "BoundReport",
     "thm1_expectation_bound",
-    "deterministic_norm_bound",
     "contingency_factors",
     "variance_laplacian",
     "thm2_tail_bound",
@@ -122,13 +120,11 @@ class CriticalityProfile:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """An evaluated analytical bound with its inputs and validity window."""
+    """An evaluated analytical bound: its kind, value and validity window."""
 
     kind: str
-    inputs: dict
     value: float
     valid: bool = True
-    notes: str = ""
 
     def __post_init__(self):
         if self.kind not in BOUND_KINDS:
@@ -140,10 +136,6 @@ class BoundReport:
     def clamped(self) -> float:
         """min(1, value): tail probabilities for presentation."""
         return min(1.0, self.value)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "inputs": dict(self.inputs),
-                "value": self.value, "valid": self.valid, "notes": self.notes}
 
 
 def thm1_expectation_bound(n: int, delta: float) -> BoundReport:
@@ -158,15 +150,7 @@ def thm1_expectation_bound(n: int, delta: float) -> BoundReport:
         raise ValueError("max degree must be >= 0")
     log4n = math.log(4.0 * n)
     value = math.sqrt(4.0 * delta * log4n) + (2.0 / 3.0) * log4n
-    return BoundReport(kind="thm1_expectation", inputs={"n": n, "delta": delta},
-                       value=value)
-
-
-def deterministic_norm_bound(delta: float, w_max: float = 1.0) -> float:
-    """Always-valid envelope ||Y|| <= 2 * Delta * max|w| (Laplacian degree bound)."""
-    if delta < 0 or w_max < 0:
-        raise ValueError("degree and weight bound must be >= 0")
-    return 2.0 * delta * w_max
+    return BoundReport(kind="thm1_expectation", value=value)
 
 
 def contingency_factors(model: ContingencyModel) -> CriticalityProfile:
@@ -189,32 +173,27 @@ def variance_laplacian(model: ContingencyModel) -> np.ndarray:
     return weighted_laplacians(model.topology, contingency_factors(model).factors)
 
 
-def _degenerate_report(kind: str, t: float | None, inputs: dict) -> BoundReport:
+def _degenerate_report(kind: str, t: float | None) -> BoundReport:
     # All lines deterministic: the centered matrix is identically zero.
     value = 0.0 if (t is None or t > 0.0) else 1.0
-    return BoundReport(kind=kind, inputs=inputs, value=value, valid=True,
-                       notes="degenerate: all contingency factors are zero")
+    return BoundReport(kind=kind, value=value)
 
 
 def thm2_tail_bound(t: float, profile: CriticalityProfile) -> BoundReport:
     """Tail bound 8 D_bar exp(-t^2 / (4 (Delta_c + t/3))) for ||Y - EY||.
 
     The ``valid`` flag reports whether t clears the hypothesis window
-    t >= sqrt(2 Delta_c) + 2/3; the value is computed either way.
+    t >= sqrt(2 Delta_c) + 2/3; the value is computed either way. The
+    prefactor 8 D_bar is 4 times the dilation bound 2 intdim(V) <= 2 D_bar.
     """
     if t < 0:
         raise ValueError("threshold t must be >= 0")
-    inputs = {"t": t, "delta_c": profile.max_criticality,
-              "d_bar": profile.total_degree}
     if profile.degenerate:
-        return _degenerate_report("thm2_tail", t, inputs)
+        return _degenerate_report("thm2_tail", t)
     dc = profile.max_criticality
     value = 8.0 * profile.total_degree * math.exp(-t * t / (4.0 * (dc + t / 3.0)))
     threshold = math.sqrt(2.0 * dc) + 2.0 / 3.0
-    notes = (f"hypothesis window t >= {threshold:.6g}; dilation factor "
-             f"d = 2*intdim(V) <= 2*D_bar = {2.0 * profile.total_degree:.6g}")
-    return BoundReport(kind="thm2_tail", inputs=inputs, value=value,
-                       valid=t >= threshold, notes=notes)
+    return BoundReport(kind="thm2_tail", value=value, valid=t >= threshold)
 
 
 def thm2_expectation_bound(profile: CriticalityProfile,
@@ -228,23 +207,17 @@ def thm2_expectation_bound(profile: CriticalityProfile,
     """
     if constant is not None and constant <= 0.0:
         raise ValueError("constant must be > 0")
-    inputs = {"delta_c": profile.max_criticality,
-              "d_bar": profile.total_degree,
-              "constant": constant}
     if profile.degenerate:
-        return _degenerate_report("thm2_expectation", None, inputs)
+        return _degenerate_report("thm2_expectation", None)
     dc = profile.max_criticality
     log1d = math.log1p(2.0 * profile.total_degree)  # d = 2 D_bar
     if constant is None:
         nu, big_l = 2.0 * dc, 2.0
         value = (math.sqrt(2.0 * nu * log1d) + (2.0 / 3.0) * big_l * log1d
                  + 4.0 * math.sqrt(nu) + (8.0 / 3.0) * big_l)
-        notes = "explicit chain with nu = 2*Delta_c, L = 2, d = 2*D_bar"
     else:
         value = constant * (math.sqrt(2.0 * dc * log1d) + 2.0 * log1d)
-        notes = f"single-constant form with C = {constant}"
-    return BoundReport(kind="thm2_expectation", inputs=inputs, value=value,
-                       valid=True, notes=notes)
+    return BoundReport(kind="thm2_expectation", value=value)
 
 
 def bernstein_tail(t: float, dim: int, big_r: float, nu: float) -> BoundReport:
@@ -263,9 +236,7 @@ def bernstein_tail(t: float, dim: int, big_r: float, nu: float) -> BoundReport:
         raise ValueError("dimension must be >= 1")
     value = 2.0 * dim if t == 0.0 else \
         2.0 * dim * math.exp(-t * t / (2.0 * big_r * t + 4.0 * nu))
-    return BoundReport(kind="bernstein_tail",
-                       inputs={"t": t, "dim": dim, "R": big_r, "nu": nu},
-                       value=value)
+    return BoundReport(kind="bernstein_tail", value=value)
 
 
 def lcpf_variance_envelope(topology: Topology, mode: str = "sphere",
@@ -303,16 +274,13 @@ def lcpf_tail_bound(t: float, n: int, delta: float) -> BoundReport:
         raise ValueError("need at least one node")
     if delta < 0:
         raise ValueError("perturbation bound must be >= 0")
-    inputs = {"t": t, "n": n, "delta": delta}
-    notes = ("up-to-constants prefactor implemented as n; "
-             "Bernstein 2*(2n) is the rigorous alternative")
     if t == 0.0:
         value = float(n)
     elif delta == 0.0:
         value = 0.0
     else:
         value = n * math.exp(-t * t / (4.0 * (delta * delta * n + delta * t / 3.0)))
-    return BoundReport(kind="lcpf_tail", inputs=inputs, value=value, notes=notes)
+    return BoundReport(kind="lcpf_tail", value=value)
 
 
 def lcpf_expectation_bound(n: int, delta: float) -> BoundReport:
@@ -323,5 +291,4 @@ def lcpf_expectation_bound(n: int, delta: float) -> BoundReport:
         raise ValueError("perturbation bound must be >= 0")
     log4n = math.log(4.0 * n)
     value = 2.0 * delta * math.sqrt(2.0) * (math.sqrt(n * log4n) + log4n / 3.0)
-    return BoundReport(kind="lcpf_expectation", inputs={"n": n, "delta": delta},
-                       value=value)
+    return BoundReport(kind="lcpf_expectation", value=value)

@@ -229,18 +229,25 @@ def _admittances(value, cfg):
 
 
 def _step(value, cfg):
-    # A number is the step at node 0; a list gives every node's step.
+    # A number is the step at node 0; a list gives every node's step. Like the
+    # line weights, a step is per-unit: |h| <= 1 keeps the certificates finite.
     if isinstance(value, (list, tuple, np.ndarray)):
-        return _each(value, cfg.topology.n_nodes, complex_from_json)
-    h = np.zeros(cfg.topology.n_nodes, dtype=complex)
-    h[0] = real_from_json(value)
+        h = _each(value, cfg.topology.n_nodes, complex_from_json)
+    else:
+        h = np.zeros(cfg.topology.n_nodes, dtype=complex)
+        h[0] = real_from_json(value)
+    if np.any(np.abs(h) > 1.0 + 1e-12):
+        raise ValueError(f"must have |h| <= 1 per-unit at every node, "
+                         f"got {float(np.max(np.abs(h))):.6g}")
     return h
 
 
 def _t_grid(value, cfg):
-    grid = np.array(_numbers(value), dtype=float)
+    grid = np.array(_numbers(value, partial(real_from_json, low=0.0)), dtype=float)
     if np.any(grid[1:] < grid[:-1]):
         raise ValueError("must be sorted ascending")
+    if cfg.experiment == "lcpf_bounds" and not len(grid):
+        raise ValueError("must not be empty for lcpf_bounds: its rows carry the mean_ok verdict")
     return grid
 
 
@@ -255,7 +262,8 @@ _PARSERS = {
     "format": lambda value, cfg: _one_of(value, "csv", "json"),
     "p_grid": lambda value, cfg: tuple(_numbers(value, _probability)),
     "line_model": _line_model,
-    "delta": lambda value, cfg: real_from_json(value, low=0.0),
+    # per-unit like every admittance field; near 1e308 the default t_grid overflows
+    "delta": lambda value, cfg: real_from_json(value, low=0.0, high=1.0),
     "topology": _topology,
     "probs": lambda value, cfg: _each(value, cfg.topology.n_edges, _probability),
     "admittances": _admittances,

@@ -32,7 +32,6 @@ __all__ = [
     "is_connected",
     "is_tree",
     "int_from_json",
-    "topology_to_json",
     "topology_from_json",
 ]
 
@@ -212,15 +211,6 @@ def int_from_json(value, key: str = "", minimum: int | None = None) -> int:
         least = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{key} must be an integer{least}, got {value!r}".lstrip())
     return int(value)
-
-
-def topology_to_json(topology: Topology) -> dict:
-    """The explicit form ``{"n": int, "edges": [[i, j], ...], "reference": int|None}``."""
-    return {
-        "n": topology.n_nodes,
-        "edges": [[i, j] for i, j in topology.edges],
-        "reference": topology.reference_node,
-    }
 
 
 _NAMED = {"path": path_topology, "complete": complete_topology, "star": star_topology}

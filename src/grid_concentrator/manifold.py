@@ -92,22 +92,14 @@ def projection_distance(y, u, h) -> float:
     return float(np.linalg.norm(tangent_residual(y, u, h)))
 
 
-def distance_bound(h, y_norm: float, mode: str = "holder") -> float:
-    """Distance certificate from the residual norm chain.
-
-    ``holder``: 3 ||h||_inf ||h||_2 ||Y||; ``crude``: 3 ||h||_2^2 ||Y||.
-    Holder never exceeds crude.
-    """
+def distance_bound(h, y_norm: float) -> float:
+    """Holder distance certificate 3 ||h||_inf ||h||_2 ||Y|| from the residual norm chain."""
     if y_norm < 0:
         raise ValueError("operator norm must be >= 0")
     hv = _as_complex_vector(h, name="step")
     h2 = float(np.linalg.norm(hv))
-    if mode == "holder":
-        hinf = float(np.max(np.abs(hv), initial=0.0))
-        return 3.0 * hinf * h2 * y_norm
-    if mode == "crude":
-        return 3.0 * h2 * h2 * y_norm
-    raise ValueError(f"unknown distance bound mode {mode!r}")
+    hinf = float(np.max(np.abs(hv), initial=0.0))
+    return 3.0 * hinf * h2 * y_norm
 
 
 def expected_distance_bound(h, bound_source: BoundReport) -> BoundReport:
@@ -121,16 +113,5 @@ def expected_distance_bound(h, bound_source: BoundReport) -> BoundReport:
     if bound_source.kind not in ("thm1_expectation", "thm2_expectation"):
         raise ValueError(f"incompatible bound kind {bound_source.kind!r}: "
                          "need an expectation bound on the operator norm")
-    hv = _as_complex_vector(h, name="step")
-    h2 = float(np.linalg.norm(hv))
-    hinf = float(np.max(np.abs(hv), initial=0.0))
-    value = 3.0 * hinf * h2 * bound_source.value
-    return BoundReport(
-        kind="manifold_distance",
-        inputs={"h_inf": hinf, "h_2": h2, "source_kind": bound_source.kind,
-                "source_value": bound_source.value,
-                "source_inputs": dict(bound_source.inputs)},
-        value=value,
-        valid=bound_source.valid,
-        notes=f"3 * ||h||_inf * ||h||_2 * source; source notes: {bound_source.notes}",
-    )
+    return BoundReport(kind="manifold_distance", value=distance_bound(h, bound_source.value),
+                       valid=bound_source.valid)

@@ -16,12 +16,7 @@ from grid_concentrator import experiment_harness as eh
 from grid_concentrator import graph_core as gc
 from grid_concentrator import lcpf
 from grid_concentrator import manifold as mf
-from grid_concentrator.admittance import (
-    assemble_admittance,
-    flat_start_lift,
-    lift_blocks,
-    lift_real,
-)
+from grid_concentrator.admittance import assemble_admittance, lift_blocks
 from grid_concentrator.spectra import intrinsic_dimension, operator_norm
 
 
@@ -153,7 +148,7 @@ def test_criterion_04_variance_norm_sandwich():
         profile = bnd.contingency_factors(model)
         v = bnd.variance_laplacian(model)
         norm = operator_norm(v)
-        idim = intrinsic_dimension(v, psd=True)
+        idim = intrinsic_dimension(v)
         lower_ok = profile.max_criticality <= norm + 1e-10
         upper_ok = norm <= 2.0 * profile.max_criticality + 1e-10
         idim_lower = profile.node_degrees.sum() / (2 * profile.max_criticality) \
@@ -299,7 +294,7 @@ def test_criterion_09_norm_lift_and_kronecker_reconstruction():
                       for _ in range(t.n_edges)])
         y = assemble_admittance(t, w)
         n = t.n_nodes
-        lifted = lift_real(y)
+        lifted = lift_blocks(y.real, y.imag, +1.0)
         norm_ok = abs(operator_norm(lifted) - operator_norm(y)) <= 1e-9
         lift_sum = np.zeros((2 * n, 2 * n))
         jac_sum = np.zeros((2 * n, 2 * n))
@@ -310,7 +305,7 @@ def test_criterion_09_norm_lift_and_kronecker_reconstruction():
         f = lcpf.flat_start_jacobian(t, w)
         recon_ok = (np.max(np.abs(lift_sum - lifted), initial=0.0) <= 1e-12
                     and np.max(np.abs(jac_sum - f), initial=0.0) <= 1e-12
-                    and np.max(np.abs(flat_start_lift(y) - f),
+                    and np.max(np.abs(lift_blocks(y.real, y.imag, -1.0) - f),
                                initial=0.0) <= 1e-12)
         if not (norm_ok and recon_ok):
             failures += 1

@@ -57,7 +57,7 @@ def test_thm1_dominates_k3_monte_carlo_mean():
     # 200 samples of a |w| <= 1 law on fixed K3 connectivity
     t = gc.complete_topology(3)
     bound = bnd.thm1_expectation_bound(3, gc.max_degree(t)).value
-    det_bound = bnd.deterministic_norm_bound(gc.max_degree(t))
+    det_bound = 2 * gc.max_degree(t)  # the Laplacian degree bound on ||Y|| for |w| <= 1
     norms = []
     for s in range(200):
         rng = sample_rng(7, 0, s)
@@ -145,7 +145,6 @@ def test_thm2_degenerate_evaluators():
     assert bnd.thm2_tail_bound(0.5, prof).value == 0.0
     assert bnd.thm2_tail_bound(0.0, prof).value == 1.0
     assert bnd.thm2_expectation_bound(prof).value == 0.0
-    assert "degenerate" in bnd.thm2_tail_bound(0.5, prof).notes
 
 
 def test_bernstein_tail():
@@ -197,7 +196,7 @@ def test_variance_norm_sandwich_random_models():
         norm = operator_norm(v)
         assert prof.max_criticality <= norm + 1e-10
         assert norm <= 2.0 * prof.max_criticality + 1e-10
-        idim = intrinsic_dimension(v, psd=True)
+        idim = intrinsic_dimension(v)
         assert prof.node_degrees.sum() / (2 * prof.max_criticality) <= idim + 1e-10
         assert idim <= model.topology.n_nodes - 1 + 1e-10
 
@@ -230,7 +229,6 @@ def test_lcpf_tail_values():
     t, n, d = 1.0, 4, 0.1
     expected = n * math.exp(-t * t / (4 * (d * d * n + d * t / 3)))
     assert bnd.lcpf_tail_bound(t, n, d).value == pytest.approx(expected, rel=1e-12)
-    assert "prefactor" in bnd.lcpf_tail_bound(t, n, d).notes
 
 
 def test_lcpf_tail_monotone_nonincreasing():
@@ -246,13 +244,11 @@ def test_lcpf_expectation_values():
 
 def test_bound_report_contract():
     report = bnd.thm1_expectation_bound(9, 4)
-    assert report.clamped == 1.0
-    payload = report.to_json()
-    assert payload["kind"] == "thm1_expectation"
-    assert payload["value"] == report.value
+    assert report.kind == "thm1_expectation"
+    assert report.clamped == 1.0 < report.value
     with pytest.raises(ValueError):
-        bnd.BoundReport(kind="nope", inputs={}, value=1.0)
+        bnd.BoundReport(kind="nope", value=1.0)
     with pytest.raises(ValueError):
-        bnd.BoundReport(kind="thm2_tail", inputs={}, value=-1.0)
+        bnd.BoundReport(kind="thm2_tail", value=-1.0)
     small = bnd.thm2_tail_bound(20.0, bnd.contingency_factors(_k3_model()))
     assert small.clamped == small.value < 1.0

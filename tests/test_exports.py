@@ -1,5 +1,7 @@
 """Every exported name resolves, so a deleted function leaves no stale export,
-and so does every name the traced benchmark patches."""
+and so does every name the traced benchmark patches; and every public
+definition in the package has a caller in the package, or is on the README's
+list of library API awaiting callers."""
 
 import ast
 import importlib
@@ -13,6 +15,22 @@ import pytest
 import grid_concentrator
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(grid_concentrator.__path__))
+SRC = Path(grid_concentrator.__file__).parent
+
+# Public definitions that nothing in the package calls yet, each with the
+# ROADMAP item that is to call or delete it. README "Library API awaiting
+# callers" documents the same list.
+AWAITING_CALLERS = {
+    "flat_start_jacobian": "item 5",
+    "invert_tree_lcpf": "item 5",
+    "lcpf_solve": "item 5",
+    "intrinsic_dimension": "item 4",
+    "variance_laplacian": "item 4",
+    "bernstein_tail": "item 6",
+    "lcpf_variance_envelope": "item 6",
+    "sample_random_tree": "item 7",
+    "sample_er_topology": "item 1 (a benchmark trace target)",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,3 +68,31 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     assert targets
     for owner, attr, span in targets:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({span})"
+
+
+def _uncalled_public_definitions() -> set:
+    """Public top-level names defined in the package that no code in the
+    package reads outside the statement defining them. Imports, ``__all__``
+    strings and a definition's references to itself are not reads."""
+    defined, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            defined |= {name for name in own if not name.startswith("_")}
+            read |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - own
+    return defined - read
+
+
+def test_every_public_definition_has_a_caller():
+    uncalled, listed = _uncalled_public_definitions(), set(AWAITING_CALLERS)
+    assert not uncalled - listed, f"no caller in the package: {sorted(uncalled - listed)}"
+    assert not listed - uncalled, f"listed as awaiting callers, but missing or called: " \
+                                  f"{sorted(listed - uncalled)}"

@@ -574,6 +574,14 @@ def test_cli_unreadable_config_file_is_config_error(tmp_path, capsys, name):
     ("fig1", {"n": 4, "samples": 1, "out": 1}, "out"),
     ("fig1", {"n": 4, "samples": 1, "out": 3}, "out"),
     ("thm2_tail", {"backend": "bruteforce", "samples": 5}, "samples"),
+    # each bound takes t >= 0; the verdict of lcpf_bounds needs a row to sit in
+    ("thm2_tail", {"t_grid": [-1.0, 0.5]}, "t_grid"),
+    ("lcpf_bounds", {"t_grid": [-1.0, 0.5]}, "t_grid"),
+    ("lcpf_bounds", {"t_grid": []}, "t_grid"),
+    # per-unit fields: a step or noise bound above 1 overflows the certificates or the grid
+    ("manifold", {"h": 1e200}, "h"),
+    ("manifold", {"h": [0.0, [0.0, 2.0], 0.0]}, "h"),
+    ("lcpf_bounds", {"delta": 1e308}, "delta"),
 ])
 def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config, field):
     cfg_path = tmp_path / "cfg.json"

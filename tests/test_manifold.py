@@ -118,10 +118,9 @@ def test_projection_distance_equals_residual_norm():
         mf.projection_distance(y, u, h)
 
 
-def test_distance_bound_modes():
+def test_distance_bound_values():
     h = np.array([0.1, 0.0], dtype=complex)
-    assert mf.distance_bound(h, 2.0, "holder") == pytest.approx(0.06, abs=1e-14)
-    assert mf.distance_bound(h, 2.0, "crude") == pytest.approx(0.06, abs=1e-14)
+    assert mf.distance_bound(h, 2.0) == pytest.approx(0.06, abs=1e-14)
     assert mf.distance_bound(np.zeros(3), 5.0) == 0.0
     # residual certificate from the worked single-line example
     y = _single_line_y()
@@ -131,14 +130,14 @@ def test_distance_bound_modes():
 
 
 def test_distance_bound_holder_never_exceeds_crude():
+    # The Holder certificate is the tighter link of the chain
+    # 3 ||h||_inf ||h||_2 ||Y|| <= 3 ||h||_2^2 ||Y||.
     rng = np.random.default_rng(75)
     for _ in range(50):
         h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         y_norm = rng.uniform(0, 5)
-        assert mf.distance_bound(h, y_norm, "holder") <= \
-            mf.distance_bound(h, y_norm, "crude") + 1e-12
-    with pytest.raises(ValueError):
-        mf.distance_bound(np.ones(2), 1.0, mode="nope")
+        assert mf.distance_bound(h, y_norm) <= \
+            3.0 * np.linalg.norm(h) ** 2 * y_norm + 1e-12
     with pytest.raises(ValueError):
         mf.distance_bound(np.ones(2), -1.0)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from grid_concentrator import bounds as bnd
 from grid_concentrator import experiment_harness as eh
 from grid_concentrator import graph_core as gc
-from grid_concentrator.admittance import assemble_admittance, flat_start_lift, lift_real
+from grid_concentrator.admittance import assemble_admittance, lift_blocks
 from grid_concentrator.spectra import operator_norm
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -47,8 +47,8 @@ def test_lifts_keep_the_operator_norm(n_nodes, seed):
     a = rng.uniform(-1.0, 1.0, (2, n_nodes, n_nodes))
     y = (a[0] + a[0].T) + 1j * (a[1] + a[1].T)  # complex symmetric, not Hermitian
     norm = operator_norm(y)
-    assert operator_norm(lift_real(y)) == pytest.approx(norm, abs=1e-12)
-    assert operator_norm(flat_start_lift(y)) == pytest.approx(norm, abs=1e-12)
+    for sign in (+1.0, -1.0):
+        assert operator_norm(lift_blocks(y.real, y.imag, sign)) == pytest.approx(norm, abs=1e-12)
 
 
 def _non_increasing(values):

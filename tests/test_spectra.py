@@ -3,7 +3,6 @@ import pytest
 
 from grid_concentrator import graph_core as gc
 from grid_concentrator import spectra
-from grid_concentrator.admittance import SphereUniform, lift_blocks
 
 E12 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -103,19 +102,19 @@ def test_operator_norm_blockdiag_is_max():
 
 
 def test_intrinsic_dimension_identity():
-    assert spectra.intrinsic_dimension(np.eye(7), psd=True) == pytest.approx(7.0)
+    assert spectra.intrinsic_dimension(np.eye(7)) == pytest.approx(7.0)
 
 
 def test_intrinsic_dimension_rank_one():
     v = np.array([[1.0], [2.0], [-1.0]])
-    assert spectra.intrinsic_dimension(v @ v.T, psd=True) == pytest.approx(1.0)
+    assert spectra.intrinsic_dimension(v @ v.T) == pytest.approx(1.0)
 
 
 def test_intrinsic_dimension_weighted_triangle():
     # K3 Laplacian at uniform weight 0.5: eigenvalues {0, 1.5, 1.5},
     # trace 3, norm 1.5.
     lap = 0.5 * gc.unweighted_laplacian(gc.complete_topology(3))
-    assert spectra.intrinsic_dimension(lap, psd=True) == pytest.approx(2.0, abs=1e-10)
+    assert spectra.intrinsic_dimension(lap) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_intrinsic_dimension_zero_matrix_errors():
@@ -125,7 +124,11 @@ def test_intrinsic_dimension_zero_matrix_errors():
 
 def test_intrinsic_dimension_psd_flag_violation():
     with pytest.raises(ValueError, match="PSD"):
-        spectra.intrinsic_dimension(np.diag([1.0, -1.0]), psd=True)
+        spectra.intrinsic_dimension(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        spectra.intrinsic_dimension(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        spectra.intrinsic_dimension(np.ones((2, 3)))
 
 
 def test_intrinsic_dimension_within_rank_bound():
@@ -134,44 +137,8 @@ def test_intrinsic_dimension_within_rank_bound():
         k = int(rng.integers(1, 5))
         v = rng.standard_normal((6, k))
         mat = v @ v.T
-        idim = spectra.intrinsic_dimension(mat, psd=True)
+        idim = spectra.intrinsic_dimension(mat)
         assert 1.0 - 1e-9 <= idim <= np.linalg.matrix_rank(mat) + 1e-9
-
-
-def test_psd_dominates_basics():
-    assert spectra.psd_dominates(np.zeros((3, 3)), np.eye(3))
-    assert not spectra.psd_dominates(2 * np.eye(3), np.eye(3))
-
-
-def test_psd_dominates_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="shape"):
-        spectra.psd_dominates(np.eye(2), np.eye(3))
-
-
-def test_psd_dominates_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        spectra.psd_dominates(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-
-
-def test_psd_dominates_monte_carlo_sphere_envelope():
-    # Sphere-uniform conductance/susceptance vectors with per-line second
-    # moment 1/(2n) (radius^2 = m/(2n)) make E[F F*] equal the envelope
-    # (2/n) I_2 (x) A^T A exactly; the sampled mean must be dominated up to
-    # 5x the aggregated standard error.
-    topology = gc.path_topology(3)
-    n, m = 3, 2
-    rng = np.random.default_rng(2024)
-    law = SphereUniform(radius_sq=m / (2.0 * n))
-    n_samples = 100_000
-    w = np.array([law.sample(rng, m) for _ in range(n_samples)])
-    g, b = gc.weighted_laplacians(topology, np.stack([w.real, w.imag]))
-    f = lift_blocks(g, b, -1.0)  # every sample's flat-start Jacobian
-    ffs = f @ f
-    mean = ffs.sum(axis=0) / n_samples
-    var = (ffs * ffs).sum(axis=0) / n_samples - mean * mean
-    stderr = float(np.sqrt(np.clip(var, 0.0, None).sum() / n_samples))
-    envelope = (2.0 / n) * np.kron(np.eye(2), gc.unweighted_laplacian(topology))
-    assert spectra.psd_dominates(mean, envelope, tol=5 * stderr)
 
 
 def test_kron_norm_admittance_block():
