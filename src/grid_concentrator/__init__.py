@@ -30,7 +30,6 @@ from .admittance import (
     line_law_from_json,
 )
 from .bounds import (
-    BoundReport,
     ContingencyModel,
     CriticalityProfile,
     bernstein_tail,
@@ -51,7 +50,6 @@ from .lcpf import (
 )
 from .manifold import (
     distance_bound,
-    expected_distance_bound,
     power_flow_derivative,
     power_flow_map,
     projection_distance,

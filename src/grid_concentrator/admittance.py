@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Topology, incidence_matrix
+from .graph_core import Topology, weighted_laplacians
 
 __all__ = [
     "UnitDisk",
@@ -49,7 +49,6 @@ __all__ = [
     "complex_from_json",
     "line_weights",
     "assemble_admittance",
-    "incidence_product",
     "lift_blocks",
 ]
 
@@ -266,14 +265,7 @@ def line_weights(topology: Topology, weights) -> np.ndarray:
 
 def assemble_admittance(topology: Topology, weights) -> np.ndarray:
     """Y = A^T diag(w) A as a complex (n, n) array, from (m,) line admittances."""
-    return incidence_product(incidence_matrix(topology), line_weights(topology, weights))
-
-
-def incidence_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A^T diag(w) A for an (m, n) incidence matrix and (m,) line weights."""
-    # The one incidence product left: zgemm does not sum lines in line order, so
-    # weighted_laplacians here changes the pinned er_sweep digest (needs a re-baseline).
-    return a.T @ (w[:, None] * a)
+    return weighted_laplacians(topology, line_weights(topology, weights))
 
 
 def lift_blocks(g, b, sign: float) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Closed-form concentration bounds for random admittance matrices.
 
-Every evaluator returns a :class:`BoundReport` carrying its kind, the raw
-bound value (tail probabilities are NOT clamped to 1; use ``report.clamped``
-for presentation) and a validity flag for any hypothesis window. Natural
-logarithms throughout.
+Every evaluator returns the bound as a plain float; tail probabilities are
+NOT clamped to 1. Arguments are checked as ``not x >= 0``, so NaN is
+rejected with the negatives. Natural logarithms throughout.
 
 The bounds implemented:
 
@@ -16,8 +15,9 @@ The bounds implemented:
   degrees d_i = sum over incident lines of c_l, their max Delta_c, and the
   normalized total criticality D_bar = sum_i d_i / Delta_c:
       Pr(||Y - EY|| >= t) <= 8 * D_bar * exp(-t^2 / (4 (Delta_c + t/3)))
-  valid for t >= sqrt(2 Delta_c) + 2/3, and the expectation bound in either
-  the fully explicit chain form or the single-constant form
+  valid for t >= sqrt(2 Delta_c) + 2/3 (``thm2_tail_threshold``), and the
+  expectation bound in either the fully explicit chain form or the
+  single-constant form
       E||Y - EY|| <= C (sqrt(2 Delta_c log(1 + 2 D_bar)) + 2 log(1 + 2 D_bar)).
 
 * the generic matrix Bernstein tail 2 n exp(-t^2 / (2 R t + 4 nu)) for sums
@@ -44,13 +44,13 @@ from .graph_core import Topology, unweighted_laplacian, weighted_laplacians
 from .spectra import operator_norm
 
 __all__ = [
-    "BOUND_KINDS",
+    "UNIT_SLACK",
     "ContingencyModel",
     "CriticalityProfile",
-    "BoundReport",
     "thm1_expectation_bound",
     "contingency_factors",
     "variance_laplacian",
+    "thm2_tail_threshold",
     "thm2_tail_bound",
     "thm2_expectation_bound",
     "bernstein_tail",
@@ -59,18 +59,8 @@ __all__ = [
     "lcpf_expectation_bound",
 ]
 
-BOUND_KINDS = frozenset({
-    "thm1_expectation",
-    "thm2_tail",
-    "thm2_expectation",
-    "bernstein_tail",
-    "lcpf_tail",
-    "lcpf_expectation",
-    "manifold_distance",
-})
-
-# The admittance-bound hypothesis |y| <= 1 per-unit, with float slack.
-_UNIT_SLACK = 1.0 + 1e-12
+# The per-unit hypothesis |y| <= 1 (and |h| <= 1 for a voltage step), with float slack.
+UNIT_SLACK = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,9 +82,9 @@ class ContingencyModel:
         if p.shape != (m,) or y.shape != (m,):
             raise ValueError(f"need {m} probabilities and admittances, got "
                              f"{p.shape} and {y.shape}")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("switch probabilities must lie in [0, 1]")
-        if np.any(np.abs(y) > _UNIT_SLACK):
+        if not np.all(np.abs(y) <= UNIT_SLACK):
             raise ValueError("|y| must be <= 1 per-unit on every line")
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "admittances", y)
@@ -118,39 +108,18 @@ class CriticalityProfile:
         return self.max_criticality == 0.0
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """An evaluated analytical bound: its kind, value and validity window."""
-
-    kind: str
-    value: float
-    valid: bool = True
-
-    def __post_init__(self):
-        if self.kind not in BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        if not (self.value >= 0.0):
-            raise ValueError(f"bound value must be >= 0, got {self.value}")
-
-    @property
-    def clamped(self) -> float:
-        """min(1, value): tail probabilities for presentation."""
-        return min(1.0, self.value)
-
-
-def thm1_expectation_bound(n: int, delta: float) -> BoundReport:
+def thm1_expectation_bound(n: int, delta: float) -> float:
     """E||Y|| bound for |w| <= 1 laws on a fixed topology with max degree delta.
 
     A sample may exceed it. For a law with nonzero mean, ||EY|| >= |E w| (delta + 1)
     outgrows it on dense large grids (disk, n = 100, p = 1: ||Y|| 66-68 vs 52.7).
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError("need at least one node")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("max degree must be >= 0")
     log4n = math.log(4.0 * n)
-    value = math.sqrt(4.0 * delta * log4n) + (2.0 / 3.0) * log4n
-    return BoundReport(kind="thm1_expectation", value=value)
+    return math.sqrt(4.0 * delta * log4n) + (2.0 / 3.0) * log4n
 
 
 def contingency_factors(model: ContingencyModel) -> CriticalityProfile:
@@ -173,31 +142,36 @@ def variance_laplacian(model: ContingencyModel) -> np.ndarray:
     return weighted_laplacians(model.topology, contingency_factors(model).factors)
 
 
-def _degenerate_report(kind: str, t: float | None) -> BoundReport:
-    # All lines deterministic: the centered matrix is identically zero.
-    value = 0.0 if (t is None or t > 0.0) else 1.0
-    return BoundReport(kind=kind, value=value)
+def thm2_tail_threshold(profile: CriticalityProfile) -> float:
+    """Smallest t the contingency tail bound holds for (see the module docstring).
+
+    0 for a degenerate profile, whose tail bound is exact at every t >= 0.
+    """
+    if profile.degenerate:
+        return 0.0
+    return math.sqrt(2.0 * profile.max_criticality) + 2.0 / 3.0
 
 
-def thm2_tail_bound(t: float, profile: CriticalityProfile) -> BoundReport:
+def thm2_tail_bound(t: float, profile: CriticalityProfile) -> float:
     """Tail bound 8 D_bar exp(-t^2 / (4 (Delta_c + t/3))) for ||Y - EY||.
 
-    The ``valid`` flag reports whether t clears the hypothesis window
-    t >= sqrt(2 Delta_c) + 2/3; the value is computed either way. The
-    prefactor 8 D_bar is 4 times the dilation bound 2 intdim(V) <= 2 D_bar.
+    It holds for t >= :func:`thm2_tail_threshold`; the value is computed for
+    every t >= 0. With every line deterministic (a degenerate profile) the
+    centered matrix is zero, and the bound is the exact tail: 1 at t = 0, else
+    0. The prefactor 8 D_bar is 4 times the dilation bound 2 intdim(V) <= 2 D_bar.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold t must be >= 0")
     if profile.degenerate:
-        return _degenerate_report("thm2_tail", t)
-    dc = profile.max_criticality
-    value = 8.0 * profile.total_degree * math.exp(-t * t / (4.0 * (dc + t / 3.0)))
-    threshold = math.sqrt(2.0 * dc) + 2.0 / 3.0
-    return BoundReport(kind="thm2_tail", value=value, valid=t >= threshold)
+        return 0.0 if t > 0.0 else 1.0
+    denominator = 4.0 * (profile.max_criticality + t / 3.0)
+    if math.isinf(denominator):  # Delta_c <= m / 2, so t/3 overflowed: the limit 0
+        return 0.0
+    return 8.0 * profile.total_degree * math.exp(-t * t / denominator)
 
 
 def thm2_expectation_bound(profile: CriticalityProfile,
-                           constant: float | None = None) -> BoundReport:
+                           constant: float | None = None) -> float:
     """E||Y - EY|| bound under Bernoulli switching.
 
     With ``constant=None`` returns the fully explicit chain
@@ -205,38 +179,39 @@ def thm2_expectation_bound(profile: CriticalityProfile,
     with nu = 2 Delta_c, L = 2, d = 2 D_bar. With ``constant=C`` returns
         C (sqrt(2 Delta_c log(1 + 2 D_bar)) + 2 log(1 + 2 D_bar)).
     """
-    if constant is not None and constant <= 0.0:
+    if constant is not None and not constant > 0.0:
         raise ValueError("constant must be > 0")
-    if profile.degenerate:
-        return _degenerate_report("thm2_expectation", None)
+    if profile.degenerate:  # all lines deterministic: Y - EY is zero
+        return 0.0
     dc = profile.max_criticality
     log1d = math.log1p(2.0 * profile.total_degree)  # d = 2 D_bar
     if constant is None:
         nu, big_l = 2.0 * dc, 2.0
-        value = (math.sqrt(2.0 * nu * log1d) + (2.0 / 3.0) * big_l * log1d
-                 + 4.0 * math.sqrt(nu) + (8.0 / 3.0) * big_l)
-    else:
-        value = constant * (math.sqrt(2.0 * dc * log1d) + 2.0 * log1d)
-    return BoundReport(kind="thm2_expectation", value=value)
+        return (math.sqrt(2.0 * nu * log1d) + (2.0 / 3.0) * big_l * log1d
+                + 4.0 * math.sqrt(nu) + (8.0 / 3.0) * big_l)
+    return constant * (math.sqrt(2.0 * dc * log1d) + 2.0 * log1d)
 
 
-def bernstein_tail(t: float, dim: int, big_r: float, nu: float) -> BoundReport:
+def bernstein_tail(t: float, dim: int, big_r: float, nu: float) -> float:
     """Matrix Bernstein tail 2 n exp(-t^2 / (2 R t + 4 nu)).
 
     For a sum of independent, symmetric, zero-mean random dim x dim matrices
     with uniform norm bound R and variance statistic nu.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold t must be >= 0")
-    if big_r <= 0:
+    if not big_r > 0:
         raise ValueError("uniform norm bound R must be > 0")
-    if nu < 0:
+    if not nu >= 0:
         raise ValueError("variance statistic must be >= 0")
-    if dim < 1:
+    if not dim >= 1:
         raise ValueError("dimension must be >= 1")
-    value = 2.0 * dim if t == 0.0 else \
-        2.0 * dim * math.exp(-t * t / (2.0 * big_r * t + 4.0 * nu))
-    return BoundReport(kind="bernstein_tail", value=value)
+    if t == 0.0:
+        return 2.0 * dim
+    denominator = 2.0 * big_r * t + 4.0 * nu
+    if not 0.0 < denominator < math.inf:  # under- or overflowed: divide through by t
+        return 2.0 * dim * math.exp(-t / (2.0 * big_r + 4.0 * nu / t))
+    return 2.0 * dim * math.exp(-t * t / denominator)
 
 
 def lcpf_variance_envelope(topology: Topology, mode: str = "sphere",
@@ -251,7 +226,7 @@ def lcpf_variance_envelope(topology: Topology, mode: str = "sphere",
     if mode == "sphere":
         scale = 2.0 / topology.n_nodes
     elif mode == "bounded":
-        if delta is None or delta < 0:
+        if delta is None or not delta >= 0:
             raise ValueError("bounded mode needs delta >= 0")
         scale = 4.0 * delta * delta
     else:
@@ -261,34 +236,34 @@ def lcpf_variance_envelope(topology: Topology, mode: str = "sphere",
     return envelope, float(nu)
 
 
-def lcpf_tail_bound(t: float, n: int, delta: float) -> BoundReport:
+def lcpf_tail_bound(t: float, n: int, delta: float) -> float:
     """Tail bound n exp(-t^2 / (4 (delta^2 n + delta t / 3))) for ||F - EF||.
 
     The prefactor n implements the stated up-to-constants form literally; a
     rigorous alternative is the Bernstein 2*(2n) prefactor (dominance checks
     use a slack factor of 4).
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold t must be >= 0")
-    if n < 1:
+    if not n >= 1:
         raise ValueError("need at least one node")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("perturbation bound must be >= 0")
     if t == 0.0:
-        value = float(n)
-    elif delta == 0.0:
-        value = 0.0
-    else:
-        value = n * math.exp(-t * t / (4.0 * (delta * delta * n + delta * t / 3.0)))
-    return BoundReport(kind="lcpf_tail", value=value)
+        return float(n)
+    if delta == 0.0:
+        return 0.0
+    denominator = 4.0 * (delta * delta * n + delta * t / 3.0)
+    if not 0.0 < denominator < math.inf:  # under- or overflowed: divide through by t
+        return n * math.exp(-t / (4.0 * delta * (delta * n / t + 1.0 / 3.0)))
+    return n * math.exp(-t * t / denominator)
 
 
-def lcpf_expectation_bound(n: int, delta: float) -> BoundReport:
+def lcpf_expectation_bound(n: int, delta: float) -> float:
     """E||F - EF|| <= 2 delta sqrt(2) (sqrt(n log 4n) + (1/3) log 4n)."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError("need at least one node")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("perturbation bound must be >= 0")
     log4n = math.log(4.0 * n)
-    value = 2.0 * delta * math.sqrt(2.0) * (math.sqrt(n * log4n) + log4n / 3.0)
-    return BoundReport(kind="lcpf_expectation", value=value)
+    return 2.0 * delta * math.sqrt(2.0) * (math.sqrt(n * log4n) + log4n / 3.0)

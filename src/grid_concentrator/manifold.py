@@ -26,15 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import BoundReport
-
 __all__ = [
     "power_flow_map",
     "power_flow_derivative",
     "tangent_residual",
     "projection_distance",
     "distance_bound",
-    "expected_distance_bound",
 ]
 
 _RESIDUAL_TOL = 1e-12
@@ -94,24 +91,10 @@ def projection_distance(y, u, h) -> float:
 
 def distance_bound(h, y_norm: float) -> float:
     """Holder distance certificate 3 ||h||_inf ||h||_2 ||Y|| from the residual norm chain."""
-    if y_norm < 0:
+    if not y_norm >= 0:
         raise ValueError("operator norm must be >= 0")
     hv = _as_complex_vector(h, name="step")
     h2 = float(np.linalg.norm(hv))
     hinf = float(np.max(np.abs(hv), initial=0.0))
     return 3.0 * hinf * h2 * y_norm
 
-
-def expected_distance_bound(h, bound_source: BoundReport) -> BoundReport:
-    """Expected manifold distance 3 ||h||_inf ||h||_2 * (bound on E||Y||).
-
-    ``bound_source`` must be an expectation bound on the operator norm
-    (either the bounded-admittance or the contingency form; the lossless
-    special case feeds the contingency form of ||B|| since ||Y|| = ||B||
-    there).
-    """
-    if bound_source.kind not in ("thm1_expectation", "thm2_expectation"):
-        raise ValueError(f"incompatible bound kind {bound_source.kind!r}: "
-                         "need an expectation bound on the operator norm")
-    return BoundReport(kind="manifold_distance", value=distance_bound(h, bound_source.value),
-                       valid=bound_source.valid)

@@ -31,6 +31,10 @@ def test_contingency_model_validation():
     t = gc.complete_topology(3)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         bnd.ContingencyModel(t, np.array([0.5, 0.5, 1.5]), np.ones(3))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        bnd.ContingencyModel(t, np.array([0.5, 0.5, np.nan]), np.ones(3))
+    with pytest.raises(ValueError, match="per-unit"):
+        bnd.ContingencyModel(t, np.full(3, 0.5), np.array([1.0, np.nan, 1.0]))
     with pytest.raises(ValueError, match="per-unit"):
         bnd.ContingencyModel(t, np.full(3, 0.5), np.full(3, 1.5 + 0j))
     with pytest.raises(ValueError, match="need 3"):
@@ -39,24 +43,24 @@ def test_contingency_model_validation():
 
 def test_thm1_values():
     # arithmetic evaluations of sqrt(4 d log 4n) + (2/3) log 4n
-    assert bnd.thm1_expectation_bound(1, 0).value == pytest.approx(
+    assert bnd.thm1_expectation_bound(1, 0) == pytest.approx(
         (2.0 / 3.0) * math.log(4.0), rel=1e-12)
-    assert bnd.thm1_expectation_bound(1, 0).value == pytest.approx(0.9241962407465937)
-    assert bnd.thm1_expectation_bound(9, 4).value == pytest.approx(9.961086516936788)
+    assert bnd.thm1_expectation_bound(1, 0) == pytest.approx(0.9241962407465937)
+    assert bnd.thm1_expectation_bound(9, 4) == pytest.approx(9.961086516936788)
 
 
 def test_thm1_monotone_in_n_and_delta():
     for n in (2, 5, 20):
         for d in (0, 1, 4):
-            base = bnd.thm1_expectation_bound(n, d).value
-            assert bnd.thm1_expectation_bound(n + 1, d).value > base
-            assert bnd.thm1_expectation_bound(n, d + 1).value > base
+            base = bnd.thm1_expectation_bound(n, d)
+            assert bnd.thm1_expectation_bound(n + 1, d) > base
+            assert bnd.thm1_expectation_bound(n, d + 1) > base
 
 
 def test_thm1_dominates_k3_monte_carlo_mean():
     # 200 samples of a |w| <= 1 law on fixed K3 connectivity
     t = gc.complete_topology(3)
-    bound = bnd.thm1_expectation_bound(3, gc.max_degree(t)).value
+    bound = bnd.thm1_expectation_bound(3, gc.max_degree(t))
     det_bound = 2 * gc.max_degree(t)  # the Laplacian degree bound on ||Y|| for |w| <= 1
     norms = []
     for s in range(200):
@@ -106,54 +110,55 @@ def test_node_degrees_bit_equal_scalar_loop():
 
 def test_thm2_tail_k3_at_3():
     prof = bnd.contingency_factors(_k3_model())
-    report = bnd.thm2_tail_bound(3.0, prof)
-    assert report.value == pytest.approx(24.0 * math.exp(-9.0 / 8.0), rel=1e-12)
-    assert report.value == pytest.approx(7.791659216600394)
-    assert report.valid  # threshold sqrt(2) + 2/3 ~ 2.0809
+    bound = bnd.thm2_tail_bound(3.0, prof)
+    assert bound == pytest.approx(24.0 * math.exp(-9.0 / 8.0), rel=1e-12)
+    assert bound == pytest.approx(7.791659216600394)
+    assert 3.0 >= bnd.thm2_tail_threshold(prof)  # threshold sqrt(2) + 2/3 ~ 2.0809
 
 
 def test_thm2_tail_validity_window():
     prof = bnd.contingency_factors(_k3_model())
-    threshold = math.sqrt(2.0) + 2.0 / 3.0
-    below = bnd.thm2_tail_bound(threshold - 1e-6, prof)
-    assert not below.valid
-    assert below.value > 0.0  # still computed
-    assert bnd.thm2_tail_bound(threshold + 1e-6, prof).valid
+    threshold = bnd.thm2_tail_threshold(prof)
+    assert threshold == pytest.approx(math.sqrt(2.0) + 2.0 / 3.0, rel=1e-15)
+    assert bnd.thm2_tail_bound(threshold - 1e-6, prof) > 0.0  # still computed
+    assert bnd.thm2_tail_threshold(bnd.contingency_factors(_k3_model(1.0))) == 0.0
     with pytest.raises(ValueError):
         bnd.thm2_tail_bound(-1.0, prof)
 
 
 def test_thm2_tail_monotone_nonincreasing():
     prof = bnd.contingency_factors(_k3_model(0.3))
-    values = [bnd.thm2_tail_bound(t, prof).value for t in np.linspace(0, 10, 50)]
+    values = [bnd.thm2_tail_bound(t, prof) for t in np.linspace(0, 10, 50)]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert all(v >= 0 for v in values)
 
 
 def test_thm2_expectation_k3():
     prof = bnd.contingency_factors(_k3_model())
-    explicit = bnd.thm2_expectation_bound(prof)
-    assert explicit.value == pytest.approx(16.374652116591715)
-    with_c1 = bnd.thm2_expectation_bound(prof, constant=1.0)
-    assert with_c1.value == pytest.approx(5.864590000359378)
+    assert bnd.thm2_expectation_bound(prof) == pytest.approx(16.374652116591715)
+    assert bnd.thm2_expectation_bound(prof, constant=1.0) == pytest.approx(5.864590000359378)
     with pytest.raises(ValueError):
         bnd.thm2_expectation_bound(prof, constant=0.0)
 
 
 def test_thm2_degenerate_evaluators():
     prof = bnd.contingency_factors(_k3_model(1.0))
-    assert bnd.thm2_tail_bound(0.5, prof).value == 0.0
-    assert bnd.thm2_tail_bound(0.0, prof).value == 1.0
-    assert bnd.thm2_expectation_bound(prof).value == 0.0
+    assert bnd.thm2_tail_bound(0.5, prof) == 0.0
+    assert bnd.thm2_tail_bound(0.0, prof) == 1.0
+    assert bnd.thm2_expectation_bound(prof) == 0.0
 
 
 def test_bernstein_tail():
-    assert bnd.bernstein_tail(0.0, 4, 1.0, 1.0).value == pytest.approx(8.0)
-    assert bnd.bernstein_tail(1.0, 4, 1.0, 1.0).value == pytest.approx(
+    assert bnd.bernstein_tail(0.0, 4, 1.0, 1.0) == pytest.approx(8.0)
+    assert bnd.bernstein_tail(1.0, 4, 1.0, 1.0) == pytest.approx(
         8.0 * math.exp(-1.0 / 6.0), rel=1e-12)
-    assert bnd.bernstein_tail(1.0, 4, 1.0, 1.0).value == pytest.approx(6.771853799124913)
-    values = [bnd.bernstein_tail(t, 4, 1.0, 1.0).value for t in np.linspace(0, 8, 40)]
+    assert bnd.bernstein_tail(1.0, 4, 1.0, 1.0) == pytest.approx(6.771853799124913)
+    values = [bnd.bernstein_tail(t, 4, 1.0, 1.0) for t in np.linspace(0, 8, 40)]
     assert all(b < a for a, b in zip(values, values[1:]))
+    # A denominator 2 R t + 4 nu that overflows or underflows: the exponent divided through by t
+    assert bnd.bernstein_tail(1.0, 4, 1.0, 1e308) == 8.0  # -1 / inf: the prefactor
+    assert bnd.bernstein_tail(1.7e308, 4, 1.0, 1.0) == 0.0
+    assert bnd.bernstein_tail(1e-200, 4, 1e-200, 0.0) == pytest.approx(8.0 * math.exp(-0.5))
 
 
 def test_variance_laplacian_matches_profile():
@@ -221,34 +226,60 @@ def test_lcpf_variance_envelope_bounded():
     assert nu <= 4 * 0.25 * t.n_nodes + 1e-12
     with pytest.raises(ValueError):
         bnd.lcpf_variance_envelope(t, mode="bounded")
+    with pytest.raises(ValueError):
+        bnd.lcpf_variance_envelope(t, mode="bounded", delta=math.nan)
 
 
 def test_lcpf_tail_values():
-    assert bnd.lcpf_tail_bound(0.5, 4, 0.0).value == 0.0
-    assert bnd.lcpf_tail_bound(0.0, 4, 0.0).value == 4.0
+    assert bnd.lcpf_tail_bound(0.5, 4, 0.0) == 0.0
+    assert bnd.lcpf_tail_bound(0.0, 4, 0.0) == 4.0
     t, n, d = 1.0, 4, 0.1
     expected = n * math.exp(-t * t / (4 * (d * d * n + d * t / 3)))
-    assert bnd.lcpf_tail_bound(t, n, d).value == pytest.approx(expected, rel=1e-12)
+    assert bnd.lcpf_tail_bound(t, n, d) == pytest.approx(expected, rel=1e-12)
+    # A denominator 4 (delta^2 n + delta t / 3) that overflows or underflows
+    assert bnd.lcpf_tail_bound(1.0, 4, 1e200) == 4.0  # -1 / inf: the prefactor
+    assert bnd.lcpf_tail_bound(1.7e308, 4, 1.0) == 0.0
+    assert bnd.lcpf_tail_bound(1e300, 1, 1e300) == pytest.approx(math.exp(-1.0 / (4.0 + 4.0 / 3.0)))
+    assert bnd.lcpf_tail_bound(5.737796805380679e-163, 1, 2.2250738585072014e-308) == 0.0
 
 
 def test_lcpf_tail_monotone_nonincreasing():
-    values = [bnd.lcpf_tail_bound(t, 5, 0.2).value for t in np.linspace(0, 6, 40)]
+    values = [bnd.lcpf_tail_bound(t, 5, 0.2) for t in np.linspace(0, 6, 40)]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert all(v >= 0 for v in values)
 
 
 def test_lcpf_expectation_values():
-    assert bnd.lcpf_expectation_bound(4, 0.1).value == pytest.approx(1.2033301896039925)
-    assert bnd.lcpf_expectation_bound(4, 0.0).value == 0.0
+    assert bnd.lcpf_expectation_bound(4, 0.1) == pytest.approx(1.2033301896039925)
+    assert bnd.lcpf_expectation_bound(4, 0.0) == 0.0
 
 
-def test_bound_report_contract():
-    report = bnd.thm1_expectation_bound(9, 4)
-    assert report.kind == "thm1_expectation"
-    assert report.clamped == 1.0 < report.value
+_K3_PROFILE = bnd.contingency_factors(_k3_model())
+# Every evaluator, called with good arguments: name -> function of one argument
+# that is passed in place of t, delta, nu, big_r, dim or constant.
+_EVALUATORS = {
+    "thm1_expectation_bound(n)": lambda x: bnd.thm1_expectation_bound(x, 4),
+    "thm1_expectation_bound(delta)": lambda x: bnd.thm1_expectation_bound(9, x),
+    "thm2_tail_bound(t)": lambda x: bnd.thm2_tail_bound(x, _K3_PROFILE),
+    "thm2_expectation_bound(constant)": lambda x: bnd.thm2_expectation_bound(_K3_PROFILE, x),
+    "bernstein_tail(t)": lambda x: bnd.bernstein_tail(x, 4, 1.0, 1.0),
+    "bernstein_tail(dim)": lambda x: bnd.bernstein_tail(1.0, x, 1.0, 1.0),
+    "bernstein_tail(big_r)": lambda x: bnd.bernstein_tail(1.0, 4, x, 1.0),
+    "bernstein_tail(nu)": lambda x: bnd.bernstein_tail(1.0, 4, 1.0, x),
+    "lcpf_tail_bound(t)": lambda x: bnd.lcpf_tail_bound(x, 4, 0.1),
+    "lcpf_tail_bound(n)": lambda x: bnd.lcpf_tail_bound(1.0, x, 0.1),
+    "lcpf_tail_bound(delta)": lambda x: bnd.lcpf_tail_bound(1.0, 4, x),
+    "lcpf_expectation_bound(n)": lambda x: bnd.lcpf_expectation_bound(x, 0.1),
+    "lcpf_expectation_bound(delta)": lambda x: bnd.lcpf_expectation_bound(4, x),
+}
+
+
+def test_evaluators_return_plain_floats():
+    assert {name: type(f(1.0)) for name, f in _EVALUATORS.items()} == \
+        dict.fromkeys(_EVALUATORS, float)
+
+
+@pytest.mark.parametrize("name", _EVALUATORS)
+def test_evaluators_reject_nan(name):
     with pytest.raises(ValueError):
-        bnd.BoundReport(kind="nope", value=1.0)
-    with pytest.raises(ValueError):
-        bnd.BoundReport(kind="thm2_tail", value=-1.0)
-    small = bnd.thm2_tail_bound(20.0, bnd.contingency_factors(_k3_model()))
-    assert small.clamped == small.value < 1.0
+        _EVALUATORS[name](math.nan)

@@ -12,7 +12,7 @@ from grid_concentrator import bounds as bnd
 from grid_concentrator import cli
 from grid_concentrator import experiment_harness as eh
 from grid_concentrator import graph_core as gc
-from grid_concentrator.admittance import assemble_admittance, complex_from_json
+from grid_concentrator.admittance import complex_from_json
 from grid_concentrator.spectra import operator_norm
 
 
@@ -151,9 +151,10 @@ def _fig1_per_sample(cfg):
             rng = eh.sample_rng(cfg.seed, sweep_index, s)
             topology = gc.sample_er_topology(cfg.n, p, rng)
             weights = cfg.line_model.sample(rng, topology.n_edges)
-            norm = operator_norm(assemble_admittance(topology, weights))
+            a = gc.incidence_matrix(topology)  # the runner's zgemm product, not the scatter
+            norm = operator_norm(a.T @ (weights[:, None] * a))
             delta = gc.max_degree(topology)
-            bound = bnd.thm1_expectation_bound(cfg.n, delta).value
+            bound = bnd.thm1_expectation_bound(cfg.n, delta)
             records.append({"p": p, "sample_index": s, "m": topology.n_edges,
                             "delta": delta, "norm": norm, "bound": bound,
                             "bound_ok": bool(bound >= norm)})
@@ -225,7 +226,7 @@ def test_brute_force_k3_expectation_below_bound():
     _, model = _k3_model()
     stats = eh.brute_force_distribution(model)
     explicit = bnd.thm2_expectation_bound(bnd.contingency_factors(model))
-    assert stats.mean <= explicit.value
+    assert stats.mean <= explicit
     assert stats.mean == pytest.approx(1.5, abs=1e-9)
 
 
@@ -296,6 +297,8 @@ def test_tail_experiment_matches_brute_force():
     for rec, threshold in zip(result.records, grid):
         assert rec["tail_empirical"] == pytest.approx(stats.tail_at(threshold), abs=1e-15)
         assert rec["exact"]
+        assert rec["valid"] is (threshold >= math.sqrt(2.0) + 2.0 / 3.0)
+        assert rec["tail_bound_clamped"] == min(1.0, rec["tail_bound"])
     assert result.bounds_ok
 
 
@@ -589,6 +592,20 @@ def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config,
     assert cli.main([experiment, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field} ")
+
+
+@pytest.mark.parametrize("experiment,config", [
+    ("thm2_tail", {"t_grid": [1.7e308]}),
+    ("thm2_tail", {"t_grid": [1.7e308], "backend": "montecarlo", "samples": 100}),
+    ("lcpf_bounds", {"t_grid": [1.7e308], "delta": 1.0}),
+])
+def test_cli_tail_bound_at_the_largest_threshold_is_zero(tmp_path, capsys, experiment, config):
+    # The exponent's denominator overflows to inf there; the bound is its limit 0.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main([experiment, "--config", str(cfg_path), "--assert-bounds"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert dict(zip(header.split(","), row.split(",")))["tail_bound"] == "0"
 
 
 _UNIT_LAWS = [

@@ -78,7 +78,7 @@ def test_kernel_rejects_indices_outside_its_domain(sweep, start, stop):
 def test_runners_draw_no_per_sample_generator(monkeypatch):
     # References through the per-sample generators and the default chunking...
     cfg = eh.ExperimentConfig(experiment="thm2_tail", backend="montecarlo", samples=20, seed=4)
-    draws = np.array([eh.sample_rng(4, 2, s).random(3) for s in range(20)])
+    draws = np.array([eh.sample_rng(4, 0, s).random(3) for s in range(20)])
     want_norms = eh._centered_norms_for_patterns(cfg.model, (draws < cfg.model.probs) * 1.0)
     lcpf = eh.ExperimentConfig(experiment="lcpf_bounds", samples=20, seed=4,
                                topology={"name": "complete", "n": 4})
@@ -86,7 +86,7 @@ def test_runners_draw_no_per_sample_generator(monkeypatch):
     # ...then chunks of 7 samples, with every per-sample generator gone.
     monkeypatch.setattr(eh, "_ENUM_CHUNK", 7)
     monkeypatch.setattr(eh, "sample_rng", lambda *args: pytest.fail("per-sample generator"))
-    got = eh.monte_carlo_distribution(cfg.model, 20, 4, sweep_index=2)
+    got = eh.monte_carlo_distribution(cfg.model, 20, 4)
     assert np.array_equal(got.norms, want_norms)
     assert eh.run_lcpf_experiment(lcpf).records == want_lcpf
 
