@@ -209,7 +209,7 @@ def bernstein_tail(t: float, dim: int, big_r: float, nu: float) -> float:
     if t == 0.0:
         return 2.0 * dim
     denominator = 2.0 * big_r * t + 4.0 * nu
-    if not 0.0 < denominator < math.inf:  # under- or overflowed: divide through by t
+    if not 0.0 < denominator < math.inf or t * t == math.inf:  # out of range: divide by t
         return 2.0 * dim * math.exp(-t / (2.0 * big_r + 4.0 * nu / t))
     return 2.0 * dim * math.exp(-t * t / denominator)
 
@@ -254,7 +254,7 @@ def lcpf_tail_bound(t: float, n: int, delta: float) -> float:
     if delta == 0.0:
         return 0.0
     denominator = 4.0 * (delta * delta * n + delta * t / 3.0)
-    if not 0.0 < denominator < math.inf:  # under- or overflowed: divide through by t
+    if not 0.0 < denominator < math.inf or t * t == math.inf:  # out of range: divide by t
         return n * math.exp(-t / (4.0 * delta * (delta * n / t + 1.0 / 3.0)))
     return n * math.exp(-t * t / denominator)
 

@@ -4,7 +4,8 @@ A power network is an undirected graph on ``n_nodes`` buses with an ordered
 list of candidate lines. The edge list order is significant: line ``l`` keeps
 the fixed index ``l`` for the lifetime of the topology, so incidence matrices
 and per-line weight vectors align by position. Parallel lines (repeated node
-pairs) are permitted; degrees count edge incidences.
+pairs) are permitted; degrees count edge incidences. A topology is nodes and
+edges only: the slack bus is an argument of the power-flow model in ``lcpf``.
 """
 
 from __future__ import annotations
@@ -47,13 +48,10 @@ class Topology:
     edges : tuple of (int, int)
         Ordered candidate lines. Line ``l`` connects ``edges[l]``; the pair
         order fixes the incidence row sign convention (first endpoint +1).
-    reference_node : int or None
-        Node whose incidence column is dropped in the reduced form.
     """
 
     n_nodes: int
     edges: tuple = field(default_factory=tuple)
-    reference_node: int | None = None
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -66,52 +64,33 @@ class Topology:
                 raise ValueError(f"edge {l} endpoint out of range: ({i}, {j})")
             if i == j:
                 raise ValueError(f"edge {l} is a self-loop at node {i}")
-        ref = self.reference_node
-        if ref is not None and not (0 <= operator.index(ref) < self.n_nodes):
-            raise ValueError(f"reference node {self.reference_node} out of range")
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
 
-def path_topology(n_nodes: int, reference_node: int | None = None) -> Topology:
+def path_topology(n_nodes: int) -> Topology:
     """Path graph P_n: edges (0,1), (1,2), ..., (n-2, n-1)."""
-    return Topology(n_nodes, tuple((i, i + 1) for i in range(n_nodes - 1)), reference_node)
+    return Topology(n_nodes, tuple((i, i + 1) for i in range(n_nodes - 1)))
 
 
-def complete_topology(n_nodes: int, reference_node: int | None = None) -> Topology:
+def complete_topology(n_nodes: int) -> Topology:
     """Complete graph K_n with edges in lexicographic order."""
     edges = tuple((i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes))
-    return Topology(n_nodes, edges, reference_node)
+    return Topology(n_nodes, edges)
 
 
-def star_topology(n_leaves: int, reference_node: int | None = None) -> Topology:
+def star_topology(n_leaves: int) -> Topology:
     """Star with hub 0 and ``n_leaves`` leaves."""
-    return Topology(n_leaves + 1, tuple((0, k + 1) for k in range(n_leaves)), reference_node)
+    return Topology(n_leaves + 1, tuple((0, k + 1) for k in range(n_leaves)))
 
 
-def incidence_matrix(topology: Topology, reduced: bool = False) -> np.ndarray:
-    """Branch-to-bus incidence matrix with rows ``e_i - e_j`` per line (i, j).
-
-    Parameters
-    ----------
-    topology : Topology
-    reduced : bool
-        Drop the reference node's column (required for the square tree
-        inverse). Raises if no reference node is set.
-
-    Returns
-    -------
-    ndarray of shape (m, n) or (m, n-1), entries in {-1, 0, +1}.
-    """
-    if reduced and topology.reference_node is None:
-        raise ValueError("reduced incidence requested but no reference node is set")
-    a = line_incidence(topology.n_nodes, np.array(topology.edges, dtype=np.intp).reshape(-1, 2))
-    if reduced:
-        keep = [c for c in range(topology.n_nodes) if c != topology.reference_node]
-        a = a[:, keep]
-    return a
+def incidence_matrix(topology: Topology) -> np.ndarray:
+    """Branch-to-bus incidence matrix: an (m, n) array with row ``e_i - e_j``
+    for line l = (i, j), entries in {-1, 0, +1}."""
+    return line_incidence(topology.n_nodes,
+                          np.array(topology.edges, dtype=np.intp).reshape(-1, 2))
 
 
 def line_incidence(n_nodes: int, ends: np.ndarray) -> np.ndarray:
@@ -173,14 +152,13 @@ def _candidate_pairs(n_nodes: int) -> np.ndarray:
     return np.column_stack(np.triu_indices(n_nodes, 1))  # only read, by masks
 
 
-def sample_random_tree(n_nodes: int, rng: np.random.Generator,
-                       reference_node: int | None = None) -> Topology:
+def sample_random_tree(n_nodes: int, rng: np.random.Generator) -> Topology:
     """Uniform random attachment tree: node k joins a uniformly chosen
     earlier node, for k = 1 .. n-1."""
     if n_nodes < 1:
         raise ValueError("tree needs at least one node")
     edges = tuple((int(rng.integers(0, k)), k) for k in range(1, n_nodes))
-    return Topology(n_nodes, edges, reference_node)
+    return Topology(n_nodes, edges)
 
 
 def is_connected(topology: Topology) -> bool:
@@ -218,28 +196,27 @@ _NAMED = {"path": path_topology, "complete": complete_topology, "star": star_top
 
 def topology_from_json(obj) -> Topology:
     """Parse ``{"name": "path"|"complete"|"star", "n": N}`` (N leaves for a
-    star) or ``{"n": N, "edges": [[i, j], ...]}``, either with an optional
-    ``"reference"``; a Topology passes through. Raises ValueError for an
-    unknown key or name, or a count or node that is not an integer."""
+    star) or ``{"n": N, "edges": [[i, j], ...]}``; a Topology passes
+    through. Raises ValueError for an unknown key or name, or a count or
+    node that is not an integer. The slack bus is not part of the graph, so
+    no key names one."""
     if isinstance(obj, Topology):
         return obj
     if not isinstance(obj, dict):
         raise ValueError(f"must be an object, got {obj!r}")
     form = "name" if "name" in obj else "edges"
-    unknown = set(obj) - {form, "n", "reference"}
+    unknown = set(obj) - {form, "n"}
     if unknown:
         raise ValueError(f"has unknown keys {sorted(unknown)}; the {form!r} form "
-                         f"takes {form!r}, 'n' and 'reference'")
+                         f"takes {form!r} and 'n'")
     n = int_from_json(obj.get("n"), "n", minimum=1)
-    ref = obj.get("reference")
-    ref = None if ref is None else int_from_json(ref, "reference")
     if form == "name":
         if obj["name"] not in _NAMED:
             raise ValueError(f"name must be one of {', '.join(_NAMED)}, got {obj['name']!r}")
-        return _NAMED[obj["name"]](n, ref)
+        return _NAMED[obj["name"]](n)
     edges = obj.get("edges", [])
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2
                                               for e in edges):
         raise ValueError(f"edges must be a list of [i, j] pairs, got {edges!r}")
     return Topology(n, tuple((int_from_json(i, "edge endpoint"), int_from_json(j, "edge endpoint"))
-                             for i, j in edges), ref)
+                             for i, j in edges))

@@ -6,9 +6,11 @@ at the flat start (unit magnitudes, zero angles, no shunts):
     [p; q] = [[G, -B], [-B, -G]] [eps; theta],   eps := v - 1,
 
 with G = A^T diag(g) A and B = A^T diag(b) A. The Jacobian J is a plain real
-(2k, 2k) array; its blocks read back as G = J[:k, :k] and B = -J[:k, k:]. On
-a tree with a reference node removed, the reduced incidence A is square and
-invertible, and the block matrix inverts in closed form to [[R, X], [X, -R]], where
+(2k, 2k) array; its blocks read back as G = J[:k, :k] and B = -J[:k, k:].
+The slack (reference) bus r is an argument, not part of the topology:
+grounding at r deletes row and column r of G and B (column r of A). On a
+tree grounded at r, the reduced incidence A is square and invertible, and
+the block matrix inverts in closed form to [[R, X], [X, -R]], where
 
     R = A^{-1} diag(g / (g^2 + b^2)) A^{-T},
     X = A^{-1} diag(-b / (g^2 + b^2)) A^{-T}
@@ -21,12 +23,13 @@ and weights it is given, computes both derivations and cross-checks them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admittance import lift_blocks, line_weights
-from .graph_core import Topology, incidence_matrix, is_tree, weighted_laplacians
+from .admittance import assemble_admittance, lift_blocks, line_weights
+from .graph_core import Topology, incidence_matrix, is_tree
 
 __all__ = [
     "ImpedanceBlocks",
@@ -53,26 +56,27 @@ class ImpedanceBlocks:
         return lift_blocks(self.r_matrix, self.x_matrix, +1.0)
 
 
-def _laplacian_blocks(topology: Topology, weights, reduced: bool) -> np.ndarray:
-    # The (2, k, k) stack [G, B]; ``reduced`` drops the reference node's row and column.
-    w = line_weights(topology, weights)
-    gb = weighted_laplacians(topology, np.stack([w.real, w.imag]))
-    if reduced:
-        if topology.reference_node is None:
-            raise ValueError("reduced Jacobian requested but no reference node is set")
-        keep = np.arange(topology.n_nodes) != topology.reference_node
-        gb = gb[:, keep][..., keep]
-    return gb
+def _laplacian_blocks(topology: Topology, weights, reference) -> np.ndarray:
+    # The (2, k, k) stack [G, B] = [Y.real, Y.imag], grounded at ``reference``
+    # unless it is None. operator.index raises TypeError on 0.9.
+    y = assemble_admittance(topology, weights)
+    gb = np.stack([y.real, y.imag])
+    if reference is None:
+        return gb
+    if not 0 <= operator.index(reference) < topology.n_nodes:
+        raise ValueError(f"reference node {reference} out of range for {topology.n_nodes} nodes")
+    keep = np.arange(topology.n_nodes) != reference
+    return gb[:, keep][..., keep]
 
 
-def flat_start_jacobian(topology: Topology, weights, reduced: bool = False) -> np.ndarray:
+def flat_start_jacobian(topology: Topology, weights, reference=None) -> np.ndarray:
     """The real (2k, 2k) array [[G, -B], [-B, -G]] from line admittances w = g + jb.
 
-    ``weights`` is a complex (m,) array in edge order. With ``reduced``
-    the reference node's row and column are dropped from G and B (blocks
-    become (n-1) x (n-1)), which is the invertible form used on trees.
+    ``weights`` is a complex (m,) array in edge order. With a ``reference``
+    node its row and column are deleted from G and B (blocks become
+    (n-1) x (n-1)), which is the invertible form used on trees.
     """
-    return lift_blocks(*_laplacian_blocks(topology, weights, reduced), -1.0)
+    return lift_blocks(*_laplacian_blocks(topology, weights, reference), -1.0)
 
 
 def _check_numerical_agreement(lhs: np.ndarray, rhs: np.ndarray, what: str):
@@ -83,32 +87,31 @@ def _check_numerical_agreement(lhs: np.ndarray, rhs: np.ndarray, what: str):
                               f"(tolerance {_AGREE_TOL:.0e} at scale {scale:.3e})")
 
 
-def invert_tree_lcpf(topology: Topology, weights) -> ImpedanceBlocks:
-    """Closed-form inverse blocks R, X of the reduced flat-start operator.
+def invert_tree_lcpf(topology: Topology, weights, reference) -> ImpedanceBlocks:
+    """Closed-form inverse blocks R, X of the flat-start operator grounded at
+    the ``reference`` node.
 
-    Requires a tree with a reference node and all conductances strictly
-    positive. R and X are computed twice -- through the Schur complement
-    chain on the reduced G and B and through the line-space closed form --
-    and the two must agree to 1e-9; the Schur result is returned.
+    Requires a tree and all conductances strictly positive. R and X are
+    computed twice -- through the Schur complement chain on the reduced G
+    and B and through the line-space closed form -- and the two must agree
+    to 1e-9; the Schur result is returned.
     """
     if not is_tree(topology):
         raise ValueError("closed-form inverse requires a tree topology")
-    if topology.reference_node is None:
-        raise ValueError("tree inverse requires a reference node (reduced incidence)")
     w = line_weights(topology, weights)
     g, b = w.real, w.imag
     if np.any(g <= 0.0):
         raise ValueError("all line conductances must be > 0 (G would be singular)")
 
     # Schur path: R = (G + B G^{-1} B)^{-1}, X = -R B G^{-1}.
-    gm, bm = _laplacian_blocks(topology, w, reduced=True)
+    gm, bm = _laplacian_blocks(topology, w, reference)
     g_inv_b = np.linalg.solve(gm, bm)
     r_schur = np.linalg.inv(gm + bm @ g_inv_b)
     x_schur = -r_schur @ g_inv_b.T
 
     # Line-space path: R = A^{-1} diag(r) A^{-T}, per-line r = g/(g^2+b^2),
     # x = -b/(g^2+b^2).
-    a = incidence_matrix(topology, reduced=True)
+    a = np.delete(incidence_matrix(topology), reference, axis=1)
     denom = g * g + b * b
     r_line = _congruence_by_inverse(a, g / denom)
     x_line = _congruence_by_inverse(a, -b / denom)

@@ -225,14 +225,15 @@ def test_criterion_07_tree_inversion():
     failures = 0
     for _ in range(50):
         n = int(rng.integers(2, 31))
-        t = gc.sample_random_tree(n, rng, reference_node=int(rng.integers(0, n)))
+        r = int(rng.integers(0, n))
+        t = gc.sample_random_tree(n, rng)
         g = 2.0 * (1.0 - rng.random(t.n_edges))   # in (0, 2]
         b = -2.0 + 2.0 * rng.random(t.n_edges)    # in [-2, 0)
         lines = g + 1j * b
-        jac = lcpf.flat_start_jacobian(t, lines, reduced=True)
-        blocks = lcpf.invert_tree_lcpf(t, lines)
+        jac = lcpf.flat_start_jacobian(t, lines, reference=r)
+        blocks = lcpf.invert_tree_lcpf(t, lines, r)
         # independent line-space oracle
-        a = gc.incidence_matrix(t, reduced=True)
+        a = np.delete(gc.incidence_matrix(t), r, axis=1)
         a_inv = np.linalg.inv(a)
         denom = g * g + b * b
         r_line = a_inv @ np.diag(g / denom) @ a_inv.T

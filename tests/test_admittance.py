@@ -74,11 +74,11 @@ def test_assemble_rejects_length_mismatch():
 def test_non_finite_weights_rejected(bad):
     # Assembly, the flat-start Jacobian and the tree inverse all read weights
     # through line_weights, which rejects NaN and Inf.
-    t = gc.path_topology(3, reference_node=0)
+    t = gc.path_topology(3)
     w = np.array([bad, 1.0 - 1.0j])
     for build in (lambda: adm.assemble_admittance(t, w),
                   lambda: flat_start_jacobian(t, w),
-                  lambda: invert_tree_lcpf(t, w)):
+                  lambda: invert_tree_lcpf(t, w, 0)):
         with pytest.raises(ValueError, match="NaN or Inf"):
             build()
 

@@ -159,6 +159,10 @@ def test_bernstein_tail():
     assert bnd.bernstein_tail(1.0, 4, 1.0, 1e308) == 8.0  # -1 / inf: the prefactor
     assert bnd.bernstein_tail(1.7e308, 4, 1.0, 1.0) == 0.0
     assert bnd.bernstein_tail(1e-200, 4, 1e-200, 0.0) == pytest.approx(8.0 * math.exp(-0.5))
+    # t * t overflows while the denominator stays finite: 8 exp(-400 / (2 * 20 + 4))
+    assert bnd.bernstein_tail(2e154, 4, 1e153, 1e306) == pytest.approx(9.015e-4, rel=1e-4)
+    assert bnd.bernstein_tail(2e154, 4, 1e153, 1e306) == pytest.approx(
+        8.0 * math.exp(-400.0 / 44.0), rel=1e-12)
 
 
 def test_variance_laplacian_matches_profile():
@@ -241,6 +245,10 @@ def test_lcpf_tail_values():
     assert bnd.lcpf_tail_bound(1.7e308, 4, 1.0) == 0.0
     assert bnd.lcpf_tail_bound(1e300, 1, 1e300) == pytest.approx(math.exp(-1.0 / (4.0 + 4.0 / 3.0)))
     assert bnd.lcpf_tail_bound(5.737796805380679e-163, 1, 2.2250738585072014e-308) == 0.0
+    # t * t overflows while the denominator stays finite: exp(-400 / (4 (1 + 20/3)))
+    assert bnd.lcpf_tail_bound(2e154, 1, 1e153) == pytest.approx(2.164e-6, rel=1e-3)
+    assert bnd.lcpf_tail_bound(2e154, 1, 1e153) == pytest.approx(
+        math.exp(-400.0 / (4.0 + 80.0 / 3.0)), rel=1e-12)
 
 
 def test_lcpf_tail_monotone_nonincreasing():

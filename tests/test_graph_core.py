@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -33,20 +34,17 @@ def test_build_topology_rejects_zero_nodes():
         gc.Topology(0, [])
 
 
-def test_build_topology_rejects_bad_reference():
-    with pytest.raises(ValueError, match="reference"):
-        gc.Topology(2, [(0, 1)], reference_node=5)
-
-
 def test_topology_rejects_non_integral_nodes():
-    # int() would truncate 1.7 to 1 and keep 0.9 as a reference.
+    # int() would truncate 1.7 to 1.
     with pytest.raises(TypeError):
         gc.Topology(3, ((0, 1.7),))
-    with pytest.raises(TypeError):
-        gc.Topology(3, ((0, 1),), reference_node=0.9)
-    t = gc.Topology(3, ((np.int64(0), np.int32(2)),), reference_node=np.int64(1))
-    assert t.edges == ((0, 2),) and t.reference_node == 1
+    t = gc.Topology(3, ((np.int64(0), np.int32(2)),))
+    assert t.edges == ((0, 2),)
     assert all(type(x) is int for x in t.edges[0])
+
+
+def test_topology_is_nodes_and_edges():
+    assert [f.name for f in dataclasses.fields(gc.Topology)] == ["n_nodes", "edges"]
 
 
 def test_incidence_p3():
@@ -77,17 +75,6 @@ def test_incidence_gram_is_p3_laplacian():
     assert np.linalg.norm(lap, 2) == pytest.approx(3.0, abs=1e-12)
 
 
-def test_reduced_incidence_drops_reference_column():
-    t = gc.path_topology(3, reference_node=0)
-    a = gc.incidence_matrix(t, reduced=True)
-    np.testing.assert_array_equal(a, [[-1, 0], [1, -1]])
-
-
-def test_reduced_incidence_requires_reference():
-    with pytest.raises(ValueError, match="reference"):
-        gc.incidence_matrix(gc.path_topology(3), reduced=True)
-
-
 def test_degrees_p3():
     t = gc.path_topology(3)
     np.testing.assert_array_equal(gc.degrees(t), [1, 2, 1])
@@ -109,14 +96,12 @@ def test_degrees_count_parallel_edges():
     np.testing.assert_array_equal(gc.degrees(t), [2, 2])
 
 
-def _incidence_loop(topology, reduced):
+def _incidence_loop(topology):
     # Reference: one row per line, filled entry by entry.
     a = np.zeros((topology.n_edges, topology.n_nodes))
     for l, (i, j) in enumerate(topology.edges):
         a[l, i] = 1.0
         a[l, j] = -1.0
-    if reduced:
-        a = a[:, [c for c in range(topology.n_nodes) if c != topology.reference_node]]
     return a
 
 
@@ -129,19 +114,18 @@ def _degrees_loop(topology):
 
 
 @pytest.mark.parametrize("topology", [
-    gc.Topology(1, (), reference_node=0),
-    gc.Topology(4, (), reference_node=2),
-    gc.Topology(4, ((0, 1), (2, 1), (0, 1), (3, 0), (1, 0), (2, 3)), reference_node=1),
-    gc.Topology(5, ((4, 0), (4, 0), (4, 0), (2, 3)), reference_node=4),
-    gc.complete_topology(6, reference_node=0),
+    gc.Topology(1, ()),
+    gc.Topology(4, ()),
+    gc.Topology(4, ((0, 1), (2, 1), (0, 1), (3, 0), (1, 0), (2, 3))),
+    gc.Topology(5, ((4, 0), (4, 0), (4, 0), (2, 3))),
+    gc.complete_topology(6),
 ], ids=["single", "edgeless", "parallel", "triple", "k6"])
 def test_incidence_and_degrees_bit_equal_scalar_loop(topology):
-    for reduced in (False, True):
-        a = gc.incidence_matrix(topology, reduced=reduced)
-        ref = _incidence_loop(topology, reduced)
-        assert a.dtype == ref.dtype and a.shape == ref.shape
-        assert a.flags.c_contiguous == ref.flags.c_contiguous
-        assert a.tobytes() == ref.tobytes()
+    a = gc.incidence_matrix(topology)
+    ref = _incidence_loop(topology)
+    assert a.dtype == ref.dtype and a.shape == ref.shape
+    assert a.flags.c_contiguous == ref.flags.c_contiguous
+    assert a.tobytes() == ref.tobytes()
     deg = gc.degrees(topology)
     assert deg.dtype == _degrees_loop(topology).dtype
     np.testing.assert_array_equal(deg, _degrees_loop(topology))
@@ -154,6 +138,19 @@ def test_sample_er_lines_match_topology():
     assert lines.shape == (topology.n_edges, 2)
     assert [tuple(e) for e in lines.tolist()] == list(topology.edges)
     np.testing.assert_array_equal(gc.line_incidence(9, lines), gc.incidence_matrix(topology))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+def test_weighted_laplacians_split_real_and_imaginary(batch):
+    # Complex addition is componentwise, so the complex scatter's real and
+    # imaginary parts are bit-equal to the scatters of w.real and w.imag.
+    t = gc.Topology(4, ((0, 1), (2, 1), (0, 1), (3, 0), (1, 0), (2, 3)))
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal(batch + (t.n_edges,)) + 1j * rng.standard_normal(batch + (t.n_edges,))
+    y = gc.weighted_laplacians(t, w)
+    assert y.shape == batch + (4, 4)
+    assert np.array_equal(y.real, gc.weighted_laplacians(t, w.real))
+    assert np.array_equal(y.imag, gc.weighted_laplacians(t, w.imag))
 
 
 def test_laplacian_counts_parallel_edges():
@@ -220,11 +217,16 @@ def test_random_tree_is_tree():
 
 
 def test_topology_json_round_trip():
-    t = gc.Topology(4, [(0, 1), (1, 2), (1, 3)], reference_node=2)
-    obj = {"n": 4, "edges": [[0, 1], [1, 2], [1, 3]], "reference": 2}
+    t = gc.Topology(4, [(0, 1), (1, 2), (1, 3)])
+    obj = {"n": 4, "edges": [[0, 1], [1, 2], [1, 3]]}
     assert gc.topology_from_json(json.loads(json.dumps(obj))) == t
-    t2 = gc.Topology(2, [(0, 1)])
-    assert gc.topology_from_json({"n": 2, "edges": [[0, 1]], "reference": None}) == t2
-    assert gc.topology_from_json(t2) is t2
-    assert gc.topology_from_json({"name": "star", "n": 2, "reference": 0}) == \
-        gc.star_topology(2, reference_node=0)
+    assert gc.topology_from_json(t) is t
+    assert gc.topology_from_json({"name": "star", "n": 2}) == gc.star_topology(2)
+
+
+@pytest.mark.parametrize("obj", [{"name": "path", "n": 4, "reference": 2},
+                                 {"n": 2, "edges": [[0, 1]], "reference": None}])
+def test_topology_json_rejects_reference(obj):
+    # The slack bus is the power-flow model's: lcpf functions take it as an argument.
+    with pytest.raises(ValueError, match=r"unknown keys \['reference'\]"):
+        gc.topology_from_json(obj)

@@ -51,8 +51,8 @@ def test_config_topology_parsing():
     assert cfg.topology == gc.complete_topology(3)
     cfg = eh.ExperimentConfig.from_dict(
         {"experiment": "thm2_tail",
-         "topology": {"n": 3, "edges": [[0, 1], [1, 2]], "reference": 0}})
-    assert cfg.topology == gc.path_topology(3, reference_node=0)
+         "topology": {"n": 3, "edges": [[0, 1], [1, 2]]}})
+    assert cfg.topology == gc.path_topology(3)
     with pytest.raises(eh.ConfigError, match="topology"):
         eh.ExperimentConfig.from_dict({"experiment": "thm2_tail", "topology": 7})
     with pytest.raises(eh.ConfigError):
@@ -585,6 +585,8 @@ def test_cli_unreadable_config_file_is_config_error(tmp_path, capsys, name):
     ("manifold", {"h": 1e200}, "h"),
     ("manifold", {"h": [0.0, [0.0, 2.0], 0.0]}, "h"),
     ("lcpf_bounds", {"delta": 1e308}, "delta"),
+    # the slack bus is not part of the graph: a "reference" key is unknown
+    ("lcpf_bounds", {"topology": {"name": "path", "n": 4, "reference": 2}}, "topology"),
 ])
 def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config, field):
     cfg_path = tmp_path / "cfg.json"
