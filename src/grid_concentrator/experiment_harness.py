@@ -5,8 +5,9 @@ JSON file), runs a deterministic sampling or enumeration loop, and produces a
 flat table of records ready for CSV/JSON emission. Per-sample generators are
 derived as ``SeedSequence((master_seed, sweep_index, sample_index))``, so any
 sample can be replayed in isolation and identical configs give byte-identical
-output files. Monte Carlo and ``lcpf_bounds`` derive the same streams per chunk
-in one vectorized pass (:func:`sample_uniforms`, pinned by tests/test_streams.py).
+output files. Monte Carlo and ``lcpf_bounds`` draw the same streams a chunk at a
+time by :func:`sample_uniforms` (pinned by tests/test_streams.py): one vectorized
+pass for short streams, each sample's own generator for long ones.
 
 Every runner but ``manifold`` works in bounded chunks of samples, each normed
 by one batched call. The Monte Carlo, enumeration and ``lcpf_bounds`` chunks
@@ -377,6 +378,10 @@ def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Gene
 
 
 _M32, _M64, _PCG_MULT = (1 << 32) - 1, (1 << 64) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+# Draws per row above which per-row generators beat the stream kernel. Measured
+# on 88-row chunks on a 2-vCPU VM, kernel vs per-row: 0.67 vs 1.09 ms at 50
+# draws, 1.24 vs 1.17 ms at 200, 6.3 vs 1.7 ms at 2450 (K50's 2 m).
+_KERNEL_MAX_DRAWS = 200
 
 
 def _mul_add128(x, c: int, add=(0, 0)):
@@ -391,10 +396,20 @@ def _mul_add128(x, c: int, add=(0, 0)):
 
 def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
                     count: int) -> np.ndarray:
-    """Row k is ``sample_rng(seed, sweep_index, start + k).random(count)`` bit for bit, by
-    ``SeedSequence`` and ``PCG64`` (NEP 19 stable) in wrapping uint32/uint64 array ops."""
+    """Row k is ``sample_rng(seed, sweep_index, start + k).random(count)`` bit for bit.
+
+    Up to ``_KERNEL_MAX_DRAWS`` draws per row, ``SeedSequence`` and ``PCG64``
+    (NEP 19 stable) run as wrapping uint32/uint64 array ops over all rows at
+    once. Longer rows come from each row's own generator: there NumPy's C loop
+    outruns the array arithmetic, whose cost grows with the draws.
+    """
     if not 0 <= start <= stop <= 1 << 32 or sweep_index < 0:
         raise ValueError(f"indices must be >= 0 and below 2^32: {sweep_index}, [{start}, {stop})")
+    if count > _KERNEL_MAX_DRAWS:
+        out = np.empty((stop - start, count))
+        for row, s in zip(out, range(start, stop)):
+            sample_rng(seed, sweep_index, s).random(out=row)
+        return out
     words = [np.full(stop - start, x >> shift & _M32, np.uint32)  # the entropy words
              for x in (int(seed) % (1 << 64), int(sweep_index))
              for shift in range(0, max(x.bit_length(), 1), 32)]
@@ -439,8 +454,9 @@ def _chunks(total: int, row_bytes: int):
 
 
 def _row_bytes(topology: gc.Topology) -> int:
-    # 8 n^2 + 3 m floats per sample: lifted matrix, n x n parts, draws. The lift,
-    # finite mask and temporaries are not counted: a full chunk peaks 10-15% above.
+    # 8 n^2 + 3 m floats per sample. A full lcpf_bounds chunk, with its lift (4 n^2),
+    # n x n parts (2 n^2), boolean masks and draws, peaks at 0.84-0.91 of it (K30,
+    # K50, K100, 100- and 300-bus paths).
     return 8 * (8 * topology.n_nodes ** 2 + 3 * topology.n_edges)
 
 

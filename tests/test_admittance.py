@@ -129,6 +129,20 @@ def test_weighted_laplacians_bit_equal_line_order_sum(batch, dtype):
     np.testing.assert_array_equal(y, _line_order_sum(_PARALLEL, w))
 
 
+@pytest.mark.parametrize("block", [gc._SCATTER_BLOCK, 1], ids=["rounds", "entry_by_entry"])
+def test_weighted_laplacians_rounds_bit_equal_on_k50_view(monkeypatch, block):
+    # K50 plus two lines parallel to (0, 1), weighted by the non-contiguous
+    # (2, samples, m) swapaxes view that run_lcpf_experiment passes.
+    monkeypatch.setattr(gc, "_SCATTER_BLOCK", block)
+    t = gc.Topology(50, gc.complete_topology(50).edges + ((0, 1), (1, 0)))
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((3, 2, t.n_edges)).swapaxes(0, 1)
+    assert not w.flags.c_contiguous
+    y = gc.weighted_laplacians(t, w)
+    assert y.shape == (2, 3, 50, 50)
+    np.testing.assert_array_equal(y, _line_order_sum(t, w))
+
+
 def test_weighted_laplacians_matches_incidence_product():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -189,6 +203,23 @@ def test_lift_real_norm_identity_random():
         np.testing.assert_allclose(lifted, lifted.T, atol=1e-12)
         assert operator_norm(lifted) == pytest.approx(
             operator_norm(y), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(), (4, 4), (3, 4, 4), (2, 3, 4, 4)],
+                         ids=["scalar", "matrix", "stack", "stack2"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_lift_blocks_bit_equal_np_block(shape, dtype, sign):
+    rng = np.random.default_rng(36)
+    g, b = rng.standard_normal((2,) + shape).astype(dtype)
+    if dtype is complex:
+        g, b = g + 1j * rng.standard_normal(shape), b - 1j * rng.standard_normal(shape)
+    if shape:  # signed zeros, whose sign the product and the negation must keep
+        g.flat[:2], b.flat[:2] = (0.0, -0.0), (-0.0, 0.0)
+    want = np.block([[g, sign * b], [sign * b, -g]])
+    got = adm.lift_blocks(g, b, sign)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _line_jacobian(g, b, i, j, n, sign):

@@ -1,9 +1,11 @@
 """The vectorized per-sample streams equal the per-sample generators, bit for bit.
 
 ``experiment_harness.sample_uniforms`` runs ``SeedSequence`` hashing and
-``PCG64`` seeding and stepping over a whole range of sample indices at once.
-Monte Carlo and ``lcpf_bounds`` draw through it; ``sample_rng`` stays the
-replay contract for a single sample, so the two must never disagree.
+``PCG64`` seeding and stepping over a whole range of sample indices at once,
+for rows of up to ``_KERNEL_MAX_DRAWS`` draws; longer rows come from each
+sample's own generator. Monte Carlo and ``lcpf_bounds`` draw through it;
+``sample_rng`` stays the replay contract for a single sample, so the two must
+never disagree, on either side of the crossover.
 """
 
 import json
@@ -13,8 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grid_concentrator import admittance as adm
 from grid_concentrator import cli
 from grid_concentrator import experiment_harness as eh
+from grid_concentrator import graph_core as gc
+from grid_concentrator.spectra import operator_norm
 from test_properties import PROPERTIES
 
 SEEDS = st.sampled_from([0, 1, -3, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5, 2 ** 64 - 1]) \
@@ -58,7 +63,8 @@ def test_uniform_form_matches_generator_uniform(seed, start, rows, delta, m):
     (-1, 3, 2 ** 32 - 4, 2 ** 32, 3000),
     (11, 0, 4, 4, 5),        # empty range
 ])
-def test_kernel_matches_sample_rng_across_tiles(seed, sweep, start, stop, count):
+def test_kernel_matches_sample_rng_across_tiles(monkeypatch, seed, sweep, start, stop, count):
+    monkeypatch.setattr(eh, "_KERNEL_MAX_DRAWS", count)  # the kernel, even for long rows
     assert np.array_equal(eh.sample_uniforms(seed, sweep, start, stop, count),
                           _reference(seed, sweep, start, stop, count))
 
@@ -89,6 +95,37 @@ def test_runners_draw_no_per_sample_generator(monkeypatch):
     got = eh.monte_carlo_distribution(cfg.model, 20, 4)
     assert np.array_equal(got.norms, want_norms)
     assert eh.run_lcpf_experiment(lcpf).records == want_lcpf
+
+
+@pytest.mark.parametrize("longer", [0, 1], ids=["kernel", "per_row"])
+def test_stream_crossover_pins_both_sides(monkeypatch, longer):
+    count = eh._KERNEL_MAX_DRAWS + longer
+    want = _reference(9, 1, 40, 45, count)
+    calls, sample_rng = [], eh.sample_rng
+    monkeypatch.setattr(eh, "sample_rng", lambda *args: calls.append(args) or sample_rng(*args))
+    got = eh.sample_uniforms(9, 1, 40, 45, count)
+    assert got.shape == (5, count) and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert calls == ([(9, 1, s) for s in range(40, 45)] if longer else [])
+
+
+def test_long_stream_lcpf_matches_per_sample_generators(monkeypatch):
+    # K50 draws 2 m = 2450 uniforms per sample, past the kernel's crossover.
+    lcpf = eh.ExperimentConfig(experiment="lcpf_bounds", samples=5, seed=6, delta=0.2,
+                               topology={"name": "complete", "n": 50},
+                               t_grid=[0.5, 1.0, 1.5, 2.0])
+    t, m = lcpf.topology, lcpf.topology.n_edges
+    assert 2 * m > eh._KERNEL_MAX_DRAWS
+    norms = []
+    for s in range(5):
+        dg, db = eh.sample_rng(6, 0, s).uniform(-0.2, 0.2, (2, m))
+        g, b = gc.weighted_laplacians(t, dg), gc.weighted_laplacians(t, db)
+        norms.append(operator_norm(adm.lift_blocks(g, b, -1.0)))
+    want = eh.SampleStats.sampled(np.array(norms))
+    monkeypatch.setattr(eh, "_ENUM_CHUNK", 2)  # three chunks
+    records = eh.run_lcpf_experiment(lcpf).records
+    assert [r["mean_norm"] for r in records] == [want.mean] * 4
+    assert [r["tail_empirical"] for r in records] == [want.tail_at(x) for x in lcpf.t_grid]
 
 
 def test_samples_are_capped_at_2_to_the_32():
