@@ -31,6 +31,7 @@ Weights are complex (m,) arrays in edge order everywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,9 +203,9 @@ _LAW_FIELDS = {
 def real_from_json(value, key: str = "", low: float = -math.inf,
                    high: float = math.inf) -> float:
     """``value`` as a float. Raises ValueError, naming ``key`` if given, unless
-    it is a finite integer or float (not a boolean) in [low, high]."""
+    it is an integer or float (not a boolean) in [low, high] and in the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not (math.isfinite(value) and low <= value <= high):
+            or not max(low, -sys.float_info.max) <= value <= min(high, sys.float_info.max):
         within = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
         raise ValueError(f"{key} must be a finite number{within}, got {value!r}".lstrip())
     return float(value)

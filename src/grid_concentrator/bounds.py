@@ -56,6 +56,7 @@ __all__ = [
     "bernstein_tail",
     "lcpf_variance_envelope",
     "lcpf_tail_bound",
+    "lcpf_tail_threshold",
     "lcpf_expectation_bound",
 ]
 
@@ -257,6 +258,16 @@ def lcpf_tail_bound(t: float, n: int, delta: float) -> float:
     if not 0.0 < denominator < math.inf or t * t == math.inf:  # out of range: divide by t
         return n * math.exp(-t / (4.0 * delta * (delta * n / t + 1.0 / 3.0)))
     return n * math.exp(-t * t / denominator)
+
+
+def lcpf_tail_threshold(n: int, delta: float) -> float:
+    """The t where :func:`lcpf_tail_bound` crosses 1, the root of
+    t^2 = 4 log(n) (delta^2 n + delta t / 3): 0 when n = 1 or delta = 0."""
+    if not (n >= 1 and delta >= 0):
+        raise ValueError("need at least one node and a perturbation bound >= 0")
+    log_n = math.log(n)
+    half_linear = 2.0 * delta * log_n / 3.0
+    return half_linear + math.sqrt(half_linear ** 2 + 4.0 * delta * delta * n * log_n)
 
 
 def lcpf_expectation_bound(n: int, delta: float) -> float:

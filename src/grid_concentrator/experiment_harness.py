@@ -5,9 +5,8 @@ JSON file), runs a deterministic sampling or enumeration loop, and produces a
 flat table of records ready for CSV/JSON emission. Per-sample generators are
 derived as ``SeedSequence((master_seed, sweep_index, sample_index))``, so any
 sample can be replayed in isolation and identical configs give byte-identical
-output files. Monte Carlo and ``lcpf_bounds`` draw the same streams a chunk at a
-time by :func:`sample_uniforms` (pinned by tests/test_streams.py): one vectorized
-pass for short streams, each sample's own generator for long ones.
+output files at one BLAS thread count. Monte Carlo and ``lcpf_bounds`` draw the
+same streams a chunk at a time by :func:`sample_uniforms` (tests/test_streams.py).
 
 Every runner but ``manifold`` works in bounded chunks of samples, each normed
 by one batched call. The Monte Carlo, enumeration and ``lcpf_bounds`` chunks
@@ -281,14 +280,8 @@ def _default_tail_grid(cfg: ExperimentConfig) -> np.ndarray:
 def _lcpf_default_grid(cfg: ExperimentConfig) -> np.ndarray:
     # Start where the raw tail bound crosses 1 (informative regime) and stop
     # past the almost-sure ceiling 2*sqrt(2)*delta*m of ||F - EF||.
-    n, m, delta = cfg.topology.n_nodes, cfg.topology.n_edges, cfg.delta
-    log_n = math.log(n) if n > 1 else 0.0
-    if delta == 0.0 or log_n == 0.0:
-        t_start = 0.0
-    else:
-        half_linear = 2.0 * delta * log_n / 3.0
-        t_start = half_linear + math.sqrt(half_linear ** 2 + 4.0 * delta * delta * n * log_n)
-    ceiling = 2.0 * math.sqrt(2.0) * delta * max(m, 1)
+    t_start = bnd.lcpf_tail_threshold(cfg.topology.n_nodes, cfg.delta)
+    ceiling = 2.0 * math.sqrt(2.0) * cfg.delta * max(cfg.topology.n_edges, 1)
     return np.linspace(t_start, max(1.2 * ceiling, t_start + 1e-6), 10)
 
 
@@ -378,13 +371,14 @@ def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Gene
 
 
 _M32, _M64, _PCG_MULT = (1 << 32) - 1, (1 << 64) - 1, 0x2360ED051FC65DA44385DF649FCCF645
-# Draws per row above which per-row generators beat the stream kernel. Measured
-# on 88-row chunks on a 2-vCPU VM, kernel vs per-row: 0.67 vs 1.09 ms at 50
-# draws, 1.24 vs 1.17 ms at 200, 6.3 vs 1.7 ms at 2450 (K50's 2 m).
+# Draws per row above which per-row generators (~14 us a row) beat the kernel (~23 us a
+# draw) on K20-K21 Monte Carlo chunks; smaller chunks cross sooner, but their samples norm
+# larger matrices. On a 2-vCPU VM, kernel vs per-row, rows x draws: 1.25 vs 111 ms at
+# 8192 x 3, 6.6 vs 27 at 1553 x 132, 7.4 vs 8.1 at 504 x 210, 5.0 vs 1.3 at 88 x 200.
 _KERNEL_MAX_DRAWS = 200
 
 
-def _mul_add128(x, c: int, add=(0, 0)):
+def _mul_add128(x, c: int, add):
     """x * c + add mod 2^128, for x and add as (low, high) uint64 array halves."""
     (lo, hi), c_lo, c_hi = x, c & _M64, c >> 64
     a0, a1, b0, b1 = lo & _M32, lo >> 32, c_lo & _M32, c_lo >> 32
@@ -400,8 +394,8 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
 
     Up to ``_KERNEL_MAX_DRAWS`` draws per row, ``SeedSequence`` and ``PCG64``
     (NEP 19 stable) run as wrapping uint32/uint64 array ops over all rows at
-    once. Longer rows come from each row's own generator: there NumPy's C loop
-    outruns the array arithmetic, whose cost grows with the draws.
+    once, one LCG step per draw. Longer rows come from each row's own generator,
+    whose C loop outruns the array arithmetic there.
     """
     if not 0 <= start <= stop <= 1 << 32 or sweep_index < 0:
         raise ValueError(f"indices must be >= 0 and below 2^32: {sweep_index}, [{start}, {stop})")
@@ -425,23 +419,16 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
     for w in words[4:]:
         pool = [xorshift(p * 0xCA01F9DD - hashmix(w) * 0x4973F715) for p in pool]
     consts.append(0x8B51F9DD)  # generate_state(4, uint64) restarts the hash constant
-    state = [hashmix(pool[i % 4], 0x58F38DED).astype(np.uint64)[:, None] for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in (0, 2, 4, 6))
+    halves = [hashmix(pool[i % 4], 0x58F38DED).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (halves[i] | halves[i + 1] << 32 for i in (0, 2, 4, 6))
     inc = (seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63)  # PCG64 from here on
-    del words, pool, state  # free the hashing arrays before the draws
-
-    def advance(x, steps: int):  # x * MULT^steps + inc * sum(MULT^i for i < steps)
-        offset = (pow(_PCG_MULT, steps, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
-        return _mul_add128(x, pow(_PCG_MULT, steps, 1 << 128), _mul_add128(inc, offset))
-    tile = advance(_mul_add128(inc, 1, (seed_lo, seed_hi)), 2)  # srandom, then draw 0's state
-    width = max(1, min(count, 8192 // max(stop - start, 1)))  # 8192-draw tiles stay in cache
-    while tile[0].shape[1] < width:  # doubling: the states of the first width draws
-        tile = tuple(map(np.hstack, zip(tile, advance(tile, tile[0].shape[1]))))
+    del words, pool, halves  # free the hashing arrays before the draws
+    state = _mul_add128(_mul_add128(inc, 1, (seed_lo, seed_hi)), _PCG_MULT, inc)  # srandom
     out = np.empty((stop - start, count))
-    for first in range(0, count, width):
-        lo, hi = advance([half[:, :min(width, count - first)] for half in tile], first)
-        x, rot = lo ^ hi, hi >> 58  # XSL-RR output, then its top 53 bits as a double
-        out[:, first:first + width] = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
+    for column in out.T:  # each draw steps the LCG, then takes XSL-RR's top 53 bits
+        lo, hi = state = _mul_add128(state, _PCG_MULT, inc)
+        x, rot = lo ^ hi, hi >> 58
+        column[:] = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
     return out
 
 

@@ -251,6 +251,21 @@ def test_lcpf_tail_values():
         math.exp(-400.0 / (4.0 + 80.0 / 3.0)), rel=1e-12)
 
 
+@pytest.mark.parametrize("n,delta", [(2, 0.1), (3, 0.1), (50, 0.2), (300, 1e-3), (4, 1.0)])
+def test_lcpf_tail_threshold_is_where_the_bound_crosses_one(n, delta):
+    t = bnd.lcpf_tail_threshold(n, delta)
+    assert t > 0.0
+    assert bnd.lcpf_tail_bound(t, n, delta) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_lcpf_tail_threshold_degenerate_and_invalid():
+    assert bnd.lcpf_tail_threshold(1, 0.3) == 0.0
+    assert bnd.lcpf_tail_threshold(7, 0.0) == 0.0
+    for n, delta in [(0, 0.1), (3, -0.1), (3, math.nan)]:
+        with pytest.raises(ValueError):
+            bnd.lcpf_tail_threshold(n, delta)
+
+
 def test_lcpf_tail_monotone_nonincreasing():
     values = [bnd.lcpf_tail_bound(t, 5, 0.2) for t in np.linspace(0, 6, 40)]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))

@@ -587,6 +587,14 @@ def test_cli_unreadable_config_file_is_config_error(tmp_path, capsys, name):
     ("lcpf_bounds", {"delta": 1e308}, "delta"),
     # the slack bus is not part of the graph: a "reference" key is unknown
     ("lcpf_bounds", {"topology": {"name": "path", "n": 4, "reference": 2}}, "topology"),
+    # a JSON integer beyond the float range is not a finite number
+    ("lcpf_bounds", {"delta": 10 ** 400}, "delta"),
+    ("fig1", {"p_grid": [0.5, 10 ** 400]}, "p_grid"),
+    ("thm2_tail", {"t_grid": [-10 ** 400]}, "t_grid"),
+    ("thm2_tail", {"admittances": [0.5, 10 ** 400]}, "admittances"),
+    ("manifold", {"h": 10 ** 400}, "h"),
+    ("manifold", {"line_model": {"kind": "bounded", "center_g": 10 ** 400,
+                                 "center_b": 0.0, "delta": 0.1}}, "line_model"),
 ])
 def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config, field):
     cfg_path = tmp_path / "cfg.json"

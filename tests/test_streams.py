@@ -1,11 +1,11 @@
 """The vectorized per-sample streams equal the per-sample generators, bit for bit.
 
 ``experiment_harness.sample_uniforms`` runs ``SeedSequence`` hashing and
-``PCG64`` seeding and stepping over a whole range of sample indices at once,
-for rows of up to ``_KERNEL_MAX_DRAWS`` draws; longer rows come from each
-sample's own generator. Monte Carlo and ``lcpf_bounds`` draw through it;
-``sample_rng`` stays the replay contract for a single sample, so the two must
-never disagree, on either side of the crossover.
+``PCG64`` seeding over a whole range of sample indices at once, then steps
+every row's LCG once per draw, for rows of up to ``_KERNEL_MAX_DRAWS`` draws;
+longer rows come from each sample's own generator. Monte Carlo and
+``lcpf_bounds`` draw through it; ``sample_rng`` stays the replay contract for a
+single sample, so the two must never disagree, on either side of the crossover.
 """
 
 import json
@@ -57,14 +57,15 @@ def test_uniform_form_matches_generator_uniform(seed, start, rows, delta, m):
 
 
 @pytest.mark.parametrize("seed,sweep,start,stop,count", [
-    (0, 0, 0, 3, 5000),      # long streams: several tiles of draws per row
+    (0, 0, 0, 3, 5000),      # long streams: thousands of steps of a few rows
     (5, 2, 10, 11, 9000),
-    (7, 1, 0, 9000, 2),      # more rows than one tile holds: one draw per tile
+    (7, 1, 0, 9000, 2),      # wide chunks: each step spans 9000 rows
     (-1, 3, 2 ** 32 - 4, 2 ** 32, 3000),
     (11, 0, 4, 4, 5),        # empty range
 ])
 def test_kernel_matches_sample_rng_across_tiles(monkeypatch, seed, sweep, start, stop, count):
-    monkeypatch.setattr(eh, "_KERNEL_MAX_DRAWS", count)  # the kernel, even for long rows
+    # The stepping kernel, even for rows long enough to go to per-row generators.
+    monkeypatch.setattr(eh, "_KERNEL_MAX_DRAWS", count)
     assert np.array_equal(eh.sample_uniforms(seed, sweep, start, stop, count),
                           _reference(seed, sweep, start, stop, count))
 
