@@ -12,6 +12,9 @@ Randomness enters through line laws. A law is one object for all m lines
 with scalar parameters: ``law.sample(rng, m)`` draws a complex (m,) weight
 array, ``law.mean`` is E[w_l] and ``law.support`` is the largest |w| it can
 draw (the |w| <= 1 hypothesis of the degree bound is checked against it).
+Every law but the sphere takes ``law.draws`` uniforms per line: ``sample(rng,
+m)`` is ``law.transform(rng.random((m, draws)))``, and ``transform`` maps any
+(..., m, draws) uniform array, such as a whole batch of samples, to weights.
 
 * ``UnitDisk``           -- uniform on the unit disk, reflected to g >= 0, b <= 0;
 * ``FixedDeterministic`` -- a known admittance (no randomness);
@@ -61,8 +64,15 @@ def _complex(g, b) -> np.ndarray:
     return w
 
 
+class _UniformLaw:
+    """A law of ``draws`` uniforms per line, mapped to weights by ``transform``."""
+
+    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        return self.transform(rng.random((m, self.draws)))
+
+
 @dataclass(frozen=True)
-class UnitDisk:
+class UnitDisk(_UniformLaw):
     """w uniform on the unit disk, reflected to g >= 0, b <= 0.
 
     Line l takes two uniforms (u0, u1), then r = sqrt(u0), phi = 2 pi u1 and
@@ -71,22 +81,23 @@ class UnitDisk:
 
     mean = complex(4.0 / (3.0 * math.pi), -4.0 / (3.0 * math.pi))
     support = 1.0
+    draws = 2
 
-    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        u = rng.random((m, 2))
-        r = np.sqrt(u[:, 0])
-        phi = 2.0 * math.pi * u[:, 1]
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        r = np.sqrt(u[..., 0])
+        phi = 2.0 * math.pi * u[..., 1]
         return _complex(np.abs(r * np.cos(phi)), -np.abs(r * np.sin(phi)))
 
 
 @dataclass(frozen=True)
-class FixedDeterministic:
+class FixedDeterministic(_UniformLaw):
     """The same known admittance on every line; draws nothing."""
 
     admittance: complex
+    draws = 0
 
-    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.full(m, complex(self.admittance))
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        return np.full(u.shape[:-1], complex(self.admittance))
 
     @property
     def mean(self) -> complex:
@@ -98,7 +109,7 @@ class FixedDeterministic:
 
 
 @dataclass(frozen=True)
-class FixedBernoulli:
+class FixedBernoulli(_UniformLaw):
     """Each line closed with probability ``prob``, carrying ``admittance``.
 
     One uniform per line: closed when it is below ``prob``.
@@ -106,13 +117,14 @@ class FixedBernoulli:
 
     admittance: complex
     prob: float
+    draws = 1
 
     def __post_init__(self):
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError(f"switch probability must lie in [0, 1], got {self.prob}")
 
-    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.where(rng.random(m) < self.prob, complex(self.admittance), 0j)
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        return np.where(u[..., 0] < self.prob, complex(self.admittance), 0j)
 
     @property
     def mean(self) -> complex:
@@ -124,23 +136,25 @@ class FixedBernoulli:
 
 
 @dataclass(frozen=True)
-class BoundedPerturbation:
+class BoundedPerturbation(_UniformLaw):
     """Known center (g, b) plus independent uniform noise bounded by delta.
 
-    Two uniforms per line, Dg then Db.
+    Two uniforms per line, Dg then Db, each -delta + 2 delta u: bit for bit
+    ``Generator.uniform(-delta, delta)``.
     """
 
     center_g: float
     center_b: float
     delta: float
+    draws = 2
 
     def __post_init__(self):
         if not self.delta >= 0:
             raise ValueError(f"perturbation bound must be >= 0, got {self.delta}")
 
-    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        d = rng.uniform(-self.delta, self.delta, (m, 2))
-        return _complex(self.center_g + d[:, 0], self.center_b + d[:, 1])
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        d = -self.delta + (2 * self.delta) * u
+        return _complex(self.center_g + d[..., 0], self.center_b + d[..., 1])
 
     @property
     def mean(self) -> complex:
@@ -156,7 +170,7 @@ class SphereUniform:
     """g and b vectors iid uniform on the sphere of squared radius ``radius_sq``.
 
     Draws all of g, then all of b, each as a normalized standard normal
-    m-vector.
+    m-vector. The count of normals varies, so it has no ``draws``.
     """
 
     radius_sq: float = 0.5

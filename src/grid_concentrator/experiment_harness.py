@@ -5,14 +5,14 @@ JSON file), runs a deterministic sampling or enumeration loop, and produces a
 flat table of records ready for CSV/JSON emission. Per-sample generators are
 derived as ``SeedSequence((master_seed, sweep_index, sample_index))``, so any
 sample can be replayed in isolation and identical configs give byte-identical
-output files at one BLAS thread count. Monte Carlo and ``lcpf_bounds`` draw the
-same streams a chunk at a time by :func:`sample_uniforms` (tests/test_streams.py).
+output files at one BLAS thread count. Monte Carlo, ``lcpf_bounds`` and ``fig1``
+draw the same streams a chunk at a time by :func:`sample_uniforms`.
 
 Every runner but ``manifold`` works in bounded chunks of samples, each normed
 by one batched call. The Monte Carlo, enumeration and ``lcpf_bounds`` chunks
 are assembled by one line-order scatter, so their per-sample memory is O(n^2).
-``fig1`` stacks one incidence product per sample, so it still builds each
-sample's dense m x n incidence matrix (about 190 MB peak at n = 200, p = 1).
+``fig1`` still takes one incidence product per sample, of a complex m x n
+matrix of K_n incidence rows (about 175 MB peak at n = 200, p = 1).
 
 Experiments
 -----------
@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 from io import StringIO
@@ -84,6 +85,8 @@ __all__ = [
 BRUTE_FORCE_MAX_LINES = 20
 _ENUM_CHUNK = 8192
 _CHUNK_BYTES = 1 << 24
+# Rows per fig1 chunk: the law transforms' temporaries grow with them (200 rows: +5 MB RSS).
+_FIG1_CHUNK = 50
 
 
 class ConfigError(ValueError):
@@ -364,18 +367,20 @@ class RunResult:
 
 
 def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Generator:
-    """Deterministic per-sample generator: hash of (master seed, sweep, sample). Monte Carlo
-    and lcpf_bounds draw the same streams by :func:`sample_uniforms` (tests/test_streams.py)."""
+    """Deterministic per-sample generator: hash of (master seed, sweep, sample). The sampled
+    runners draw the same streams by :func:`sample_uniforms` (tests/test_streams.py)."""
     return np.random.default_rng(
         np.random.SeedSequence((int(seed) % (1 << 64), int(sweep_index), int(sample_index))))
 
 
 _M32, _M64, _PCG_MULT = (1 << 32) - 1, (1 << 64) - 1, 0x2360ED051FC65DA44385DF649FCCF645
-# Draws per row above which per-row generators (~14 us a row) beat the kernel (~23 us a
-# draw) on K20-K21 Monte Carlo chunks; smaller chunks cross sooner, but their samples norm
-# larger matrices. On a 2-vCPU VM, kernel vs per-row, rows x draws: 1.25 vs 111 ms at
-# 8192 x 3, 6.6 vs 27 at 1553 x 132, 7.4 vs 8.1 at 504 x 210, 5.0 vs 1.3 at 88 x 200.
-_KERNEL_MAX_DRAWS = 200
+# A chunk of rows x draws takes each row's own generator (~19 us a row) below _HASH_MIN_ROWS
+# rows, where the vectorized SeedSequence hash (~0.3 ms a call) does not pay. Past it, the
+# kernel steps rows of up to _KERNEL_MAX_DRAWS draws and hashed rows (~4 us each) fill longer
+# ones. 2-vCPU VM, kernel / hashed, ms: 8192x3 1.37/42.8, 8192x100 25.1/44.2, 8192x160 46.7/
+# 46.8, 3616x128 18.7/19.8, 3616x200 15.5/11.5, 1553x132 7.29/4.73, 162x39 1.87/1.18, 104x98
+# 4.30/0.85; own generators: 8x3 0.18 (kernel 0.51), 2x600 0.06 (hashed 0.40).
+_HASH_MIN_ROWS, _KERNEL_MAX_DRAWS = 16, 150
 
 
 def _mul_add128(x, c: int, add):
@@ -392,19 +397,21 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
                     count: int) -> np.ndarray:
     """Row k is ``sample_rng(seed, sweep_index, start + k).random(count)`` bit for bit.
 
-    Up to ``_KERNEL_MAX_DRAWS`` draws per row, ``SeedSequence`` and ``PCG64``
-    (NEP 19 stable) run as wrapping uint32/uint64 array ops over all rows at
-    once, one LCG step per draw. Longer rows come from each row's own generator,
-    whose C loop outruns the array arithmetic there.
+    Chunks of fewer than ``_HASH_MIN_ROWS`` rows take each row's own generator.
+    Otherwise ``SeedSequence`` and ``PCG64`` seeding (NEP 19 stable) run as
+    wrapping uint32/uint64 array ops over all rows at once; then rows of up to
+    ``_KERNEL_MAX_DRAWS`` draws step every row's LCG once per draw, and longer
+    ones set one ``PCG64`` to each row's state in turn and fill the row in C.
     """
     if not 0 <= start <= stop <= 1 << 32 or sweep_index < 0:
         raise ValueError(f"indices must be >= 0 and below 2^32: {sweep_index}, [{start}, {stop})")
-    if count > _KERNEL_MAX_DRAWS:
-        out = np.empty((stop - start, count))
+    rows = stop - start
+    out = np.empty((rows, count))
+    if rows < _HASH_MIN_ROWS:
         for row, s in zip(out, range(start, stop)):
             sample_rng(seed, sweep_index, s).random(out=row)
         return out
-    words = [np.full(stop - start, x >> shift & _M32, np.uint32)  # the entropy words
+    words = [np.full(rows, x >> shift & _M32, np.uint32)  # the entropy words
              for x in (int(seed) % (1 << 64), int(sweep_index))
              for shift in range(0, max(x.bit_length(), 1), 32)]
     words.append(np.arange(start, stop, dtype=np.uint32))
@@ -424,7 +431,14 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
     inc = (seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63)  # PCG64 from here on
     del words, pool, halves  # free the hashing arrays before the draws
     state = _mul_add128(_mul_add128(inc, 1, (seed_lo, seed_hi)), _PCG_MULT, inc)  # srandom
-    out = np.empty((stop - start, count))
+    if count > _KERNEL_MAX_DRAWS:
+        generator = np.random.Generator(np.random.PCG64(0))
+        for row, s_lo, s_hi, i_lo, i_hi in zip(out, *(half.tolist() for half in (*state, *inc))):
+            generator.bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+            generator.random(out=row)
+        return out
     for column in out.T:  # each draw steps the LCG, then takes XSL-RR's top 53 bits
         lo, hi = state = _mul_add128(state, _PCG_MULT, inc)
         x, rot = lo ^ hi, hi >> 58
@@ -432,10 +446,10 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
     return out
 
 
-def _chunks(total: int, row_bytes: int):
-    """(start, stop) ranges over ``range(total)``: at most ``_ENUM_CHUNK`` rows and
-    ``_CHUNK_BYTES`` of rows of ``row_bytes`` each."""
-    rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
+def _chunks(total: int, row_bytes: int, most: int | None = None):
+    """(start, stop) ranges over ``range(total)``: at most ``most`` (default
+    ``_ENUM_CHUNK``) rows and ``_CHUNK_BYTES`` of rows of ``row_bytes`` each."""
+    rows = max(1, min(most or _ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
     for start in range(0, total, rows):
         yield start, min(start + rows, total)
 
@@ -459,30 +473,52 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
 
     Each record carries the sweep probability, the sampled line count and
     max degree, the sampled ||Y||, and the expectation bound evaluated at
-    that sample's realized max degree. Per chunk of samples, one norm call
-    takes the stack of their complex n x n matrices. ``bound_ok`` checks each
-    sample against that bound on E||Y||: the default n = 20 grid passes, dense
-    large grids fail (see :func:`bounds.thm1_expectation_bound`).
+    that sample's realized max degree. ``bound_ok`` checks each sample against
+    that bound on E||Y||: the default n = 20 grid passes, dense large grids
+    fail (see :func:`bounds.thm1_expectation_bound`).
+
+    Sample s draws the stream of ``sample_rng(seed, sweep, s)``: one uniform per
+    candidate line of K_n in lexicographic order (on below p), then the law's
+    ``draws`` per line that is on. A chunk draws its rows by one
+    :func:`sample_uniforms` call and takes masks, degrees, law transforms and
+    bounds at once (the sphere law samples each row's generator past its mask);
+    each sample's Y is one product of rows of the K_n incidence.
     """
-    n = cfg.n
+    n, law = cfg.n, cfg.line_model
+    draws = getattr(law, "draws", 0)  # the sphere draws its normals below
+    # int8, cast to complex a sample at a time: at n = 200, p = 1 the CLI run peaks at
+    # 175 MB, against 192 MB for per-sample incidences and 229 MB for a float64 copy.
+    incidence = gc.incidence_matrix(gc.complete_topology(n)).astype(np.int8)
+    candidates = len(incidence)
+    stars = np.nonzero(incidence.T)[1].reshape(n, n - 1)  # the candidate lines at each bus
+    # The stack, and per candidate line the uniforms, law slots, mask and complex weight.
+    row_bytes = 8 * (2 * n * n + (4 + 2 * draws) * candidates)
     records = []
     for sweep_index, p in enumerate(cfg.p_grid):
-        for start, stop in _chunks(cfg.samples, 16 * n * n):
+        for start, stop in _chunks(cfg.samples, row_bytes, _FIG1_CHUNK):
+            u = sample_uniforms(cfg.seed, sweep_index, start, stop, (1 + draws) * candidates)
+            on = u[:, :candidates] < p
+            lines = on.sum(axis=1)
+            degrees = on[:, stars].sum(axis=2).max(axis=1).tolist()
+            ends = np.cumsum(lines).tolist()  # where each row's weights end
+            if hasattr(law, "transform"):
+                used = np.arange(draws * candidates) < draws * lines[:, None]
+                weights = law.transform(u[:, candidates:][used].reshape(ends[-1], draws))
+            else:  # the sphere: each row's own generator, past its mask draws
+                rngs = [sample_rng(cfg.seed, sweep_index, s) for s in range(start, stop)]
+                for rng in rngs:
+                    rng.bit_generator.advance(candidates)
+                weights = np.concatenate([law.sample(r, m) for r, m in zip(rngs, lines.tolist())])
             ys = np.empty((stop - start, n, n), dtype=complex)
-            drawn = []
-            for k, s in enumerate(range(start, stop)):
-                rng = sample_rng(cfg.seed, sweep_index, s)
-                ends = gc.sample_er_lines(n, p, rng)
-                weights = cfg.line_model.sample(rng, len(ends))
-                # zgemm does not sum lines in line order, so weighted_laplacians here
-                # changes the pinned er_sweep digest (needs a re-baseline).
-                a = gc.line_incidence(n, ends)
-                ys[k] = a.T @ (weights[:, None] * a)
-                drawn.append((s, len(ends), int(np.bincount(ends.ravel(), minlength=n).max())))
-            for (s, m, delta), norm in zip(drawn, operator_norm(ys).tolist()):
-                bound = bnd.thm1_expectation_bound(n, delta)
-                records.append({"p": p, "sample_index": s, "m": m, "delta": delta,
-                                "norm": norm, "bound": bound, "bound_ok": bool(bound >= norm)})
+            for y, mask, first, last in zip(ys, on, [0] + ends, ends):
+                # zgemm, not weighted_laplacians: its sum order is in the er_sweep digest.
+                a = incidence[mask].astype(complex)
+                np.matmul(a.T, weights[first:last, None] * a, out=y)
+            bounds = {d: bnd.thm1_expectation_bound(n, d) for d in set(degrees)}
+            for s, m, delta, norm in zip(range(start, stop), lines.tolist(), degrees,
+                                         operator_norm(ys).tolist()):
+                records.append({"p": p, "sample_index": s, "m": m, "delta": delta, "norm": norm,
+                                "bound": bounds[delta], "bound_ok": bool(bounds[delta] >= norm)})
             del ys  # before the next chunk's stack is allocated
     return RunResult(records, FIG1_FIELDS)
 
@@ -725,19 +761,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 # emission
 # ---------------------------------------------------------------------------
 
-def _format_cell(value) -> str:
+def _csv_cell(value) -> str:
+    """One RFC 4180 cell: floats at 17 digits, None empty, ``true``/``false``, else str."""
     value = _json_ready(value)
+    if isinstance(value, float):  # digits, '.', 'e', signs, 'inf' or 'nan': never quoted
+        return f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
-
-
-def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in (',', '"', '\n', '\r')):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+    cell = str(value)
+    return '"' + cell.replace('"', '""') + '"' if re.search('[,"\r\n]', cell) else cell
 
 
 def _json_ready(value):
@@ -758,9 +792,9 @@ def emit(records, fmt: str = "csv", path=None, fieldnames=None):
         fieldnames = list(records[0].keys()) if records else []
     if fmt == "csv":
         out = StringIO()
-        out.write(",".join(_csv_quote(str(f)) for f in fieldnames) + "\n")
+        out.write(",".join(map(_csv_cell, map(str, fieldnames))) + "\n")
         for rec in records:
-            out.write(",".join(_csv_quote(_format_cell(rec.get(f))) for f in fieldnames) + "\n")
+            out.write(",".join(map(_csv_cell, map(rec.get, fieldnames))) + "\n")
         text = out.getvalue()
     else:
         payload = [{f: _json_ready(rec.get(f)) for f in fieldnames} for rec in records]

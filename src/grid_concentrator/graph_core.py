@@ -22,13 +22,11 @@ __all__ = [
     "complete_topology",
     "star_topology",
     "incidence_matrix",
-    "line_incidence",
     "weighted_laplacians",
     "degrees",
     "max_degree",
     "unweighted_laplacian",
     "sample_er_topology",
-    "sample_er_lines",
     "sample_random_tree",
     "is_connected",
     "is_tree",
@@ -89,13 +87,8 @@ def star_topology(n_leaves: int) -> Topology:
 def incidence_matrix(topology: Topology) -> np.ndarray:
     """Branch-to-bus incidence matrix: an (m, n) array with row ``e_i - e_j``
     for line l = (i, j), entries in {-1, 0, +1}."""
-    return line_incidence(topology.n_nodes,
-                          np.array(topology.edges, dtype=np.intp).reshape(-1, 2))
-
-
-def line_incidence(n_nodes: int, ends: np.ndarray) -> np.ndarray:
-    """C-ordered (m, n) incidence rows ``e_i - e_j`` of an (m, 2) endpoint array."""
-    a = np.zeros((len(ends), n_nodes))
+    ends = np.array(topology.edges, dtype=np.intp).reshape(-1, 2)
+    a = np.zeros((len(ends), topology.n_nodes))
     a[np.arange(len(ends))[:, None], ends] = [1.0, -1.0]
     return a
 
@@ -176,23 +169,12 @@ def unweighted_laplacian(topology: Topology) -> np.ndarray:
 
 
 def sample_er_topology(n_nodes: int, p: float, rng: np.random.Generator) -> Topology:
-    """Homogeneous Erdos-Renyi topology drawn by :func:`sample_er_lines`."""
-    return Topology(n_nodes, sample_er_lines(n_nodes, p, rng).tolist())
-
-
-def sample_er_lines(n_nodes: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """(m, 2) endpoints of a homogeneous Erdos-Renyi draw: each candidate line
-    on with prob p. Candidate pairs are taken in lexicographic order with one
-    uniform variate each, so a generator state replays the same lines."""
+    """Homogeneous Erdos-Renyi topology: each pair of K_n, in lexicographic order,
+    a line when its one uniform variate is below p, so a generator state replays."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    pairs = _candidate_pairs(n_nodes)
-    return pairs[rng.random(len(pairs)) < p]
-
-
-@functools.lru_cache(maxsize=8)
-def _candidate_pairs(n_nodes: int) -> np.ndarray:
-    return np.column_stack(np.triu_indices(n_nodes, 1))  # only read, by masks
+    pairs = complete_topology(n_nodes).edges
+    return Topology(n_nodes, tuple(e for e, u in zip(pairs, rng.random(len(pairs))) if u < p))
 
 
 def sample_random_tree(n_nodes: int, rng: np.random.Generator) -> Topology:

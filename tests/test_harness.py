@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -163,15 +164,39 @@ def _fig1_per_sample(cfg):
 
 @pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
 def test_fig1_bit_equal_per_sample_reference(law):
-    # p = 0 draws samples without lines (m = 0); p = 1 draws the complete graph.
-    cfg = eh.ExperimentConfig(experiment="fig1", n=20, samples=12, seed=8,
-                              p_grid=(0.0, 0.35, 1.0), line_model=law)
-    result = eh.run_fig1(cfg)
-    reference = _fig1_per_sample(cfg)
-    assert result.records == reference
-    assert [type(rec["norm"]) for rec in result.records] == [float] * len(reference)
-    assert result.bounds_ok == all(rec["bound_ok"] for rec in reference)
-    assert {rec["m"] for rec in result.records if rec["p"] == 0.0} == {0}
+    # p = 0 draws samples without lines (m = 0); p = 1 draws the complete graph. At n = 20
+    # a chunk of 50 rows takes hashed rows and the 10 left take their own generators; at
+    # n = 8 chunks of 20 rows of at most 3 * 28 draws take the stepping kernel.
+    for n, samples in [(20, 60), (8, 20)]:
+        cfg = eh.ExperimentConfig(experiment="fig1", n=n, samples=samples, seed=8,
+                                  p_grid=(0.0, 0.35, 1.0), line_model=law)
+        result = eh.run_fig1(cfg)
+        reference = _fig1_per_sample(cfg)
+        assert result.records == reference
+        assert [type(rec["norm"]) for rec in result.records] == [float] * len(reference)
+        assert result.bounds_ok == all(rec["bound_ok"] for rec in reference)
+        assert {rec["m"] for rec in result.records if rec["p"] == 0.0} == {0}
+
+
+@pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
+def test_fig1_draws_per_chunk_not_per_sample(monkeypatch, law):
+    cfg = eh.ExperimentConfig(experiment="fig1", n=9, samples=40, seed=2,
+                              p_grid=(0.3, 1.0), line_model=law)
+    want = eh.run_fig1(cfg).records
+    calls = []
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
+    count(eh, "sample_rng")
+    count(gc, "sample_er_topology")
+    count(gc, "incidence_matrix")
+    count(type(cfg.line_model), "sample")
+    assert eh.run_fig1(cfg).records == want
+    # One K_n incidence per run; only the sphere law, whose count of normals varies,
+    # draws from each sample's own generator.
+    per_sample = {"sample_rng": 80, "sample": 80} if law["kind"] == "sphere" else {}
+    assert collections.Counter(calls) == {"incidence_matrix": 1, **per_sample}
 
 
 def test_fig1_independent_of_chunking(monkeypatch):
@@ -452,6 +477,23 @@ def test_emit_json_round_trip():
     text = eh.emit([rec], "json", None)
     back = json.loads(text)
     assert back == [{"x": 0.30000000000000004, "n": 3, "flag": False, "empty": None}]
+
+
+def test_emit_csv_cells_pinned():
+    # Bytes written by the per-cell formatter before it was batched: numpy
+    # scalars, signed zeros, tiny, huge and infinite floats, big ints, quoting.
+    records = [
+        {"a": None, "b": True, "c": np.bool_(False), "d": np.float64(-0.0), "e": 1e-300,
+         "f": np.int64(3), "g": "x,y", "h": 'say "hi"', "i": "two\nlines", "j": "cr\rhere"},
+        {"a": 0.1, "b": False, "c": np.bool_(True), "d": -1.5e300, "e": math.inf, "f": 7,
+         "g": "", "h": np.float32(0.1), "i": 2 ** 70, "j": "plain"},
+    ]
+    text = eh.emit(records, "csv", None, [*"abcdefghij", 'k,"'])
+    assert text == (
+        'a,b,c,d,e,f,g,h,i,j,"k,"""\n'
+        ',true,false,-0,1e-300,3,"x,y","say ""hi""","two\nlines","cr\rhere",\n'
+        '0.10000000000000001,false,true,-1.5000000000000001e+300,inf,7,,'
+        '0.10000000149011612,1180591620717411303424,plain,\n')
 
 
 def test_emit_to_file(tmp_path):

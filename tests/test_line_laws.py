@@ -128,3 +128,35 @@ def test_assemble_admittance_matches_scatter_kernel(case):
     y = adm.assemble_admittance(t, w)
     np.testing.assert_allclose(y, gc.weighted_laplacians(t, w), rtol=0, atol=1e-12)
     np.testing.assert_allclose(y.sum(axis=1), 0.0, rtol=0, atol=1e-12)
+
+
+UNIFORM_LAWS = sorted(set(LAWS) - {"sphere"})
+per_uniform_law = pytest.mark.parametrize("kind", UNIFORM_LAWS)
+
+
+@per_uniform_law
+@PROPERTIES
+@given(data=st.data(), m=st.integers(0, 40) | st.sampled_from([190, 1225]), seed=SEEDS)
+def test_sample_is_transform_of_uniforms(kind, data, m, seed):
+    law = data.draw(LAWS[kind])
+    u = np.random.default_rng(seed).random((m, law.draws))
+    np.testing.assert_array_equal(law.sample(np.random.default_rng(seed), m), law.transform(u))
+
+
+@per_uniform_law
+@pytest.mark.parametrize("m", [0, 1, 7, 190, 1225])
+def test_stacked_and_strided_transforms_equal_row_by_row(kind, m):
+    # run_fig1 transforms the gathered slots of a whole chunk at once; sqrt, cos and sin
+    # take SIMD paths whose tails fall elsewhere in a stacked or strided array.
+    law = {"disk": adm.UnitDisk(), "fixed": adm.FixedDeterministic(0.6 - 0.8j),
+           "bernoulli": adm.FixedBernoulli(0.6 - 0.8j, 0.4),
+           "bounded": adm.BoundedPerturbation(0.5, -0.5, 0.2)}[kind]
+    u = np.random.default_rng(m).random((5, 2 * m + 3, law.draws))
+    for lines in (slice(0, m), slice(1, 2 * m + 1, 2)):  # leading lines, every other line
+        rows = np.array([law.transform(row[lines].copy()) for row in u]).reshape(5, m)
+        stacked = law.transform(u[:, lines])
+        assert stacked.dtype == complex
+        np.testing.assert_array_equal(stacked, rows)
+        np.testing.assert_array_equal(law.transform(u[::-1, lines])[::-1], rows)
+        flat = law.transform(u[:, lines].reshape(5 * m, law.draws))  # run_fig1's gathered slots
+        np.testing.assert_array_equal(flat.reshape(5, m), rows)
