@@ -85,7 +85,8 @@ __all__ = [
 BRUTE_FORCE_MAX_LINES = 20
 _ENUM_CHUNK = 8192
 _CHUNK_BYTES = 1 << 24
-# Rows per fig1 chunk: the law transforms' temporaries grow with them (200 rows: +5 MB RSS).
+# Rows per fig1 chunk: the law transforms' temporaries grow with them (200 rows: +5 MB RSS),
+# and from 52 rows operator_norm splits the n = 20 complex stack, which measured slower.
 _FIG1_CHUNK = 50
 
 
@@ -374,13 +375,12 @@ def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Gene
 
 
 _M32, _M64, _PCG_MULT = (1 << 32) - 1, (1 << 64) - 1, 0x2360ED051FC65DA44385DF649FCCF645
-# A chunk of rows x draws takes each row's own generator (~19 us a row) below _HASH_MIN_ROWS
-# rows, where the vectorized SeedSequence hash (~0.3 ms a call) does not pay. Past it, the
+# Every chunk of rows x draws runs the vectorized SeedSequence hash (~0.3 ms a call); then the
 # kernel steps rows of up to _KERNEL_MAX_DRAWS draws and hashed rows (~4 us each) fill longer
 # ones. 2-vCPU VM, kernel / hashed, ms: 8192x3 1.37/42.8, 8192x100 25.1/44.2, 8192x160 46.7/
 # 46.8, 3616x128 18.7/19.8, 3616x200 15.5/11.5, 1553x132 7.29/4.73, 162x39 1.87/1.18, 104x98
-# 4.30/0.85; own generators: 8x3 0.18 (kernel 0.51), 2x600 0.06 (hashed 0.40).
-_HASH_MIN_ROWS, _KERNEL_MAX_DRAWS = 16, 150
+# 4.30/0.85. Chunks of a few rows pay the hash: 1x3 0.28, 15x39 1.15 (own generators 0.02, 0.22).
+_KERNEL_MAX_DRAWS = 150
 
 
 def _mul_add128(x, c: int, add):
@@ -397,9 +397,8 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
                     count: int) -> np.ndarray:
     """Row k is ``sample_rng(seed, sweep_index, start + k).random(count)`` bit for bit.
 
-    Chunks of fewer than ``_HASH_MIN_ROWS`` rows take each row's own generator.
-    Otherwise ``SeedSequence`` and ``PCG64`` seeding (NEP 19 stable) run as
-    wrapping uint32/uint64 array ops over all rows at once; then rows of up to
+    ``SeedSequence`` and ``PCG64`` seeding (NEP 19 stable) run as wrapping
+    uint32/uint64 array ops over all rows at once; then rows of up to
     ``_KERNEL_MAX_DRAWS`` draws step every row's LCG once per draw, and longer
     ones set one ``PCG64`` to each row's state in turn and fill the row in C.
     """
@@ -407,10 +406,6 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
         raise ValueError(f"indices must be >= 0 and below 2^32: {sweep_index}, [{start}, {stop})")
     rows = stop - start
     out = np.empty((rows, count))
-    if rows < _HASH_MIN_ROWS:
-        for row, s in zip(out, range(start, stop)):
-            sample_rng(seed, sweep_index, s).random(out=row)
-        return out
     words = [np.full(rows, x >> shift & _M32, np.uint32)  # the entropy words
              for x in (int(seed) % (1 << 64), int(sweep_index))
              for shift in range(0, max(x.bit_length(), 1), 32)]

@@ -5,7 +5,6 @@ list of library API awaiting callers."""
 
 import ast
 import importlib
-import importlib.util
 import pkgutil
 import sys
 from pathlib import Path
@@ -59,13 +58,15 @@ def test_package_exports_resolve_and_are_public():
 def test_benchmark_trace_targets_resolve(monkeypatch):
     # The traced benchmark patches these names; one that no longer exists
     # would break `bench/run.py --trace 1`, whose own tests are not tier-1.
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
-    targets = tracing.trace_targets()
-    assert targets
+    # bench/ goes on sys.path, as bench/run.py puts it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    try:
+        targets = importlib.import_module("tracing").trace_targets()
+    finally:
+        sys.modules.pop("tracing", None)
+    assert {"sample_rng", "assemble_admittance", "sample_er_topology"} \
+        <= {attr for _, attr, _ in targets}
     for owner, attr, span in targets:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({span})"
 

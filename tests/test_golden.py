@@ -60,11 +60,20 @@ GOLDEN = {
          "topology": {"name": "complete", "n": 4}, "probs": 0.4,
          "admittances": [0.6, -0.8], "samples": 2000, "seed": 11},
         "50a2786f98a1f109a45e9acb0f6d491d2a75d68685a9c15d9e5135c99e3a2dc2"),
-    # Default K3 model; 9000 samples: more than one 8192-row chunk.
+    # Default K3 model; 9000 samples: more than one 8192-row chunk. At p = 1/2 every
+    # sample's centered norm is 1.5 (to the last bit or one ulp off), so this digest
+    # holds across seeds and sample counts: it cannot see a stream or chunking fault.
     "thm2_expectation_montecarlo_multichunk": (
         {"experiment": "thm2_expectation", "backend": "montecarlo",
          "samples": 9000, "seed": 2},
         "91294d2f9c36d0e3ea1522ced557a20b19ff96bff0088a845c54b8044e34912c"),
+    # K4 with 14 distinct norms; 8200 samples: chunks of 8192 and 8 rows, so the short
+    # tail's stream is in the digest too.
+    "thm2_expectation_montecarlo_k4_short_tail": (
+        {"experiment": "thm2_expectation", "backend": "montecarlo",
+         "topology": {"name": "complete", "n": 4}, "probs": 0.4,
+         "admittances": [0.6, -0.8], "samples": 8200, "seed": 2},
+        "1f7c15efaa19862519b74f2c972dc4c47ce083230a8695cd46f8865ec3f6fa25"),
     "lcpf_bounds_k6": (
         {"experiment": "lcpf_bounds", "topology": {"name": "complete", "n": 6},
          "delta": 0.2, "samples": 300, "seed": 4},
@@ -78,6 +87,11 @@ GOLDEN = {
         {"experiment": "lcpf_bounds", "topology": {"name": "complete", "n": 30},
          "delta": 0.05, "samples": 400, "seed": 6},
         "7f55cf942b78e99ee88bb8f952377edf2f4c1c39cedb443da1fa424c1588ea92"),
+    # 250 samples: chunks of 246 and 4 rows of 870 draws, a wide short tail.
+    "lcpf_bounds_k30_short_tail": (
+        {"experiment": "lcpf_bounds", "topology": {"name": "complete", "n": 30},
+         "delta": 0.05, "samples": 250, "seed": 6},
+        "958ab77fd0171a53ddaf70a19cb88b4ca4931b7a000ecb4668287baef2c83e12"),
     # 10 000 samples: more than one 8192-row chunk.
     "lcpf_bounds_p3_multichunk": (
         {"experiment": "lcpf_bounds", "topology": {"name": "path", "n": 3},
@@ -95,6 +109,19 @@ GOLDEN = {
         {"experiment": "manifold", "topology": {"name": "complete", "n": 4},
          "samples": 20, "seed": 3, "h": 0.1, "line_model": _FIXED_LAW},
         "58cb3ad6c73e2dc657528165eddbbcfa5eef630b1ee8ae8961d46b004ff64419"),
+    # The two laws the manifold goldens above skip: the sphere's normals and the bounded
+    # law's uniforms.
+    "manifold_sphere": (
+        {"experiment": "manifold", "topology": {"name": "complete", "n": 4},
+         "samples": 20, "seed": 3, "h": 0.1,
+         "line_model": {"kind": "sphere", "radius_sq": 0.5}},
+        "770ede4de11a26dffd4ce2f1659390dd7301e338c49a426312a036c1a0463456"),
+    "manifold_bounded": (
+        {"experiment": "manifold", "topology": {"name": "complete", "n": 4},
+         "samples": 20, "seed": 3, "h": 0.1,
+         "line_model": {"kind": "bounded", "center_g": 0.5, "center_b": -0.5,
+                        "delta": 0.2}},
+        "77c1ded0ba3416febb1498100db4bcfbf86185b9455c0ffb9435ffe2bae1bffc"),
 }
 
 

@@ -165,8 +165,8 @@ def _fig1_per_sample(cfg):
 @pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
 def test_fig1_bit_equal_per_sample_reference(law):
     # p = 0 draws samples without lines (m = 0); p = 1 draws the complete graph. At n = 20
-    # a chunk of 50 rows takes hashed rows and the 10 left take their own generators; at
-    # n = 8 chunks of 20 rows of at most 3 * 28 draws take the stepping kernel.
+    # chunks of 50 and 10 rows take hashed rows; at n = 8 chunks of 20 rows of at most
+    # 3 * 28 draws take the stepping kernel.
     for n, samples in [(20, 60), (8, 20)]:
         cfg = eh.ExperimentConfig(experiment="fig1", n=n, samples=samples, seed=8,
                                   p_grid=(0.0, 0.35, 1.0), line_model=law)
@@ -180,23 +180,25 @@ def test_fig1_bit_equal_per_sample_reference(law):
 
 @pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
 def test_fig1_draws_per_chunk_not_per_sample(monkeypatch, law):
-    cfg = eh.ExperimentConfig(experiment="fig1", n=9, samples=40, seed=2,
-                              p_grid=(0.3, 1.0), line_model=law)
-    want = eh.run_fig1(cfg).records
-    calls = []
-
-    def count(owner, name):
-        fn = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
-    count(eh, "sample_rng")
-    count(gc, "sample_er_topology")
-    count(gc, "incidence_matrix")
-    count(type(cfg.line_model), "sample")
-    assert eh.run_fig1(cfg).records == want
-    # One K_n incidence per run; only the sphere law, whose count of normals varies,
-    # draws from each sample's own generator.
-    per_sample = {"sample_rng": 80, "sample": 80} if law["kind"] == "sphere" else {}
-    assert collections.Counter(calls) == {"incidence_matrix": 1, **per_sample}
+    # 40 samples make one chunk of 40 rows, 7 samples one of 7: a short chunk is drawn
+    # by the same vectorized stream as a long one.
+    for samples in (40, 7):
+        cfg = eh.ExperimentConfig(experiment="fig1", n=9, samples=samples, seed=2,
+                                  p_grid=(0.3, 1.0), line_model=law)
+        want = eh.run_fig1(cfg).records
+        calls = []
+        with monkeypatch.context() as mp:
+            for owner, name in [(eh, "sample_rng"), (gc, "sample_er_topology"),
+                                (gc, "incidence_matrix"), (type(cfg.line_model), "sample")]:
+                fn = getattr(owner, name)
+                mp.setattr(owner, name,
+                           lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+            assert eh.run_fig1(cfg).records == want
+        # One K_n incidence per run; only the sphere law, whose count of normals varies,
+        # draws from each sample's own generator.
+        per_sample = {"sample_rng": 2 * samples, "sample": 2 * samples} \
+            if law["kind"] == "sphere" else {}
+        assert collections.Counter(calls) == {"incidence_matrix": 1, **per_sample}
 
 
 def test_fig1_independent_of_chunking(monkeypatch):

@@ -1,14 +1,13 @@
 """The vectorized per-sample streams equal the per-sample generators, bit for bit.
 
-``experiment_harness.sample_uniforms`` draws a chunk of rows by one of three
-paths. Chunks of fewer than ``_HASH_MIN_ROWS`` rows take each sample's own
-generator. Larger ones run ``SeedSequence`` hashing and ``PCG64`` seeding over
-all their sample indices at once; then short rows step every row's LCG once per
-draw (the kernel), and rows longer than ``_KERNEL_MAX_DRAWS`` set one
-``PCG64`` to each row's hashed state in turn (hashed rows). Monte Carlo,
-``lcpf_bounds`` and ``fig1`` draw through it; ``sample_rng`` stays the replay
-contract for a single sample, so no path may disagree with it, on either side
-of either crossover.
+``experiment_harness.sample_uniforms`` runs ``SeedSequence`` hashing and
+``PCG64`` seeding over all of a chunk's sample indices at once, then draws by
+one of two paths: rows of up to ``_KERNEL_MAX_DRAWS`` draws step every row's
+LCG once per draw (the kernel), and longer rows set one ``PCG64`` to each row's
+hashed state in turn (hashed rows). Monte Carlo, ``lcpf_bounds`` and ``fig1``
+draw through it; ``sample_rng`` stays the replay contract for a single sample,
+so neither path may disagree with it, on either side of the crossover, for a
+chunk of any number of rows.
 """
 
 import contextlib
@@ -37,15 +36,14 @@ def _reference(seed, sweep, start, stop, count):
                      for s in range(start, stop)]).reshape(stop - start, count)
 
 
-# _HASH_MIN_ROWS and _KERNEL_MAX_DRAWS that send every chunk down one path.
-PATHS = {"kernel": (0, 2 ** 40), "hashed": (0, -1), "own": (2 ** 33, -1)}
+# _KERNEL_MAX_DRAWS that sends every chunk down one path.
+PATHS = {"kernel": 2 ** 40, "hashed": -1}
 
 
 @contextlib.contextmanager
 def _path(name):
     with pytest.MonkeyPatch.context() as mp:
-        for attr, value in zip(("_HASH_MIN_ROWS", "_KERNEL_MAX_DRAWS"), PATHS[name]):
-            mp.setattr(eh, attr, value)
+        mp.setattr(eh, "_KERNEL_MAX_DRAWS", PATHS[name])
         yield
 
 
@@ -60,13 +58,12 @@ def test_kernel_matches_sample_rng(seed, sweep, start, rows, count):
     assert np.array_equal(got, _reference(seed, sweep, start, stop, count))
 
 
-@pytest.mark.parametrize("path", ["hashed", "own"])
 @PROPERTIES
 @given(seed=SEEDS, sweep=SWEEPS, start=STARTS, rows=st.integers(0, 6),
        count=st.integers(0, 9) | st.sampled_from([201, 600]))
-def test_hashed_and_own_rows_match_sample_rng(path, seed, sweep, start, rows, count):
+def test_hashed_rows_match_sample_rng(seed, sweep, start, rows, count):
     stop = min(start + rows, 2 ** 32)
-    with _path(path):
+    with _path("hashed"):
         got = eh.sample_uniforms(seed, sweep, start, stop, count)
     assert got.shape == (stop - start, count) and got.flags.c_contiguous
     assert np.array_equal(got, _reference(seed, sweep, start, stop, count))
@@ -93,7 +90,7 @@ def test_uniform_form_matches_generator_uniform(seed, start, rows, delta, m):
     (11, 0, 4, 4, 5),        # empty range
 ])
 def test_kernel_matches_sample_rng_across_tiles(seed, sweep, start, stop, count):
-    # The stepping kernel, even for chunks that would go to hashed rows or own generators.
+    # The stepping kernel, even for chunks that would go to hashed rows.
     with _path("kernel"):
         got = eh.sample_uniforms(seed, sweep, start, stop, count)
     assert np.array_equal(got, _reference(seed, sweep, start, stop, count))
@@ -112,17 +109,19 @@ def test_kernel_rejects_indices_outside_its_domain(sweep, start, stop):
 
 
 def test_runners_draw_no_per_sample_generator(monkeypatch):
-    # References through the per-sample generators and the default chunking...
-    cfg = eh.ExperimentConfig(experiment="thm2_tail", backend="montecarlo", samples=20, seed=4)
-    draws = np.array([eh.sample_rng(4, 0, s).random(3) for s in range(20)])
+    # References through the per-sample generators and the default chunking. The K4
+    # model's norms vary by sample (the default K3 model's are all 1.5)...
+    cfg = eh.ExperimentConfig(experiment="thm2_tail", backend="montecarlo", samples=20, seed=4,
+                              topology={"name": "complete", "n": 4}, probs=0.4,
+                              admittances=[0.6, -0.8])
+    draws = np.array([eh.sample_rng(4, 0, s).random(6) for s in range(20)])
     want_norms = eh._centered_norms_for_patterns(cfg.model, (draws < cfg.model.probs) * 1.0)
     lcpf = eh.ExperimentConfig(experiment="lcpf_bounds", samples=20, seed=4,
                                topology={"name": "complete", "n": 4})
     want_lcpf = eh.run_lcpf_experiment(lcpf).records
-    # ...then chunks of 7 samples, hashed as if they were large, with every per-sample
-    # generator gone.
+    assert len(np.unique(want_norms)) > 1
+    # ...then chunks of 7 and 6 samples, with every per-sample generator gone.
     monkeypatch.setattr(eh, "_ENUM_CHUNK", 7)
-    monkeypatch.setattr(eh, "_HASH_MIN_ROWS", 0)
     monkeypatch.setattr(eh, "sample_rng", lambda *args: pytest.fail("per-sample generator"))
     got = eh.monte_carlo_distribution(cfg.model, 20, 4)
     assert np.array_equal(got.norms, want_norms)
@@ -131,32 +130,23 @@ def test_runners_draw_no_per_sample_generator(monkeypatch):
 
 @pytest.mark.parametrize("longer", [0, 1], ids=["kernel", "per_row"])
 def test_stream_crossover_pins_both_sides(monkeypatch, longer):
-    rows = eh._HASH_MIN_ROWS  # the least chunk that is hashed
+    # Only the draw count picks the path: a chunk of one row is hashed like a large one.
     count = eh._KERNEL_MAX_DRAWS + longer
-    want = _reference(9, 1, 40, 40 + rows, count)
+    wants = {rows: _reference(9, 1, 40, 40 + rows, count) for rows in (1, 15, 16)}
     steps, mul_add = [], eh._mul_add128
     monkeypatch.setattr(eh, "_mul_add128", lambda *args: steps.append(args) or mul_add(*args))
     monkeypatch.setattr(eh, "sample_rng", lambda *args: pytest.fail("per-sample generator"))
-    got = eh.sample_uniforms(9, 1, 40, 40 + rows, count)
-    assert got.shape == (rows, count) and got.flags.c_contiguous
-    assert np.array_equal(got, want)
-    assert len(steps) == 2 + (0 if longer else count)  # srandom, then one step per draw
-
-
-@pytest.mark.parametrize("count", [3, 600])
-@pytest.mark.parametrize("rows", [eh._HASH_MIN_ROWS - 1, eh._HASH_MIN_ROWS])
-def test_small_chunks_take_own_generators(monkeypatch, rows, count):
-    want = _reference(5, 2, 7, 7 + rows, count)
-    calls, sample_rng = [], eh.sample_rng
-    monkeypatch.setattr(eh, "sample_rng", lambda *args: calls.append(args) or sample_rng(*args))
-    assert np.array_equal(eh.sample_uniforms(5, 2, 7, 7 + rows, count), want)
-    assert calls == ([(5, 2, s) for s in range(7, 7 + rows)]
-                     if rows < eh._HASH_MIN_ROWS else [])
+    for rows, want in wants.items():
+        steps.clear()
+        got = eh.sample_uniforms(9, 1, 40, 40 + rows, count)
+        assert got.shape == (rows, count) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert len(steps) == 2 + (0 if longer else count)  # srandom, then one step per draw
 
 
 def test_long_stream_lcpf_matches_per_sample_generators(monkeypatch):
     # K50 draws 2 m = 2450 uniforms per sample, past the kernel's crossover: chunks of
-    # 16, 16 and 8 samples take hashed rows twice, then own generators.
+    # 16, 16 and 8 samples all take hashed rows.
     lcpf = eh.ExperimentConfig(experiment="lcpf_bounds", samples=40, seed=6, delta=0.2,
                                topology={"name": "complete", "n": 50},
                                t_grid=[0.5, 1.0, 1.5, 2.0])
