@@ -32,7 +32,6 @@ from .admittance import (
 from .bounds import (
     ContingencyModel,
     CriticalityProfile,
-    bernstein_tail,
     contingency_factors,
     lcpf_expectation_bound,
     lcpf_tail_bound,
@@ -46,7 +45,6 @@ from .lcpf import (
     ImpedanceBlocks,
     flat_start_jacobian,
     invert_tree_lcpf,
-    lcpf_solve,
 )
 from .manifold import (
     distance_bound,

@@ -20,10 +20,6 @@ The bounds implemented:
   single-constant form
       E||Y - EY|| <= C (sqrt(2 Delta_c log(1 + 2 D_bar)) + 2 log(1 + 2 D_bar)).
 
-* the generic matrix Bernstein tail 2 n exp(-t^2 / (2 R t + 4 nu)) for sums
-  of independent symmetric zero-mean matrices with uniform norm bound R and
-  variance statistic nu.
-
 * flat-start-Jacobian (linear coupled power flow) spectral-error bounds for
   bounded parameter noise |Dg|, |Db| <= delta:
       Pr(||F - EF|| >= t) ~< n exp(-t^2 / (4 (delta^2 n + delta t / 3)))
@@ -53,7 +49,6 @@ __all__ = [
     "thm2_tail_threshold",
     "thm2_tail_bound",
     "thm2_expectation_bound",
-    "bernstein_tail",
     "lcpf_variance_envelope",
     "lcpf_tail_bound",
     "lcpf_tail_threshold",
@@ -191,28 +186,6 @@ def thm2_expectation_bound(profile: CriticalityProfile,
         return (math.sqrt(2.0 * nu * log1d) + (2.0 / 3.0) * big_l * log1d
                 + 4.0 * math.sqrt(nu) + (8.0 / 3.0) * big_l)
     return constant * (math.sqrt(2.0 * dc * log1d) + 2.0 * log1d)
-
-
-def bernstein_tail(t: float, dim: int, big_r: float, nu: float) -> float:
-    """Matrix Bernstein tail 2 n exp(-t^2 / (2 R t + 4 nu)).
-
-    For a sum of independent, symmetric, zero-mean random dim x dim matrices
-    with uniform norm bound R and variance statistic nu.
-    """
-    if not t >= 0:
-        raise ValueError("threshold t must be >= 0")
-    if not big_r > 0:
-        raise ValueError("uniform norm bound R must be > 0")
-    if not nu >= 0:
-        raise ValueError("variance statistic must be >= 0")
-    if not dim >= 1:
-        raise ValueError("dimension must be >= 1")
-    if t == 0.0:
-        return 2.0 * dim
-    denominator = 2.0 * big_r * t + 4.0 * nu
-    if not 0.0 < denominator < math.inf or t * t == math.inf:  # out of range: divide by t
-        return 2.0 * dim * math.exp(-t / (2.0 * big_r + 4.0 * nu / t))
-    return 2.0 * dim * math.exp(-t * t / denominator)
 
 
 def lcpf_variance_envelope(topology: Topology, mode: str = "sphere",

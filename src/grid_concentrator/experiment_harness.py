@@ -299,9 +299,9 @@ _THM2 = {**_SWITCHING, "backend": "bruteforce",
 
 # Per experiment, every field it reads and its default. A callable default
 # is computed from the fields parsed before it; a None default stays None
-# (``out``: write to stdout; bruteforce's ``t_grid``: 20 points up to the
-# largest norm; ``samples`` of the bruteforce backend, which draws nothing).
-# The README's config table mirrors this one.
+# (``out``: write to stdout; bruteforce's ``t_grid``: 20 points from 0 up
+# to, not including, the largest norm; ``samples`` of the bruteforce
+# backend, which draws nothing). The README's config table mirrors this one.
 SCHEMA = {
     "fig1": {"n": 20, "samples": 200, "p_grid": [round(0.1 * k, 2) for k in range(1, 11)],
              "line_model": _DISK, **_RUN},
@@ -730,7 +730,7 @@ def run_bruteforce(cfg: ExperimentConfig) -> RunResult:
     grid = cfg.t_grid
     if grid is None:  # the default needs the enumerated norms
         top = float(stats.norms.max(initial=0.0))
-        grid = np.linspace(0.0, top if top > 0 else 1.0, 20)
+        grid = np.linspace(0.0, top if top > 0 else 1.0, 20, endpoint=False)
     records = [{"t": float(t), "tail_exact": stats.tail_at(t),
                 "mean_norm": stats.mean, "n_patterns": len(stats.norms)}
                for t in grid]

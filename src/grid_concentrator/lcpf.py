@@ -35,13 +35,11 @@ __all__ = [
     "ImpedanceBlocks",
     "flat_start_jacobian",
     "invert_tree_lcpf",
-    "lcpf_solve",
 ]
 
-# Agreement tolerance between the Schur and line-space inverses, and for the
-# residual of linear solves (relative to the right-hand side).
+# Agreement tolerance between the Schur and line-space inverses, relative to
+# the larger of 1 and their largest absolute entry.
 _AGREE_TOL = 1e-9
-_MAX_CONDITION = 1e12
 
 
 @dataclass(frozen=True)
@@ -125,38 +123,3 @@ def _congruence_by_inverse(a: np.ndarray, diag: np.ndarray) -> np.ndarray:
     # A^{-1} diag(d) A^{-T} without forming the inverse explicitly.
     z = np.linalg.solve(a, np.diag(diag))
     return np.linalg.solve(a, z.T).T
-
-
-def lcpf_solve(jacobian, p, q,
-               blocks: ImpedanceBlocks | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve [p; q] = J [eps; theta] for (eps, theta), J = [[G, -B], [-B, -G]].
-
-    ``jacobian`` is the real (2k, 2k) array of :func:`flat_start_jacobian`.
-    With precomputed tree ``blocks`` this is eps = R p + X q,
-    theta = X p - R q; otherwise a dense solve with a condition-number guard
-    (meshed networks are fine as long as the operator is nonsingular). The
-    solution's residual is verified to 1e-9 relative to ||[p; q]||.
-    """
-    m = np.asarray(jacobian, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise ValueError(f"jacobian must be a square (2k, 2k) array, got {m.shape}")
-    n = m.shape[0] // 2
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    if p.shape != (n,) or q.shape != (n,):
-        raise ValueError(f"p and q must have length {n}")
-    if blocks is not None:
-        eps = blocks.r_matrix @ p + blocks.x_matrix @ q
-        theta = blocks.x_matrix @ p - blocks.r_matrix @ q
-    else:
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > _MAX_CONDITION:
-            raise np.linalg.LinAlgError(
-                f"flat-start operator is numerically singular (cond = {cond:.3e})")
-        sol = np.linalg.solve(m, np.concatenate([p, q]))
-        eps, theta = sol[:n], sol[n:]
-    rhs = np.concatenate([p, q])
-    residual = float(np.linalg.norm(m @ np.concatenate([eps, theta]) - rhs))
-    if residual > _AGREE_TOL * max(1.0, float(np.linalg.norm(rhs))):
-        raise ArithmeticError(f"solve residual {residual:.3e} exceeds tolerance")
-    return eps, theta

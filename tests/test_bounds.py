@@ -148,23 +148,6 @@ def test_thm2_degenerate_evaluators():
     assert bnd.thm2_expectation_bound(prof) == 0.0
 
 
-def test_bernstein_tail():
-    assert bnd.bernstein_tail(0.0, 4, 1.0, 1.0) == pytest.approx(8.0)
-    assert bnd.bernstein_tail(1.0, 4, 1.0, 1.0) == pytest.approx(
-        8.0 * math.exp(-1.0 / 6.0), rel=1e-12)
-    assert bnd.bernstein_tail(1.0, 4, 1.0, 1.0) == pytest.approx(6.771853799124913)
-    values = [bnd.bernstein_tail(t, 4, 1.0, 1.0) for t in np.linspace(0, 8, 40)]
-    assert all(b < a for a, b in zip(values, values[1:]))
-    # A denominator 2 R t + 4 nu that overflows or underflows: the exponent divided through by t
-    assert bnd.bernstein_tail(1.0, 4, 1.0, 1e308) == 8.0  # -1 / inf: the prefactor
-    assert bnd.bernstein_tail(1.7e308, 4, 1.0, 1.0) == 0.0
-    assert bnd.bernstein_tail(1e-200, 4, 1e-200, 0.0) == pytest.approx(8.0 * math.exp(-0.5))
-    # t * t overflows while the denominator stays finite: 8 exp(-400 / (2 * 20 + 4))
-    assert bnd.bernstein_tail(2e154, 4, 1e153, 1e306) == pytest.approx(9.015e-4, rel=1e-4)
-    assert bnd.bernstein_tail(2e154, 4, 1e153, 1e306) == pytest.approx(
-        8.0 * math.exp(-400.0 / 44.0), rel=1e-12)
-
-
 def test_variance_laplacian_matches_profile():
     rng = np.random.default_rng(50)
     for _ in range(20):
@@ -279,16 +262,12 @@ def test_lcpf_expectation_values():
 
 _K3_PROFILE = bnd.contingency_factors(_k3_model())
 # Every evaluator, called with good arguments: name -> function of one argument
-# that is passed in place of t, delta, nu, big_r, dim or constant.
+# that is passed in place of n, delta, t or constant.
 _EVALUATORS = {
     "thm1_expectation_bound(n)": lambda x: bnd.thm1_expectation_bound(x, 4),
     "thm1_expectation_bound(delta)": lambda x: bnd.thm1_expectation_bound(9, x),
     "thm2_tail_bound(t)": lambda x: bnd.thm2_tail_bound(x, _K3_PROFILE),
     "thm2_expectation_bound(constant)": lambda x: bnd.thm2_expectation_bound(_K3_PROFILE, x),
-    "bernstein_tail(t)": lambda x: bnd.bernstein_tail(x, 4, 1.0, 1.0),
-    "bernstein_tail(dim)": lambda x: bnd.bernstein_tail(1.0, x, 1.0, 1.0),
-    "bernstein_tail(big_r)": lambda x: bnd.bernstein_tail(1.0, 4, x, 1.0),
-    "bernstein_tail(nu)": lambda x: bnd.bernstein_tail(1.0, 4, 1.0, x),
     "lcpf_tail_bound(t)": lambda x: bnd.lcpf_tail_bound(x, 4, 0.1),
     "lcpf_tail_bound(n)": lambda x: bnd.lcpf_tail_bound(1.0, x, 0.1),
     "lcpf_tail_bound(delta)": lambda x: bnd.lcpf_tail_bound(1.0, 4, x),

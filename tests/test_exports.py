@@ -6,6 +6,7 @@ list of library API awaiting callers."""
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -18,14 +19,12 @@ SRC = Path(grid_concentrator.__file__).parent
 
 # Public definitions that nothing in the package calls yet, each with the
 # ROADMAP item that is to call or delete it. README "Library API awaiting
-# callers" documents the same list.
+# callers" documents the same list (test_readme_awaiting_callers_match).
 AWAITING_CALLERS = {
     "flat_start_jacobian": "item 5",
     "invert_tree_lcpf": "item 5",
-    "lcpf_solve": "item 5",
     "intrinsic_dimension": "item 4",
     "variance_laplacian": "item 4",
-    "bernstein_tail": "item 6",
     "lcpf_variance_envelope": "item 6",
     "sample_random_tree": "item 7",
     "sample_er_topology": "item 1 (a benchmark trace target)",
@@ -97,3 +96,15 @@ def test_every_public_definition_has_a_caller():
     assert not uncalled - listed, f"no caller in the package: {sorted(uncalled - listed)}"
     assert not listed - uncalled, f"listed as awaiting callers, but missing or called: " \
                                   f"{sorted(listed - uncalled)}"
+
+
+def test_readme_awaiting_callers_match():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## Library API awaiting callers", 1)[1].splitlines()
+    start = lines.index("| name | module | waits on |") + 2
+    documented = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        documented += re.findall(r"`(\w+)`", line.split("|")[1])
+    assert sorted(documented) == sorted(AWAITING_CALLERS)

@@ -100,7 +100,7 @@ GOLDEN = {
     "bruteforce": (
         {"experiment": "bruteforce", "topology": _MESH, "probs": _MESH_PROBS,
          "admittances": _MESH_ADMITTANCES},
-        "8d28a5669e1b82bb5d2d04b6638b2a0a760c76732e499aed3364569d533f2d7b"),
+        "3baf780038683a1701ea41a7f24d091f8490ec5dd4e8462a43754bad48111e28"),
     "manifold": (
         {"experiment": "manifold", "topology": {"name": "complete", "n": 4},
          "samples": 20, "seed": 3, "h": 0.1},

@@ -7,12 +7,12 @@ the default ``bruteforce`` and ``thm2_expectation`` runs) in
 change that moves a digest but passes here is a round-off change; boolean
 and empty cells must still match exactly.
 
-A tail cell is a step function of the norms, so where norms tie at the
-threshold ``t`` (the default ``bruteforce`` grid ends at the largest norm, and
-all eight default K3 norms equal 1.5 in exact arithmetic) round-off decides
-which side of ``t`` they fall. Such a cell passes if the current run reaches
-the stored value within ``REL_TOL`` of ``t``: ``tail(t (1 + REL_TOL)) <=
-stored <= tail(t (1 - REL_TOL))``.
+A tail cell is a step function of the norms, so where a norm equals the
+threshold ``t`` in exact arithmetic, round-off decides which side of ``t`` it
+falls. Such a cell passes if the current run reaches the stored value within
+``REL_TOL`` of ``t``: ``tail(t (1 + REL_TOL)) <= stored <= tail(t (1 -
+REL_TOL))``. No stored table has such a tie now that the default
+``bruteforce`` grid stops short of the largest norm.
 
 Regenerate the stored values only as a recorded re-baseline::
 

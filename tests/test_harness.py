@@ -452,6 +452,23 @@ def test_bruteforce_experiment_runner():
     assert result.records[0]["tail_exact"] == 1.0
 
 
+@pytest.mark.parametrize("ulps", [-1.0, 0.0, 1.0])
+def test_bruteforce_default_grid_ends_below_the_largest_norm(monkeypatch, ulps):
+    # All eight default K3 norms are 1.5 in exact arithmetic, and round-off spreads
+    # them by a few ulps. The default grid stops short of the largest norm, so no
+    # row's tail depends on which side of t round-off puts a tied norm.
+    norm = eh.operator_norm
+
+    def shifted(a):  # every norm one ulp up or down, or unchanged
+        out = norm(a)
+        return np.nextafter(out, out + ulps)
+
+    monkeypatch.setattr(eh, "operator_norm", shifted)
+    records = eh.run_bruteforce(eh.ExperimentConfig(experiment="bruteforce")).records
+    assert len(records) == 20 and records[0]["t"] == 0.0
+    assert [rec["tail_exact"] for rec in records] == [1.0] * 20
+
+
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------

@@ -155,65 +155,3 @@ def test_invert_random_trees_both_paths_and_identity():
         np.testing.assert_allclose(j @ blocks.matrix, np.eye(size), atol=1e-9)
         assert np.linalg.eigvalsh((blocks.r_matrix + blocks.r_matrix.T) / 2)[0] > 0
         assert np.linalg.eigvalsh((blocks.x_matrix + blocks.x_matrix.T) / 2)[0] > 0
-
-
-def test_solve_zero_injections():
-    t = _single_line()
-    j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)], reference=1)
-    eps, theta = lcpf.lcpf_solve(j, [0.0], [0.0])
-    np.testing.assert_allclose(eps, 0.0)
-    np.testing.assert_allclose(theta, 0.0)
-
-
-def test_solve_single_line():
-    t = _single_line()
-    j = lcpf.flat_start_jacobian(t, [complex(1.0, -1.0)], reference=1)
-    eps, theta = lcpf.lcpf_solve(j, [1.0], [0.0])
-    np.testing.assert_allclose(eps, [0.5], atol=1e-12)
-    np.testing.assert_allclose(theta, [0.5], atol=1e-12)
-    # tree path through the closed-form blocks gives the same answer
-    blocks = lcpf.invert_tree_lcpf(t, [complex(1.0, -1.0)], 1)
-    eps2, theta2 = lcpf.lcpf_solve(j, [1.0], [0.0], blocks=blocks)
-    np.testing.assert_allclose(eps2, eps)
-    np.testing.assert_allclose(theta2, theta)
-
-
-def test_solve_residual_random_p3():
-    t = gc.path_topology(3)
-    lines = [complex(1.0, -0.5), complex(0.7, -1.2)]
-    j = lcpf.flat_start_jacobian(t, lines, reference=0)
-    rng = np.random.default_rng(63)
-    for _ in range(20):
-        p = rng.standard_normal(2)
-        q = rng.standard_normal(2)
-        eps, theta = lcpf.lcpf_solve(j, p, q)
-        residual = j @ np.concatenate([eps, theta]) - np.concatenate([p, q])
-        assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm([p, q]))
-
-
-def test_solve_meshed_network_dense_path():
-    # solving is not tree-specific: K4 with a reference works via dense LU
-    t = gc.complete_topology(4)
-    lines = [complex(1.0, -1.0)] * t.n_edges
-    j = lcpf.flat_start_jacobian(t, lines, reference=0)
-    rng = np.random.default_rng(64)
-    p, q = rng.standard_normal(3), rng.standard_normal(3)
-    eps, theta = lcpf.lcpf_solve(j, p, q)
-    np.testing.assert_allclose(j @ np.concatenate([eps, theta]),
-                               np.concatenate([p, q]), atol=1e-10)
-
-
-def test_solve_singular_operator_rejected():
-    t = gc.path_topology(3)  # unreduced Laplacian blocks are singular
-    j = lcpf.flat_start_jacobian(t, [complex(1.0, 0.0), complex(1.0, 0.0)])
-    with pytest.raises(np.linalg.LinAlgError):
-        lcpf.lcpf_solve(j, np.ones(3), np.zeros(3))
-
-
-def test_solve_rejects_malformed_jacobian():
-    j = lcpf.flat_start_jacobian(_single_line(), [complex(1.0, -1.0)], reference=1)
-    for bad in (j[:1], j[0], np.zeros((3, 3))):
-        with pytest.raises(ValueError, match=r"\(2k, 2k\)"):
-            lcpf.lcpf_solve(bad, [1.0], [0.0])
-    with pytest.raises(ValueError, match="length 1"):
-        lcpf.lcpf_solve(j, [1.0, 0.0], [0.0])

@@ -84,13 +84,6 @@ def test_lcpf_tail_bound_non_increasing_in_t(ts, n_nodes, delta):
     assert _non_increasing([bnd.lcpf_tail_bound(t, n_nodes, delta) for t in ts])
 
 
-@PROPERTIES
-@given(ts=THRESHOLDS, dim=st.integers(1, 50), big_r=st.floats(1e-3, 2.0),
-       nu=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
-def test_bernstein_tail_non_increasing_in_t(ts, dim, big_r, nu):
-    assert _non_increasing([bnd.bernstein_tail(t, dim, big_r, nu) for t in ts])
-
-
 FIG1 = eh.ExperimentConfig(experiment="fig1", n=7, samples=4, p_grid=(0.2, 0.6, 1.0), seed=13)
 FIG1_ROWS = eh.run_fig1(FIG1).records
 
