@@ -9,12 +9,12 @@ sign of the off-diagonal blocks. :func:`lift_blocks` takes that sign
 explicitly, because conflating the two corrupts reconstruction checks.
 
 Randomness enters through line laws. A law is one object for all m lines
-with scalar parameters: ``law.sample(rng, m)`` draws a complex (m,) weight
-array, ``law.mean`` is E[w_l] and ``law.support`` is the largest |w| it can
-draw (the |w| <= 1 hypothesis of the degree bound is checked against it).
-Every law but the sphere takes ``law.draws`` uniforms per line: ``sample(rng,
-m)`` is ``law.transform(rng.random((m, draws)))``, and ``transform`` maps any
-(..., m, draws) uniform array, such as a whole batch of samples, to weights.
+with scalar parameters. It takes ``law.draws`` uniforms per line, and
+``law.transform`` maps any (..., m, draws) uniform array, such as a whole
+chunk of samples, to complex (..., m) weights: ``law.transform(rng.random((m,
+law.draws)))`` is one sample. ``law.mean`` is E[w_l] and ``law.support`` is the
+largest |w| it can draw (the |w| <= 1 hypothesis of the degree bound is
+checked against it).
 
 * ``UnitDisk``           -- uniform on the unit disk, reflected to g >= 0, b <= 0;
 * ``FixedDeterministic`` -- a known admittance (no randomness);
@@ -24,9 +24,9 @@ m)`` is ``law.transform(rng.random((m, draws)))``, and ``transform`` maps any
   delta, sampled uniformly;
 * ``SphereUniform``      -- the conductance and susceptance vectors are
   independent and uniform on the sphere g^T g = radius_sq in R^m (a joint
-  law across the lines, not iid per line).
+  law across the lines, not iid per line), by Box-Muller normals.
 
-Each law draws from the generator in a fixed order, so a seed replays.
+The same uniforms give the same weights, so a seed replays.
 :func:`line_law_from_json` parses the JSON form ``{"kind": ..., fields}``.
 Weights are complex (m,) arrays in edge order everywhere.
 """
@@ -64,15 +64,8 @@ def _complex(g, b) -> np.ndarray:
     return w
 
 
-class _UniformLaw:
-    """A law of ``draws`` uniforms per line, mapped to weights by ``transform``."""
-
-    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return self.transform(rng.random((m, self.draws)))
-
-
 @dataclass(frozen=True)
-class UnitDisk(_UniformLaw):
+class UnitDisk:
     """w uniform on the unit disk, reflected to g >= 0, b <= 0.
 
     Line l takes two uniforms (u0, u1), then r = sqrt(u0), phi = 2 pi u1 and
@@ -90,7 +83,7 @@ class UnitDisk(_UniformLaw):
 
 
 @dataclass(frozen=True)
-class FixedDeterministic(_UniformLaw):
+class FixedDeterministic:
     """The same known admittance on every line; draws nothing."""
 
     admittance: complex
@@ -109,7 +102,7 @@ class FixedDeterministic(_UniformLaw):
 
 
 @dataclass(frozen=True)
-class FixedBernoulli(_UniformLaw):
+class FixedBernoulli:
     """Each line closed with probability ``prob``, carrying ``admittance``.
 
     One uniform per line: closed when it is below ``prob``.
@@ -136,7 +129,7 @@ class FixedBernoulli(_UniformLaw):
 
 
 @dataclass(frozen=True)
-class BoundedPerturbation(_UniformLaw):
+class BoundedPerturbation:
     """Known center (g, b) plus independent uniform noise bounded by delta.
 
     Two uniforms per line, Dg then Db, each -delta + 2 delta u: bit for bit
@@ -169,38 +162,36 @@ class BoundedPerturbation(_UniformLaw):
 class SphereUniform:
     """g and b vectors iid uniform on the sphere of squared radius ``radius_sq``.
 
-    Draws all of g, then all of b, each as a normalized standard normal
-    m-vector. The count of normals varies, so it has no ``draws``.
+    Box-Muller: line l's two uniforms (u0, u1) give its g and b normals r cos phi
+    and r sin phi, with r = sqrt(-2 ln(1 - u0)) and phi = 2 pi u1. Each of the
+    two normal m-vectors is scaled to length sqrt(radius_sq); rotation invariance
+    makes it uniform on the sphere. A zero vector (m = 0, or probability zero)
+    stays zero.
     """
 
     radius_sq: float = 0.5
     mean = 0j
+    draws = 2
 
     def __post_init__(self):
         if not self.radius_sq >= 0:
             raise ValueError(f"squared radius must be >= 0, got {self.radius_sq}")
 
-    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return _complex(_sphere_sample(rng, m, self.radius_sq),
-                        _sphere_sample(rng, m, self.radius_sq))
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        # math.log per element: numpy's AVX-512 log loop rounds unlike its baseline loop.
+        v = 1.0 - u[..., 0]
+        log = np.fromiter(map(math.log, v.ravel().tolist()), float, v.size).reshape(v.shape)
+        r, phi = np.sqrt(-2.0 * log), 2.0 * math.pi * u[..., 1]
+        z = np.stack([r * np.cos(phi), r * np.sin(phi)])
+        # Squared norms summed in line order, so zero-padded lines leave them unchanged.
+        norm = np.sqrt(np.cumsum(z * z, axis=-1)[..., -1:])
+        z *= np.divide(math.sqrt(self.radius_sq), norm, out=np.zeros_like(norm), where=norm > 0)
+        return _complex(z[0], z[1])
 
     @property
     def support(self) -> float:
         # Each coordinate of either vector can carry the full radius.
         return math.sqrt(2.0 * self.radius_sq)
-
-
-def _sphere_sample(rng: np.random.Generator, m: int, radius_sq: float) -> np.ndarray:
-    # Normalized Gaussian vector: rotation invariance gives the uniform
-    # sphere law; radius 0 and m = 0 collapse to the zero vector.
-    if radius_sq == 0.0 or m == 0:
-        return np.zeros(m)
-    z = rng.standard_normal(m)
-    norm = np.linalg.norm(z)
-    while norm == 0.0:  # probability-zero guard
-        z = rng.standard_normal(m)
-        norm = np.linalg.norm(z)
-    return z * (math.sqrt(radius_sq) / norm)
 
 
 LineLaw = UnitDisk | FixedDeterministic | FixedBernoulli | BoundedPerturbation | SphereUniform

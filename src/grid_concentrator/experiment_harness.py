@@ -2,15 +2,16 @@
 
 Each experiment consumes an :class:`ExperimentConfig` (usually parsed from a
 JSON file), runs a deterministic sampling or enumeration loop, and produces a
-flat table of records ready for CSV/JSON emission. Per-sample generators are
-derived as ``SeedSequence((master_seed, sweep_index, sample_index))``, so any
-sample can be replayed in isolation and identical configs give byte-identical
-output files at one BLAS thread count. Monte Carlo, ``lcpf_bounds`` and ``fig1``
-draw the same streams a chunk at a time by :func:`sample_uniforms`.
+flat table of records ready for CSV/JSON emission. Sample s of a sweep draws
+the stream of :func:`sample_rng`, seeded by ``SeedSequence((master_seed,
+sweep_index, sample_index))``, so any sample replays in isolation and identical
+configs give byte-identical output files at one BLAS thread count. Every
+sampled runner draws those streams a chunk at a time by :func:`sample_uniforms`
+and maps them to line weights by one law transform per chunk.
 
-Every runner but ``manifold`` works in bounded chunks of samples, each normed
-by one batched call. The Monte Carlo, enumeration and ``lcpf_bounds`` chunks
-are assembled by one line-order scatter, so their per-sample memory is O(n^2).
+Every runner works in bounded chunks of samples, each normed by one batched
+call. The Monte Carlo, enumeration and ``lcpf_bounds`` chunks are assembled by
+one line-order scatter, so their per-sample memory is O(n^2).
 ``fig1`` still takes one incidence product per sample, of a complex m x n
 matrix of K_n incidence rows (about 175 MB peak at n = 200, p = 1).
 
@@ -120,7 +121,7 @@ class ExperimentConfig:
     format: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in SCHEMA:
+        if not isinstance(self.experiment, str) or self.experiment not in SCHEMA:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENT_NAMES)}")
         reads = SCHEMA[self.experiment]
@@ -475,12 +476,12 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
     Sample s draws the stream of ``sample_rng(seed, sweep, s)``: one uniform per
     candidate line of K_n in lexicographic order (on below p), then the law's
     ``draws`` per line that is on. A chunk draws its rows by one
-    :func:`sample_uniforms` call and takes masks, degrees, law transforms and
-    bounds at once (the sphere law samples each row's generator past its mask);
-    each sample's Y is one product of rows of the K_n incidence.
+    :func:`sample_uniforms` call and takes masks, degrees and bounds at once. Its
+    law draws form one (rows, most lines in the chunk, draws) block, zero past
+    each row's lines, that is transformed at once; each sample's Y is one
+    product of rows of the K_n incidence with its row's leading weights.
     """
-    n, law = cfg.n, cfg.line_model
-    draws = getattr(law, "draws", 0)  # the sphere draws its normals below
+    n, law, draws = cfg.n, cfg.line_model, cfg.line_model.draws
     # int8, cast to complex a sample at a time: at n = 200, p = 1 the CLI run peaks at
     # 175 MB, against 192 MB for per-sample incidences and 229 MB for a float64 copy.
     incidence = gc.incidence_matrix(gc.complete_topology(n)).astype(np.int8)
@@ -495,20 +496,15 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
             on = u[:, :candidates] < p
             lines = on.sum(axis=1)
             degrees = on[:, stars].sum(axis=2).max(axis=1).tolist()
-            ends = np.cumsum(lines).tolist()  # where each row's weights end
-            if hasattr(law, "transform"):
-                used = np.arange(draws * candidates) < draws * lines[:, None]
-                weights = law.transform(u[:, candidates:][used].reshape(ends[-1], draws))
-            else:  # the sphere: each row's own generator, past its mask draws
-                rngs = [sample_rng(cfg.seed, sweep_index, s) for s in range(start, stop)]
-                for rng in rngs:
-                    rng.bit_generator.advance(candidates)
-                weights = np.concatenate([law.sample(r, m) for r, m in zip(rngs, lines.tolist())])
+            most = int(lines.max())
+            block = u[:, candidates:candidates + draws * most].reshape(stop - start, most, draws)
+            # Zero past each row's lines: the sphere's norms are summed over the whole row.
+            block[np.arange(most) >= lines[:, None]] = 0.0
             ys = np.empty((stop - start, n, n), dtype=complex)
-            for y, mask, first, last in zip(ys, on, [0] + ends, ends):
+            for y, mask, w, m in zip(ys, on, law.transform(block), lines.tolist()):
                 # zgemm, not weighted_laplacians: its sum order is in the er_sweep digest.
                 a = incidence[mask].astype(complex)
-                np.matmul(a.T, weights[first:last, None] * a, out=y)
+                np.matmul(a.T, w[:m, None] * a, out=y)
             bounds = {d: bnd.thm1_expectation_bound(n, d) for d in set(degrees)}
             for s, m, delta, norm in zip(range(start, stop), lines.tolist(), degrees,
                                          operator_norm(ys).tolist()):
@@ -692,23 +688,25 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     certificate 3*||diag(h) conj(Y h)|| against the per-sample Holder
     certificate 3*||h||_inf*||h||_2*||Y||. The mean Holder certificate is
     compared against the expected-distance bound built from the topology's
-    max degree.
+    max degree. Sample s transforms ``sample_rng(seed, 0, s).random((m,
+    law.draws))``; a chunk is drawn, transformed and normed by one call each.
     """
-    topology, samples, h = cfg.topology, cfg.samples, cfg.h
+    topology, samples, h, law = cfg.topology, cfg.samples, cfg.h, cfg.line_model
+    m = topology.n_edges
     u_flat = np.ones(topology.n_nodes, dtype=complex)
     analytic = distance_bound(h, bnd.thm1_expectation_bound(topology.n_nodes,
                                                              gc.max_degree(topology)))
     rows = []
-    for s in range(samples):
-        rng = sample_rng(cfg.seed, 0, s)
-        y = assemble_admittance(topology, cfg.line_model.sample(rng, topology.n_edges))
-        y_norm = operator_norm(y)
-        residual_cert = 3.0 * projection_distance(y, u_flat, h)
-        holder_cert = distance_bound(h, y_norm)
-        res_ok = bool(residual_cert <= holder_cert + 1e-12)
-        rows.append({"sample_index": s, "y_norm": y_norm,
-                     "residual_certificate": residual_cert,
-                     "holder_certificate": holder_cert, "residual_ok": res_ok})
+    for start, stop in _chunks(samples, _row_bytes(topology)):
+        u = sample_uniforms(cfg.seed, 0, start, stop, law.draws * m)
+        weights = law.transform(u.reshape(stop - start, m, law.draws))
+        ys = np.stack([assemble_admittance(topology, w) for w in weights])
+        for s, y, y_norm in zip(range(start, stop), ys, operator_norm(ys).tolist()):
+            residual_cert = 3.0 * projection_distance(y, u_flat, h)
+            holder_cert = distance_bound(h, y_norm)
+            rows.append({"sample_index": s, "y_norm": y_norm,
+                         "residual_certificate": residual_cert, "holder_certificate": holder_cert,
+                         "residual_ok": bool(residual_cert <= holder_cert + 1e-12)})
     mean_cert = float(np.mean([row["holder_certificate"] for row in rows]))
     bound_ok = bool(mean_cert <= analytic) and all(row["residual_ok"] for row in rows)
     for row in rows:

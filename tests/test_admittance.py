@@ -1,4 +1,4 @@
-import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -270,40 +270,39 @@ def test_sample_weights_bernoulli_degenerate():
     always = adm.FixedBernoulli(0.5 - 0.5j, 1.0)
     never = adm.FixedBernoulli(0.5 - 0.5j, 0.0)
     for _ in range(10):
-        assert np.all(always.sample(rng, 4) == 0.5 - 0.5j)
-        assert np.all(never.sample(rng, 4) == 0.0)
+        assert np.all(always.transform(rng.random((4, always.draws))) == 0.5 - 0.5j)
+        assert np.all(never.transform(rng.random((4, never.draws))) == 0.0)
 
 
 def test_sample_weights_sphere_constraint():
     rng = np.random.default_rng(36)
     law = adm.SphereUniform(radius_sq=0.5)
     for _ in range(25):
-        w = law.sample(rng, 8)
+        w = law.transform(rng.random((8, law.draws)))
         assert w.real @ w.real == pytest.approx(0.5, abs=1e-12)
         assert w.imag @ w.imag == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sphere_sample_without_lines_is_empty():
-    # A zero-length normal vector has norm 0, so the renormalization loop must
-    # not run on it; fig1 draws m = 0 topologies at small p.
-    def expire(signum, frame):
-        raise TimeoutError("still running after 5 s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(5)
-    try:
+    # A zero-length normal vector has norm 0, and so has every vector at radius 0: no
+    # division by it. fig1 draws m = 0 topologies at small p.
+    u = np.random.default_rng(37).random((3, 6, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for radius_sq in (0.5, 0.0):
-            w = adm.SphereUniform(radius_sq).sample(np.random.default_rng(37), 0)
-            assert w.shape == (0,) and w.dtype == complex
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+            w = adm.SphereUniform(radius_sq).transform(u[:, :0])
+            assert w.shape == (3, 0) and w.dtype == complex
+        zero = adm.SphereUniform(0.0).transform(u)
+        assert zero.dtype == complex and np.all(zero == 0.0)
+        # Zero-padded lines (every uniform 0) are a zero vector of their own.
+        np.testing.assert_array_equal(adm.SphereUniform(0.5).transform(np.zeros((4, 2))), 0.0)
 
 
 def test_sample_weights_bounded_support():
     rng = np.random.default_rng(38)
     law = adm.BoundedPerturbation(1.0, -1.0, 0.25)
     for _ in range(50):
-        w = law.sample(rng, 5)
+        w = law.transform(rng.random((5, law.draws)))
         assert np.all(np.abs(w.real - 1.0) <= 0.25)
         assert np.all(np.abs(w.imag + 1.0) <= 0.25)
 
@@ -319,7 +318,7 @@ def test_center_deterministic_is_zero():
     t = gc.path_topology(3)
     law = adm.FixedDeterministic(0.3 - 0.7j)
     rng = np.random.default_rng(39)
-    sample = adm.assemble_admittance(t, law.sample(rng, t.n_edges))
+    sample = adm.assemble_admittance(t, law.transform(rng.random((t.n_edges, law.draws))))
     expected = adm.assemble_admittance(t, np.full(t.n_edges, law.mean))
     np.testing.assert_allclose(sample - expected, 0.0, atol=1e-15)
 

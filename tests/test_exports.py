@@ -28,6 +28,7 @@ AWAITING_CALLERS = {
     "lcpf_variance_envelope": "item 6",
     "sample_random_tree": "item 7",
     "sample_er_topology": "item 1 (a benchmark trace target)",
+    "sample_rng": "item 8 (the replay contract of sample_uniforms; a benchmark trace target)",
 }
 
 

@@ -40,7 +40,7 @@ GOLDEN = {
         "360692e2da78955c9e64d182fab0f1c6330376255889d77170b387bfa3479e8f"),
     "fig1_sphere": (
         {**_FIG1, "line_model": {"kind": "sphere", "radius_sq": 0.5}},
-        "91c00a899fe92b5d02edf8a09a81f3de8dc5fe4571b867a639e992b1566785c1"),
+        "a7f000a90834c5623e4ce9fac2f505539231329d4106f46453f661719442b9ef"),
     "thm2_tail_bruteforce": (
         {"experiment": "thm2_tail", "backend": "bruteforce", "topology": _MESH,
          "probs": _MESH_PROBS, "admittances": _MESH_ADMITTANCES},
@@ -115,7 +115,7 @@ GOLDEN = {
         {"experiment": "manifold", "topology": {"name": "complete", "n": 4},
          "samples": 20, "seed": 3, "h": 0.1,
          "line_model": {"kind": "sphere", "radius_sq": 0.5}},
-        "770ede4de11a26dffd4ce2f1659390dd7301e338c49a426312a036c1a0463456"),
+        "297e02f4cb7bbf9787b62bb9a7362f1f384eee0f3bf6e25956f8f1a8ca612b52"),
     "manifold_bounded": (
         {"experiment": "manifold", "topology": {"name": "complete", "n": 4},
          "samples": 20, "seed": 3, "h": 0.1,

@@ -13,7 +13,8 @@ from grid_concentrator import bounds as bnd
 from grid_concentrator import cli
 from grid_concentrator import experiment_harness as eh
 from grid_concentrator import graph_core as gc
-from grid_concentrator.admittance import complex_from_json
+from grid_concentrator.admittance import assemble_admittance, complex_from_json
+from grid_concentrator.manifold import distance_bound, projection_distance
 from grid_concentrator.spectra import operator_norm
 
 
@@ -29,6 +30,12 @@ def _k3_model(p=0.5):
 def test_config_rejects_unknown_experiment():
     with pytest.raises(eh.ConfigError, match="unknown experiment"):
         eh.ExperimentConfig(experiment="nope")
+
+
+@pytest.mark.parametrize("name", [["fig1"], {"fig1": 1}, 3, None])
+def test_config_rejects_experiment_that_is_not_a_string(name):
+    with pytest.raises(eh.ConfigError, match="^unknown experiment"):
+        eh.ExperimentConfig.from_dict({"experiment": name})
 
 
 def test_config_rejects_unknown_keys():
@@ -151,7 +158,8 @@ def _fig1_per_sample(cfg):
         for s in range(cfg.samples):
             rng = eh.sample_rng(cfg.seed, sweep_index, s)
             topology = gc.sample_er_topology(cfg.n, p, rng)
-            weights = cfg.line_model.sample(rng, topology.n_edges)
+            weights = cfg.line_model.transform(rng.random((topology.n_edges,
+                                                           cfg.line_model.draws)))
             a = gc.incidence_matrix(topology)  # the runner's zgemm product, not the scatter
             norm = operator_norm(a.T @ (weights[:, None] * a))
             delta = gc.max_degree(topology)
@@ -181,24 +189,28 @@ def test_fig1_bit_equal_per_sample_reference(law):
 @pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
 def test_fig1_draws_per_chunk_not_per_sample(monkeypatch, law):
     # 40 samples make one chunk of 40 rows, 7 samples one of 7: a short chunk is drawn
-    # by the same vectorized stream as a long one.
+    # by the same vectorized stream as a long one. fig1 and manifold each make one draw,
+    # one law transform and one norm call per chunk, and no per-sample generator.
     for samples in (40, 7):
-        cfg = eh.ExperimentConfig(experiment="fig1", n=9, samples=samples, seed=2,
-                                  p_grid=(0.3, 1.0), line_model=law)
-        want = eh.run_fig1(cfg).records
-        calls = []
-        with monkeypatch.context() as mp:
-            for owner, name in [(eh, "sample_rng"), (gc, "sample_er_topology"),
-                                (gc, "incidence_matrix"), (type(cfg.line_model), "sample")]:
-                fn = getattr(owner, name)
-                mp.setattr(owner, name,
-                           lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
-            assert eh.run_fig1(cfg).records == want
-        # One K_n incidence per run; only the sphere law, whose count of normals varies,
-        # draws from each sample's own generator.
-        per_sample = {"sample_rng": 2 * samples, "sample": 2 * samples} \
-            if law["kind"] == "sphere" else {}
-        assert collections.Counter(calls) == {"incidence_matrix": 1, **per_sample}
+        fig1 = eh.ExperimentConfig(experiment="fig1", n=9, samples=samples, seed=2,
+                                   p_grid=(0.3, 1.0), line_model=law)
+        manifold = eh.ExperimentConfig(experiment="manifold", samples=samples, seed=2,
+                                       topology={"name": "complete", "n": 5}, line_model=law)
+        per_chunk = {"sample_uniforms": 1, "transform": 1, "operator_norm": 1}
+        for cfg, per_run in [(fig1, {"incidence_matrix": 1, **{k: 2 for k in per_chunk}}),
+                             (manifold, {"assemble_admittance": samples, **per_chunk})]:
+            want = eh.run_experiment(cfg).records
+            calls = []
+            with monkeypatch.context() as mp:
+                for owner, name in [(eh, "sample_rng"), (gc, "sample_er_topology"),
+                                    (gc, "incidence_matrix"), (eh, "sample_uniforms"),
+                                    (type(cfg.line_model), "transform"),
+                                    (eh, "assemble_admittance"), (eh, "operator_norm")]:
+                    fn = getattr(owner, name)
+                    mp.setattr(owner, name,
+                               lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+                assert eh.run_experiment(cfg).records == want
+            assert collections.Counter(calls) == per_run
 
 
 def test_fig1_independent_of_chunking(monkeypatch):
@@ -431,6 +443,41 @@ def test_fig1_memory_is_chunked(monkeypatch):
     cfg = eh.ExperimentConfig(experiment="fig1", n=60, samples=400, seed=1, p_grid=(0.5,))
     assert 400 * 16 * 60 ** 2 > 16 * 2 ** 20
     assert _traced_peak_bytes(lambda: eh.run_fig1(cfg)) < 16 * 2 ** 20
+
+
+def _manifold_per_sample(cfg):
+    # Reference: each sample's own generator, assembled matrix and norm call.
+    law, m = cfg.line_model, cfg.topology.n_edges
+    u_flat = np.ones(cfg.topology.n_nodes, dtype=complex)
+    rows = []
+    for s in range(cfg.samples):
+        rng = eh.sample_rng(cfg.seed, 0, s)
+        y = assemble_admittance(cfg.topology, law.transform(rng.random((m, law.draws))))
+        y_norm = operator_norm(y)
+        residual_cert = 3.0 * projection_distance(y, u_flat, cfg.h)
+        holder_cert = distance_bound(cfg.h, y_norm)
+        rows.append({"sample_index": s, "y_norm": y_norm,
+                     "residual_certificate": residual_cert, "holder_certificate": holder_cert,
+                     "residual_ok": bool(residual_cert <= holder_cert + 1e-12)})
+    return rows
+
+
+@pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
+def test_manifold_bit_equal_per_sample_reference(monkeypatch, law):
+    # One chunk of 30 rows, then chunks of 7, 7, 7, 7 and 2 under a smaller budget.
+    cfg = eh.ExperimentConfig(experiment="manifold", samples=30, seed=5, h=0.2,
+                              topology={"name": "complete", "n": 5}, line_model=law)
+    reference = _manifold_per_sample(cfg)
+    if law["kind"] != "fixed":  # the norms vary by sample, so a shifted stream shows
+        assert len({row["y_norm"] for row in reference}) > 1
+    for budget in (eh._CHUNK_BYTES, 7 * eh._row_bytes(cfg.topology)):
+        monkeypatch.setattr(eh, "_CHUNK_BYTES", budget)
+        records = eh.run_manifold_experiment(cfg).records
+        assert [{key: rec[key] for key in row} for rec, row in zip(records, reference)] \
+            == reference
+        assert len(records) == len(reference)
+        mean_cert = float(np.mean([row["holder_certificate"] for row in reference]))
+        assert {rec["mean_certificate"] for rec in records} == {mean_cert}
 
 
 def test_manifold_experiment_small():

@@ -95,7 +95,7 @@ def test_fig1_row_replays_from_its_sample_rng(row):
     sweep_index = FIG1.p_grid.index(record["p"])
     rng = eh.sample_rng(FIG1.seed, sweep_index, record["sample_index"])
     topology = gc.sample_er_topology(FIG1.n, record["p"], rng)
-    weights = FIG1.line_model.sample(rng, topology.n_edges)
+    weights = FIG1.line_model.transform(rng.random((topology.n_edges, FIG1.line_model.draws)))
     assert topology.n_edges == record["m"]
     assert gc.max_degree(topology) == record["delta"]
     a = gc.incidence_matrix(topology)  # fig1's zgemm product, not the line-order scatter

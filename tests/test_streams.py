@@ -4,8 +4,8 @@
 ``PCG64`` seeding over all of a chunk's sample indices at once, then draws by
 one of two paths: rows of up to ``_KERNEL_MAX_DRAWS`` draws step every row's
 LCG once per draw (the kernel), and longer rows set one ``PCG64`` to each row's
-hashed state in turn (hashed rows). Monte Carlo, ``lcpf_bounds`` and ``fig1``
-draw through it; ``sample_rng`` stays the replay contract for a single sample,
+hashed state in turn (hashed rows). Monte Carlo, ``lcpf_bounds``, ``fig1`` and
+``manifold`` draw through it; ``sample_rng`` stays the replay contract for a single sample,
 so neither path may disagree with it, on either side of the crossover, for a
 chunk of any number of rows.
 """
