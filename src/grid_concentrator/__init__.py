@@ -16,7 +16,6 @@ from .graph_core import (
     sample_random_tree,
     star_topology,
     topology_from_json,
-    unweighted_laplacian,
     weighted_laplacians,
 )
 from .spectra import intrinsic_dimension, operator_norm
@@ -35,7 +34,6 @@ from .bounds import (
     contingency_factors,
     lcpf_expectation_bound,
     lcpf_tail_bound,
-    lcpf_variance_envelope,
     thm1_expectation_bound,
     thm2_expectation_bound,
     thm2_tail_bound,

@@ -24,9 +24,6 @@ The bounds implemented:
   bounded parameter noise |Dg|, |Db| <= delta:
       Pr(||F - EF|| >= t) ~< n exp(-t^2 / (4 (delta^2 n + delta t / 3)))
       E||F - EF||        <= 2 delta sqrt(2) (sqrt(n log 4n) + (1/3) log 4n)
-  together with the PSD variance envelopes on E[F F*]: (2/n) I_2 (x) A^T A
-  for the sphere-uniform line law and 4 delta^2 I_2 (x) A^T A for the
-  bounded law.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Topology, unweighted_laplacian, weighted_laplacians
-from .spectra import operator_norm
+from .graph_core import Topology, weighted_laplacians
 
 __all__ = [
     "UNIT_SLACK",
@@ -49,7 +45,6 @@ __all__ = [
     "thm2_tail_threshold",
     "thm2_tail_bound",
     "thm2_expectation_bound",
-    "lcpf_variance_envelope",
     "lcpf_tail_bound",
     "lcpf_tail_threshold",
     "lcpf_expectation_bound",
@@ -120,12 +115,11 @@ def thm1_expectation_bound(n: int, delta: float) -> float:
 
 def contingency_factors(model: ContingencyModel) -> CriticalityProfile:
     """Contingency factors c_l = 2 p_l (1-p_l) |y_l|^2 and nodal criticality."""
-    c = 2.0 * model.probs * (1.0 - model.probs) * np.abs(model.admittances) ** 2
     # d is the variance Laplacian's diagonal: c_l added at both ends in line order.
-    d = weighted_laplacians(model.topology, c).diagonal().copy()
+    d = variance_laplacian(model).diagonal().copy()
     delta_c = float(d.max(initial=0.0))
     d_bar = float(d.sum() / delta_c) if delta_c > 0.0 else math.nan
-    return CriticalityProfile(factors=c, node_degrees=d,
+    return CriticalityProfile(factors=_factors(model), node_degrees=d,
                               max_criticality=delta_c, total_degree=d_bar)
 
 
@@ -135,7 +129,11 @@ def variance_laplacian(model: ContingencyModel) -> np.ndarray:
     A graph Laplacian on the same topology with the contingency factors as
     line weights.
     """
-    return weighted_laplacians(model.topology, contingency_factors(model).factors)
+    return weighted_laplacians(model.topology, _factors(model))
+
+
+def _factors(model: ContingencyModel) -> np.ndarray:
+    return 2.0 * model.probs * (1.0 - model.probs) * np.abs(model.admittances) ** 2
 
 
 def thm2_tail_threshold(profile: CriticalityProfile) -> float:
@@ -186,28 +184,6 @@ def thm2_expectation_bound(profile: CriticalityProfile,
         return (math.sqrt(2.0 * nu * log1d) + (2.0 / 3.0) * big_l * log1d
                 + 4.0 * math.sqrt(nu) + (8.0 / 3.0) * big_l)
     return constant * (math.sqrt(2.0 * dc * log1d) + 2.0 * log1d)
-
-
-def lcpf_variance_envelope(topology: Topology, mode: str = "sphere",
-                           delta: float | None = None) -> tuple[np.ndarray, float]:
-    """PSD envelope V >= E[F F*] for the flat-start Jacobian, and nu = ||V||.
-
-    ``mode="sphere"``: sphere-uniform line law, V = (2/n) I_2 (x) A^T A with
-    nu = (2/n) ||A^T A|| <= 2. ``mode="bounded"``: |Dg|, |Db| <= delta, V =
-    4 delta^2 I_2 (x) A^T A with nu <= 4 delta^2 n.
-    """
-    laplacian = unweighted_laplacian(topology)
-    if mode == "sphere":
-        scale = 2.0 / topology.n_nodes
-    elif mode == "bounded":
-        if delta is None or not delta >= 0:
-            raise ValueError("bounded mode needs delta >= 0")
-        scale = 4.0 * delta * delta
-    else:
-        raise ValueError(f"unknown envelope mode {mode!r}")
-    envelope = scale * np.kron(np.eye(2), laplacian)
-    nu = scale * operator_norm(laplacian) if scale > 0.0 else 0.0
-    return envelope, float(nu)
 
 
 def lcpf_tail_bound(t: float, n: int, delta: float) -> float:

@@ -76,9 +76,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message says how much it could not allocate
+        buses = "n" if args.experiment == "fig1" else "the topology's n"
+        print(f"config error: out of memory; lower samples or {buses}: {exc}",
+              file=sys.stderr)
+        return 1
 
     try:
-        text = emit(result.records, cfg.format, cfg.out, result.fieldnames)
+        text = emit(result, cfg.format, cfg.out)
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 1

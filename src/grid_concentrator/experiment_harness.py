@@ -369,8 +369,9 @@ class RunResult:
 
 
 def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Generator:
-    """Deterministic per-sample generator: hash of (master seed, sweep, sample). The sampled
-    runners draw the same streams by :func:`sample_uniforms` (tests/test_streams.py)."""
+    """Deterministic per-sample generator: hash of (master seed, sweep, sample). The seed
+    wraps modulo 2^64, so -5 and 2^64 - 5 draw the same streams. The sampled runners draw
+    the same streams by :func:`sample_uniforms` (tests/test_streams.py)."""
     return np.random.default_rng(
         np.random.SeedSequence((int(seed) % (1 << 64), int(sweep_index), int(sample_index))))
 
@@ -771,18 +772,15 @@ def _json_ready(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def emit(records, fmt: str = "csv", path=None, fieldnames=None):
-    """Write records as CSV (RFC 4180, floats at 17 significant digits) or JSON.
-
-    Field names come from the first record unless given explicitly (needed
-    for header-only output of an empty table). Returns the rendered string
-    when ``path`` is None, else writes the file and returns None.
+def emit(result: RunResult, fmt: str = "csv", path=None):
+    """Write a run's records as CSV (RFC 4180, floats at 17 significant digits)
+    or JSON, with the run's field names as the header or keys (so an empty
+    table still has its header). Returns the rendered string when ``path`` is
+    None, else writes the file and returns None.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
-    records = list(records)
-    if fieldnames is None:
-        fieldnames = list(records[0].keys()) if records else []
+    records, fieldnames = result.records, result.fieldnames
     if fmt == "csv":
         out = StringIO()
         out.write(",".join(map(_csv_cell, map(str, fieldnames))) + "\n")

@@ -25,7 +25,6 @@ __all__ = [
     "weighted_laplacians",
     "degrees",
     "max_degree",
-    "unweighted_laplacian",
     "sample_er_topology",
     "sample_random_tree",
     "is_connected",
@@ -161,11 +160,6 @@ def degrees(topology: Topology) -> np.ndarray:
 def max_degree(topology: Topology) -> int:
     """Maximum node degree; 0 for an edgeless graph."""
     return int(degrees(topology).max(initial=0))
-
-
-def unweighted_laplacian(topology: Topology) -> np.ndarray:
-    """Combinatorial graph Laplacian A^T A (degrees on the diagonal)."""
-    return weighted_laplacians(topology, np.ones(topology.n_edges))
 
 
 def sample_er_topology(n_nodes: int, p: float, rng: np.random.Generator) -> Topology:

@@ -167,7 +167,9 @@ def test_criterion_05_sphere_variance_envelope():
     # then tight, so only sampling noise is tolerated).
     topology = gc.path_topology(3)
     n, m = 3, 2
-    envelope, nu = bnd.lcpf_variance_envelope(topology, mode="sphere")
+    laplacian = gc.weighted_laplacians(topology, np.ones(m))  # A^T A
+    envelope = (2.0 / n) * np.kron(np.eye(2), laplacian)
+    nu = (2.0 / n) * operator_norm(laplacian)
     nu_ok = abs(nu - 2.0) < 1e-9
 
     rng = np.random.default_rng(55555)
@@ -333,7 +335,7 @@ def test_criterion_10_determinism(tmp_path):
         paths = [tmp_path / f"{cfg.experiment}_{run}.csv" for run in (1, 2)]
         for path in paths:
             result = eh.run_experiment(cfg)
-            eh.emit(result.records, "csv", path, result.fieldnames)
+            eh.emit(result, "csv", path)
         if paths[0].read_bytes() != paths[1].read_bytes():
             mismatched.append(cfg.experiment)
     _report(10, not mismatched,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -193,28 +194,25 @@ def test_variance_norm_sandwich_random_models():
         assert idim <= model.topology.n_nodes - 1 + 1e-10
 
 
-def test_lcpf_variance_envelope_sphere_p3():
-    t = gc.path_topology(3)
-    envelope, nu = bnd.lcpf_variance_envelope(t, mode="sphere")
-    assert nu == pytest.approx(2.0, abs=1e-10)
-    np.testing.assert_allclose(
-        envelope, (2.0 / 3.0) * np.kron(np.eye(2), gc.unweighted_laplacian(t)),
-        atol=1e-12)
-
-
-def test_lcpf_variance_envelope_bounded():
-    t = gc.path_topology(3)
-    envelope, nu = bnd.lcpf_variance_envelope(t, mode="bounded", delta=0.0)
-    np.testing.assert_allclose(envelope, 0.0)
-    assert nu == 0.0
-    envelope, nu = bnd.lcpf_variance_envelope(t, mode="bounded", delta=0.5)
-    np.testing.assert_allclose(envelope, np.kron(np.eye(2), gc.unweighted_laplacian(t)),
-                               atol=1e-12)
-    assert nu <= 4 * 0.25 * t.n_nodes + 1e-12
-    with pytest.raises(ValueError):
-        bnd.lcpf_variance_envelope(t, mode="bounded")
-    with pytest.raises(ValueError):
-        bnd.lcpf_variance_envelope(t, mode="bounded", delta=math.nan)
+def test_variance_laplacian_is_one_scatter_and_bit_stable(monkeypatch):
+    # tests/test_golden.py's _MESH model (parallel lines, complex admittances).
+    # The digest pins the bits of the Laplacian and the profile read off its
+    # diagonal, as built when each came from a scatter of its own.
+    t = gc.Topology(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 1)])
+    model = bnd.ContingencyModel(t, [0.5, 0.3, 0.8, 0.6, 0.25],
+                                 [0.6 - 0.8j, 0.5 - 0.5j, 1.0, 0.3 - 0.9j, 0.2 - 0.7j])
+    scatter, calls = gc.weighted_laplacians, []
+    monkeypatch.setattr(bnd, "weighted_laplacians", lambda *a: calls.append(a) or scatter(*a))
+    v = bnd.variance_laplacian(model)
+    assert len(calls) == 1
+    prof = bnd.contingency_factors(model)
+    assert len(calls) == 2
+    digest = hashlib.sha256()
+    for part in (v, prof.factors, prof.node_degrees,
+                 np.array([prof.max_criticality, prof.total_degree])):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest() == \
+        "4fbb4da85e8926ae2beeddb001373d8f4e18d85ab40fdd296a5f32b41a9c4f6c"
 
 
 def test_lcpf_tail_values():

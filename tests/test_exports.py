@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deleted function leaves no stale export,
 and so does every name the traced benchmark patches; and every public
 definition in the package has a caller in the package, or is on the README's
-list of library API awaiting callers."""
+list of library API awaiting callers. The README's config table and library
+example are checked against the package too."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import grid_concentrator
+from grid_concentrator.experiment_harness import _PARSERS, SCHEMA
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(grid_concentrator.__path__))
 SRC = Path(grid_concentrator.__file__).parent
@@ -24,8 +26,6 @@ AWAITING_CALLERS = {
     "flat_start_jacobian": "item 5",
     "invert_tree_lcpf": "item 5",
     "intrinsic_dimension": "item 4",
-    "variance_laplacian": "item 4",
-    "lcpf_variance_envelope": "item 6",
     "sample_random_tree": "item 7",
     "sample_er_topology": "item 1 (a benchmark trace target)",
     "sample_rng": "item 8 (the replay contract of sample_uniforms; a benchmark trace target)",
@@ -99,13 +99,42 @@ def test_every_public_definition_has_a_caller():
                                   f"{sorted(listed - uncalled)}"
 
 
-def test_readme_awaiting_callers_match():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    lines = readme.split("## Library API awaiting callers", 1)[1].splitlines()
-    start = lines.index("| name | module | waits on |") + 2
-    documented = []
-    for line in lines[start:]:
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_rows(section: str, header: str) -> list:
+    """The cells of each row of the table under ``section`` headed ``header``."""
+    lines = README.read_text(encoding="utf-8").split(section, 1)[1].splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
         if not line.startswith("|"):
             break
-        documented += re.findall(r"`(\w+)`", line.split("|")[1])
+        rows.append(line.split("|")[1:-1])
+    return rows
+
+
+def test_readme_awaiting_callers_match():
+    documented = [name for cells in _readme_rows("## Library API awaiting callers",
+                                                 "| name | module | waits on |")
+                  for name in re.findall(r"`(\w+)`", cells[0])]
     assert sorted(documented) == sorted(AWAITING_CALLERS)
+
+
+def test_readme_config_table_matches_schema():
+    # One row per config field; "read by" names exactly the experiments whose
+    # SCHEMA entry reads the field ("all": every experiment).
+    documented = {}
+    for field, read_by, *_ in _readme_rows("### Config fields",
+                                           "| field | read by | default | accepted form |"):
+        readers = SCHEMA if read_by.strip() == "all" else re.findall(r"`(\w+)`", read_by)
+        documented[field.strip().strip("`")] = sorted(readers)
+    assert sorted(documented) == sorted(_PARSERS)
+    for field, readers in documented.items():
+        assert readers == sorted(e for e, reads in SCHEMA.items() if field in reads), field
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["7.791659216600394", "1.5"]

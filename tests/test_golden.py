@@ -127,7 +127,7 @@ GOLDEN = {
 
 def table_digest(cfg: dict) -> str:
     result = eh.run_experiment(eh.ExperimentConfig.from_dict(cfg))
-    text = eh.emit(result.records, "csv", None, result.fieldnames)
+    text = eh.emit(result, "csv", None)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -42,7 +42,7 @@ CONFIGS = {
 def table_values(cfg: dict) -> list:
     """The table of ``cfg`` as JSON-ready rows, in field order."""
     result = eh.run_experiment(eh.ExperimentConfig.from_dict(cfg))
-    return json.loads(eh.emit(result.records, "json", None, result.fieldnames))
+    return json.loads(eh.emit(result, "json", None))
 
 
 def _cell_matches(old, new) -> bool:

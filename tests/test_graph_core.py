@@ -156,7 +156,7 @@ def test_weighted_laplacians_split_real_and_imaginary(batch):
 
 def test_laplacian_counts_parallel_edges():
     t = gc.Topology(3, [(0, 1), (0, 1), (1, 2)])
-    lap = gc.unweighted_laplacian(t)
+    lap = gc.weighted_laplacians(t, np.ones(3))
     np.testing.assert_array_equal(lap, [[2, -2, 0], [-2, 3, -1], [0, -1, 1]])
 
 
@@ -164,7 +164,7 @@ def test_laplacian_matches_degrees_and_adjacency():
     rng = np.random.default_rng(11)
     for _ in range(20):
         t = gc.sample_er_topology(7, 0.5, rng)
-        lap = gc.unweighted_laplacian(t)
+        lap = gc.weighted_laplacians(t, np.ones(t.n_edges))
         np.testing.assert_allclose(np.diag(lap), gc.degrees(t))
         np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
         assert np.linalg.eigvalsh(lap)[0] >= -1e-10

@@ -521,13 +521,13 @@ def test_bruteforce_default_grid_ends_below_the_largest_norm(monkeypatch, ulps):
 # ---------------------------------------------------------------------------
 
 def test_emit_empty_table_header_only():
-    text = eh.emit([], "csv", None, fieldnames=["a", "b"])
+    text = eh.emit(eh.RunResult([], ["a", "b"]), "csv", None)
     assert text == "a,b\n"
 
 
 def test_emit_csv_round_trip_17_digits():
     rec = {"x": 1.0 / 3.0, "y": -2.5e-17, "n": 7, "flag": True, "name": "a,b"}
-    text = eh.emit([rec], "csv", None)
+    text = eh.emit(eh.RunResult([rec], list(rec)), "csv", None)
     header, row = text.strip().split("\n")
     assert header == "x,y,n,flag,name"
     cells = row.split(",")
@@ -540,7 +540,7 @@ def test_emit_csv_round_trip_17_digits():
 
 def test_emit_json_round_trip():
     rec = {"x": 0.1 + 0.2, "n": 3, "flag": False, "empty": None}
-    text = eh.emit([rec], "json", None)
+    text = eh.emit(eh.RunResult([rec], list(rec)), "json", None)
     back = json.loads(text)
     assert back == [{"x": 0.30000000000000004, "n": 3, "flag": False, "empty": None}]
 
@@ -554,7 +554,7 @@ def test_emit_csv_cells_pinned():
         {"a": 0.1, "b": False, "c": np.bool_(True), "d": -1.5e300, "e": math.inf, "f": 7,
          "g": "", "h": np.float32(0.1), "i": 2 ** 70, "j": "plain"},
     ]
-    text = eh.emit(records, "csv", None, [*"abcdefghij", 'k,"'])
+    text = eh.emit(eh.RunResult(records, [*"abcdefghij", 'k,"']), "csv", None)
     assert text == (
         'a,b,c,d,e,f,g,h,i,j,"k,"""\n'
         ',true,false,-0,1e-300,3,"x,y","say ""hi""","two\nlines","cr\rhere",\n'
@@ -564,22 +564,22 @@ def test_emit_csv_cells_pinned():
 
 def test_emit_to_file(tmp_path):
     path = tmp_path / "out.csv"
-    assert eh.emit([{"a": 1.5}], "csv", path) is None
+    assert eh.emit(eh.RunResult([{"a": 1.5}], ["a"]), "csv", path) is None
     assert path.read_text() == "a\n1.5\n"
 
 
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
-        eh.emit([], "xml", None)
+        eh.emit(eh.RunResult([], []), "xml", None)
 
 
 def test_experiment_output_byte_identical(tmp_path):
     cfg = eh.ExperimentConfig(experiment="thm2_tail", seed=42)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     r1 = eh.run_experiment(cfg)
-    eh.emit(r1.records, "csv", out1, r1.fieldnames)
+    eh.emit(r1, "csv", out1)
     r2 = eh.run_experiment(cfg)
-    eh.emit(r2.records, "csv", out2, r2.fieldnames)
+    eh.emit(r2, "csv", out2)
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -790,6 +790,22 @@ def test_cli_assert_bounds_failure_exit_2(monkeypatch, tmp_path):
     assert cli.main(["bruteforce", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("experiment, buses", [("fig1", "n"),
+                                                ("lcpf_bounds", "the topology's n")])
+def test_cli_out_of_memory_is_config_error(monkeypatch, tmp_path, capsys, experiment, buses):
+    # numpy's message for --samples 4294967296 under a 3 GB address-space limit
+    numpy_says = "Unable to allocate 32.0 GiB for an array with shape (4294967296,)"
+
+    def run(cfg):
+        raise MemoryError(numpy_says)
+    monkeypatch.setattr(cli, "run_experiment", run)
+    out = tmp_path / "x.csv"
+    assert cli.main([experiment, "--samples", "4294967296", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: out of memory; lower samples or {buses}: {numpy_says}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples, rows", [(5, "5 of 5 rows: 0, 1, 2, 3, 4\n"),
                                            (8, "8 of 8 rows: 0, 1, 2, 3, 4 and 3 more\n")])
 def test_cli_failure_names_the_failing_rows(tmp_path, capsys, samples, rows):
@@ -800,7 +816,7 @@ def test_cli_failure_names_the_failing_rows(tmp_path, capsys, samples, rows):
     assert cli.main(["fig1", "--config", str(path), "--out", str(out), "--assert-bounds"]) == 2
     assert capsys.readouterr().err == f"fig1: dominance check FAILED on {rows}"
     result = eh.run_experiment(eh.ExperimentConfig.from_dict({"experiment": "fig1", **config}))
-    assert out.read_text() == eh.emit(result.records, "csv", None, result.fieldnames)
+    assert out.read_text() == eh.emit(result, "csv", None)
 
 
 def test_cli_seed_and_format_overrides(tmp_path):

@@ -25,7 +25,7 @@ def test_flat_start_single_reduced_line():
 def test_flat_start_p3_real_is_block_diagonal():
     t = gc.path_topology(3)
     j = lcpf.flat_start_jacobian(t, [complex(1.0, 0.0), complex(1.0, 0.0)])
-    lap = gc.unweighted_laplacian(t)
+    lap = gc.weighted_laplacians(t, np.ones(2))
     np.testing.assert_allclose(j[:3, :3], lap)
     np.testing.assert_allclose(j[3:, 3:], -lap)
     np.testing.assert_allclose(j[:3, 3:], 0.0)

@@ -25,7 +25,7 @@ def test_operator_norm_elementary():
 
 def test_operator_norm_p3_laplacian():
     # eigenvalues {0, 1, 3}
-    lap = gc.unweighted_laplacian(gc.path_topology(3))
+    lap = gc.weighted_laplacians(gc.path_topology(3), np.ones(2))
     assert spectra.operator_norm(lap) == pytest.approx(3.0, abs=1e-10)
 
 
@@ -116,7 +116,7 @@ def test_intrinsic_dimension_rank_one():
 def test_intrinsic_dimension_weighted_triangle():
     # K3 Laplacian at uniform weight 0.5: eigenvalues {0, 1.5, 1.5},
     # trace 3, norm 1.5.
-    lap = 0.5 * gc.unweighted_laplacian(gc.complete_topology(3))
+    lap = gc.weighted_laplacians(gc.complete_topology(3), np.full(3, 0.5))
     assert spectra.intrinsic_dimension(lap) == pytest.approx(2.0, abs=1e-10)
 
 
