@@ -10,7 +10,9 @@ sampled runner draws those streams a chunk at a time by :func:`sample_uniforms`
 and maps them to line weights by one law transform per chunk.
 
 Every runner works in bounded chunks of samples, each normed by one batched
-call. The Monte Carlo, enumeration and ``lcpf_bounds`` chunks are assembled by
+call. :func:`_chunks` maps a runner's chunk function over them, in one thread
+per CPU when the BLAS is single-threaded, and keeps the results in order. The
+Monte Carlo, enumeration and ``lcpf_bounds`` chunks are assembled by
 one line-order scatter, so their per-sample memory is O(n^2).
 ``fig1`` still takes one incidence product per sample, of a complex m x n
 matrix of K_n incidence rows (about 175 MB peak at n = 200, p = 1).
@@ -42,7 +44,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass
 from functools import partial
 from io import StringIO
@@ -86,8 +90,7 @@ __all__ = [
 BRUTE_FORCE_MAX_LINES = 20
 _ENUM_CHUNK = 8192
 _CHUNK_BYTES = 1 << 24
-# Rows per fig1 chunk: the law transforms' temporaries grow with them (200 rows: +5 MB RSS),
-# and from 52 rows operator_norm splits the n = 20 complex stack, which measured slower.
+# Rows per fig1 chunk: the law transforms' temporaries grow with them (200 rows: +5 MB RSS).
 _FIG1_CHUNK = 50
 
 
@@ -443,12 +446,66 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
     return out
 
 
-def _chunks(total: int, row_bytes: int, most: int | None = None):
-    """(start, stop) ranges over ``range(total)``: at most ``most`` (default
-    ``_ENUM_CHUNK``) rows and ``_CHUNK_BYTES`` of rows of ``row_bytes`` each."""
-    rows = max(1, min(most or _ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
-    for start in range(0, total, rows):
-        yield start, min(start + rows, total)
+# The variables through which OpenBLAS and MKL take their thread count. Chunk
+# threads pay only when each LAPACK call runs on one BLAS thread: two threads
+# calling a threaded OpenBLAS at once wait on its one pool, and its idle threads
+# spin (88 eigvalsh of 100 x 100, halved over 2 CPUs, took 1.86x the serial time).
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _workers() -> int:
+    """Threads the chunks of a run are dealt to: the CPUs this process may run
+    on (its affinity mask where the OS has one) when the first of
+    ``_BLAS_THREAD_VARS`` that is set says one BLAS thread, else 1."""
+    blas_threads = next((os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), "")
+    if blas_threads.strip() != "1":
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _chunks(total: int, row_bytes: int, order: int, chunk, most: int | None = None,
+            worker_bytes: int = 0) -> list:
+    """``chunk(start, stop)`` over ranges of ``range(total)``, in that order.
+
+    A range holds at most ``most`` (default ``_ENUM_CHUNK``) rows of ``row_bytes``
+    and a worker's share of ``_CHUNK_BYTES``; its rows are normed as matrices of
+    order ``order``. :func:`_workers` is cut to as many workers as the budget holds
+    ``worker_bytes`` (what each holds beyond its rows) and one GIL-free norm call's
+    rows. The range count is a multiple of the workers, rows spread evenly, dealt
+    round robin to the caller and one thread per further worker. After an error no
+    worker starts another call; the first in range order is raised once all joined.
+    """
+    # numpy's linalg loops drop the GIL only for calls that output over 500 numbers: halves
+    # of 10 eigvalsh of 99 x 99 in 2 threads took 1.13x the serial time, of 101 x 101 0.60x.
+    least = (500 // order + 1) * row_bytes
+    workers = min(_workers(), max(1, _CHUNK_BYTES // (worker_bytes + least)))
+    rows = max(1, min(most or _ENUM_CHUNK, _CHUNK_BYTES // workers // row_bytes))
+    count = -(-total // rows)
+    count = min(total, -(-count // workers) * workers)
+    cuts = [total * c // max(count, 1) for c in range(count + 1)]
+    tasks = list(zip(cuts, cuts[1:]))
+    results, errors = [None] * len(tasks), {}
+
+    def deal(first):
+        for i in range(first, len(tasks), workers):
+            if errors:
+                return
+            try:
+                results[i] = chunk(*tasks[i])
+            except BaseException as exc:  # raised again in the calling thread
+                errors[i] = exc
+    # The caller takes worker 0's share: each started thread gets its own malloc
+    # arena, and one more cost the default fig1 run 1.6 MB of peak RSS.
+    threads = [threading.Thread(target=deal, args=(w,))
+               for w in range(1, min(workers, len(tasks)))]
+    for thread in threads:
+        thread.start()
+    deal(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _row_bytes(topology: gc.Topology) -> int:
@@ -490,28 +547,32 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
     stars = np.nonzero(incidence.T)[1].reshape(n, n - 1)  # the candidate lines at each bus
     # The stack, and per candidate line the uniforms, law slots, mask and complex weight.
     row_bytes = 8 * (2 * n * n + (4 + 2 * draws) * candidates)
-    records = []
-    for sweep_index, p in enumerate(cfg.p_grid):
-        for start, stop in _chunks(cfg.samples, row_bytes, _FIG1_CHUNK):
-            u = sample_uniforms(cfg.seed, sweep_index, start, stop, (1 + draws) * candidates)
-            on = u[:, :candidates] < p
-            lines = on.sum(axis=1)
-            degrees = on[:, stars].sum(axis=2).max(axis=1).tolist()
-            most = int(lines.max())
-            block = u[:, candidates:candidates + draws * most].reshape(stop - start, most, draws)
-            # Zero past each row's lines: the sphere's norms are summed over the whole row.
-            block[np.arange(most) >= lines[:, None]] = 0.0
-            ys = np.empty((stop - start, n, n), dtype=complex)
-            for y, mask, w, m in zip(ys, on, law.transform(block), lines.tolist()):
-                # zgemm, not weighted_laplacians: its sum order is in the er_sweep digest.
-                a = incidence[mask].astype(complex)
-                np.matmul(a.T, w[:m, None] * a, out=y)
-            bounds = {d: bnd.thm1_expectation_bound(n, d) for d in set(degrees)}
-            for s, m, delta, norm in zip(range(start, stop), lines.tolist(), degrees,
-                                         operator_norm(ys).tolist()):
-                records.append({"p": p, "sample_index": s, "m": m, "delta": delta, "norm": norm,
-                                "bound": bounds[delta], "bound_ok": bool(bounds[delta] >= norm)})
-            del ys  # before the next chunk's stack is allocated
+
+    def chunk(sweep_index, start, stop):
+        p, records = cfg.p_grid[sweep_index], []
+        u = sample_uniforms(cfg.seed, sweep_index, start, stop, (1 + draws) * candidates)
+        on = u[:, :candidates] < p
+        lines = on.sum(axis=1)
+        degrees = on[:, stars].sum(axis=2).max(axis=1).tolist()
+        most = int(lines.max())
+        block = u[:, candidates:candidates + draws * most].reshape(stop - start, most, draws)
+        # Zero past each row's lines: the sphere's norms are summed over the whole row.
+        block[np.arange(most) >= lines[:, None]] = 0.0
+        ys = np.empty((stop - start, n, n), dtype=complex)
+        for y, mask, w, m in zip(ys, on, law.transform(block), lines.tolist()):
+            # zgemm, not weighted_laplacians: its sum order is in the er_sweep digest.
+            a = incidence[mask].astype(complex)
+            np.matmul(a.T, w[:m, None] * a, out=y)
+        bounds = {d: bnd.thm1_expectation_bound(n, d) for d in set(degrees)}
+        for s, m, delta, norm in zip(range(start, stop), lines.tolist(), degrees,
+                                     operator_norm(ys).tolist()):
+            records.append({"p": p, "sample_index": s, "m": m, "delta": delta, "norm": norm,
+                            "bound": bounds[delta], "bound_ok": bool(bounds[delta] >= norm)})
+        return records
+    # Each worker holds one sample's incidence product, two complex (lines, n) arrays.
+    records = [record for sweep in range(len(cfg.p_grid)) for part in _chunks(
+        cfg.samples, row_bytes, n, partial(chunk, sweep), _FIG1_CHUNK, 32 * candidates * n)
+        for record in part]
     return RunResult(records, FIG1_FIELDS)
 
 
@@ -543,7 +604,8 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
     normed = total >> 1 if m and np.all(model.probs == 0.5) else total
     norms = np.empty(total)
     probs = np.empty(total)
-    for start, stop in _chunks(total, _row_bytes(model.topology)):
+
+    def chunk(start, stop):
         idx = np.arange(start, stop, dtype=np.uint64)[:, None]
         patterns = ((idx >> np.arange(m, dtype=np.uint64)) & 1).astype(float)
         if start < normed:
@@ -551,6 +613,7 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
                 model, patterns[:normed - start])
         probs[start:stop] = np.prod(
             np.where(patterns == 1.0, model.probs, 1.0 - model.probs), axis=1)
+    _chunks(total, _row_bytes(model.topology), model.topology.n_nodes, chunk)
     norms[normed:] = norms[:total - normed][::-1]  # complements, when p = 1/2
     total_prob = probs.sum()
     if abs(total_prob - 1.0) > 1e-12:
@@ -563,9 +626,11 @@ def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
                              seed: int) -> SampleStats:
     """Monte Carlo estimate of the ||Y - EY|| distribution (per-sample streams)."""
     norms = np.empty(samples)
-    for start, stop in _chunks(samples, _row_bytes(model.topology)):
+
+    def chunk(start, stop):
         norms[start:stop] = _centered_norms_for_patterns(
             model, sample_uniforms(seed, 0, start, stop, len(model.probs)) < model.probs)
+    _chunks(samples, _row_bytes(model.topology), model.topology.n_nodes, chunk)
     return SampleStats.sampled(norms)
 
 
@@ -651,11 +716,13 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
     topology, samples, delta = cfg.topology, cfg.samples, cfg.delta
     n, m = topology.n_nodes, topology.n_edges
     norms = np.empty(samples)
-    for start, stop in _chunks(samples, _row_bytes(topology)):
+
+    def chunk(start, stop):
         # Generator.uniform(-delta, delta, (2, m)) per sample: all of dG, then all of dB
         draws = -delta + (2 * delta) * sample_uniforms(cfg.seed, 0, start, stop, 2 * m)
         g, b = gc.weighted_laplacians(topology, draws.reshape(stop - start, 2, m).swapaxes(0, 1))
         norms[start:stop] = operator_norm(lift_blocks(g, b, -1.0))
+    _chunks(samples, _row_bytes(topology), 2 * n, chunk)
     stats = SampleStats.sampled(norms)
     exp_bound = bnd.lcpf_expectation_bound(n, delta)
     mean_ok = bool(stats.mean <= exp_bound)
@@ -697,17 +764,23 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     u_flat = np.ones(topology.n_nodes, dtype=complex)
     analytic = distance_bound(h, bnd.thm1_expectation_bound(topology.n_nodes,
                                                              gc.max_degree(topology)))
-    rows = []
-    for start, stop in _chunks(samples, _row_bytes(topology)):
+    # The last chunk's stack, freed only once the next is built. Freed at chunk end, it let
+    # malloc trim the heap: a 300-bus path took 14x the page faults and 1.1-1.5x the time.
+    last = [None]
+
+    def chunk(start, stop):
+        rows = []
         u = sample_uniforms(cfg.seed, 0, start, stop, law.draws * m)
         weights = law.transform(u.reshape(stop - start, m, law.draws))
-        ys = np.stack([assemble_admittance(topology, w) for w in weights])
+        ys = last[0] = np.stack([assemble_admittance(topology, w) for w in weights])
         for s, y, y_norm in zip(range(start, stop), ys, operator_norm(ys).tolist()):
             residual_cert = 3.0 * projection_distance(y, u_flat, h)
             holder_cert = distance_bound(h, y_norm)
             rows.append({"sample_index": s, "y_norm": y_norm,
                          "residual_certificate": residual_cert, "holder_certificate": holder_cert,
                          "residual_ok": bool(residual_cert <= holder_cert + 1e-12)})
+        return rows
+    rows = list(itertools.chain(*_chunks(samples, _row_bytes(topology), topology.n_nodes, chunk)))
     mean_cert = float(np.mean([row["holder_certificate"] for row in rows]))
     bound_ok = bool(mean_cert <= analytic) and all(row["residual_ok"] for row in rows)
     for row in rows:

@@ -1,8 +1,12 @@
 import collections
 import dataclasses
+import itertools
 import json
 import math
+import os
 import re
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -188,17 +192,19 @@ def test_fig1_bit_equal_per_sample_reference(law):
 
 @pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
 def test_fig1_draws_per_chunk_not_per_sample(monkeypatch, law):
-    # 40 samples make one chunk of 40 rows, 7 samples one of 7: a short chunk is drawn
-    # by the same vectorized stream as a long one. fig1 and manifold each make one draw,
-    # one law transform and one norm call per chunk, and no per-sample generator.
-    for samples in (40, 7):
+    # 40 samples make one chunk per worker (40 rows, or 20 and 20 in two threads), 7
+    # samples one of 7 (or 3 and 4): a short chunk is drawn by the same vectorized stream
+    # as a long one. fig1 and manifold each make one draw, one law transform and one norm
+    # call per chunk, and no per-sample generator.
+    for workers, samples in itertools.product((1, 2), (40, 7)):
+        monkeypatch.setattr(eh, "_workers", lambda: workers)
         fig1 = eh.ExperimentConfig(experiment="fig1", n=9, samples=samples, seed=2,
                                    p_grid=(0.3, 1.0), line_model=law)
         manifold = eh.ExperimentConfig(experiment="manifold", samples=samples, seed=2,
                                        topology={"name": "complete", "n": 5}, line_model=law)
-        per_chunk = {"sample_uniforms": 1, "transform": 1, "operator_norm": 1}
-        for cfg, per_run in [(fig1, {"incidence_matrix": 1, **{k: 2 for k in per_chunk}}),
-                             (manifold, {"assemble_admittance": samples, **per_chunk})]:
+        per_chunk = ("sample_uniforms", "transform", "operator_norm")
+        for cfg, chunks, per_run in [(fig1, 2 * workers, {"incidence_matrix": 1}),
+                                     (manifold, workers, {"assemble_admittance": samples})]:
             want = eh.run_experiment(cfg).records
             calls = []
             with monkeypatch.context() as mp:
@@ -210,7 +216,7 @@ def test_fig1_draws_per_chunk_not_per_sample(monkeypatch, law):
                     mp.setattr(owner, name,
                                lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
                 assert eh.run_experiment(cfg).records == want
-            assert collections.Counter(calls) == per_run
+            assert collections.Counter(calls) == {**per_run, **dict.fromkeys(per_chunk, chunks)}
 
 
 def test_fig1_independent_of_chunking(monkeypatch):
@@ -304,12 +310,14 @@ def test_brute_force_norms_match_complex_reference(name):
         np.testing.assert_array_equal(norms, norms[::-1])
 
 
-@pytest.mark.parametrize("rows", [5, 7, 9])
-def test_brute_force_independent_of_chunking_across_half(monkeypatch, rows):
+@pytest.mark.parametrize("workers", [5, 7, 9])
+def test_brute_force_independent_of_chunking_across_half(monkeypatch, workers):
+    # An odd number of even chunks cuts the 64 patterns off the half at 32.
     model = bnd.ContingencyModel(_K4, np.full(6, 0.5), _MIXED_Y)
     whole = eh.brute_force_distribution(model)
-    monkeypatch.setattr(eh, "_CHUNK_BYTES", rows * eh._row_bytes(_K4))
-    assert any(start < 32 < stop for start, stop in eh._chunks(64, eh._row_bytes(_K4)))
+    monkeypatch.setattr(eh, "_workers", lambda: workers)
+    ranges = eh._chunks(64, eh._row_bytes(_K4), 4, lambda start, stop: (start, stop))
+    assert len(ranges) == workers and any(start < 32 < stop for start, stop in ranges)
     chunked = eh.brute_force_distribution(model)
     np.testing.assert_array_equal(chunked.norms, whole.norms)
     np.testing.assert_array_equal(chunked.probabilities, whole.probabilities)
@@ -406,10 +414,134 @@ def test_lcpf_and_monte_carlo_independent_of_chunking(monkeypatch):
     whole = (eh.run_lcpf_experiment(lcpf_cfg).records,
              eh.monte_carlo_distribution(model, 60, seed=4).norms)
     monkeypatch.setattr(eh, "_CHUNK_BYTES", 1)  # one sample per chunk
-    assert list(eh._chunks(3, eh._row_bytes(t))) == [(0, 1), (1, 2), (2, 3)]
+    assert eh._chunks(3, eh._row_bytes(t), 3, lambda *r: r) == [(0, 1), (1, 2), (2, 3)]
     assert eh.run_lcpf_experiment(lcpf_cfg).records == whole[0]
     np.testing.assert_array_equal(
         eh.monte_carlo_distribution(model, 60, seed=4).norms, whole[1])
+
+
+@pytest.mark.parametrize("env,serial", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": " 1 "}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": ""}, False),
+])
+def test_workers_need_a_serial_blas(monkeypatch, env, serial):
+    for var in eh._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert eh._workers() == (len(os.sched_getaffinity(0)) if serial else 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunks_spread_a_run_evenly_over_the_workers(monkeypatch, workers):
+    monkeypatch.setattr(eh, "_workers", lambda: workers)
+    row_bytes = eh._row_bytes(gc.complete_topology(3))
+    if workers == 2:  # switching_mc: 20000 K3 samples in chunks of at most 8192 rows
+        assert eh._chunks(20000, row_bytes, 3, lambda *r: r) == [
+            (0, 5000), (5000, 10000), (10000, 15000), (15000, 20000)]
+    # A 12-row budget, shared by the workers: 9, 18 or 27 chunks of 100 rows. Order 501:
+    # one row's norm drops the GIL, so the budget holds every worker.
+    monkeypatch.setattr(eh, "_CHUNK_BYTES", 12 * row_bytes)
+    ranges, threads = [], []  # Thread objects: a joined thread's ident may be reused
+    for start, stop, thread in eh._chunks(100, row_bytes, 501, lambda start, stop: (
+            start, stop, threading.current_thread())):
+        ranges.append((start, stop))
+        threads.append(thread)
+    assert len(ranges) == 9 * workers
+    assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
+    assert ranges[0][0] == 0 and ranges[-1][1] == 100
+    assert {stop - start for start, stop in ranges} <= {100 // len(ranges), -(-100 // len(ranges))}
+    assert max(stop - start for start, stop in ranges) <= 12 // workers
+    # Dealt round robin: chunk i runs on thread i mod workers, thread 0 the caller.
+    assert threads == threads[:workers] * 9
+    assert len(set(threads)) == workers and threads[0] is threading.current_thread()
+
+
+def test_chunks_raise_an_error_from_any_chunk(monkeypatch):
+    monkeypatch.setattr(eh, "_workers", lambda: 3)
+    for bad in [(0,), (1,), (2,), (1, 2)]:
+        def chunk(start, stop, bad=bad, chunk_2_ended=threading.Event()):
+            if start == 3 and 2 in bad:
+                chunk_2_ended.wait(10)  # the first failing chunk in range order fails last
+            try:
+                if start // 3 in bad:
+                    raise np.linalg.LinAlgError(f"chunk {start // 3}")
+                return start
+            finally:
+                if start == 6:
+                    chunk_2_ended.set()
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match=f"chunk {bad[0]}"):
+            eh._chunks(9, 1, 1, chunk)
+        assert threading.active_count() == before  # every chunk thread joined
+    assert eh._chunks(9, 1, 1, chunk=lambda start, stop: start) == [0, 3, 6]
+
+
+def test_chunks_start_no_chunk_after_an_error(monkeypatch):
+    # 10 one-row chunks on 2 workers. Chunk 1 fails in the started thread once the
+    # caller is in chunk 0, which waits for that thread to end: then neither runs another.
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+    before, ran, in_chunk_0 = threading.active_count(), [], threading.Event()
+
+    def chunk(start, stop):
+        ran.append(start)
+        if start == 1:
+            in_chunk_0.wait(10)
+            raise KeyboardInterrupt
+        in_chunk_0.set()
+        for _ in range(10_000):
+            if threading.active_count() == before:
+                break
+            time.sleep(0.001)
+    with pytest.raises(KeyboardInterrupt):
+        eh._chunks(10, 1, 501, chunk, most=1)
+    assert sorted(ran) == [0, 1]
+    assert threading.active_count() == before
+
+
+def test_chunks_cut_workers_to_what_the_budget_holds(monkeypatch):
+    # Each worker needs its worker_bytes plus the rows of one norm call that outputs
+    # over 500 numbers (and so drops the GIL) within _CHUNK_BYTES.
+    monkeypatch.setattr(eh, "_workers", lambda: 3)
+    path = gc.path_topology(300)
+    for order, want in [(300, 1), (600, 2)]:  # manifold or thm2_*, and lcpf_bounds
+        threads = eh._chunks(4, eh._row_bytes(path), order, lambda *r: threading.current_thread())
+        assert len(set(threads)) == want
+    monkeypatch.setattr(eh, "_CHUNK_BYTES", 12)
+    for order, worker_bytes, want in [(501, 0, 3), (300, 0, 3), (100, 0, 2), (50, 0, 1),
+                                      (501, 3, 3), (501, 5, 2), (501, 11, 1)]:
+        threads = eh._chunks(60, 1, order, lambda *r: threading.current_thread(),
+                             worker_bytes=worker_bytes)
+        assert len(set(threads)) == want, (order, worker_bytes)
+        assert len(threads) == 60 // (12 // want)  # each worker's share of the 12 rows
+
+
+_THREADED_RUNS = {
+    "fig1": {"n": 8, "samples": 120, "p_grid": [0.3, 0.9], "seed": 3},
+    "thm2_tail": {"topology": {"name": "complete", "n": 4}, "probs": 0.4},
+    "thm2_expectation": {"backend": "montecarlo", "samples": 500, "seed": 6,
+                         "topology": {"name": "complete", "n": 4}, "admittances": [0.5, 0.3]},
+    "lcpf_bounds": {"samples": 300, "seed": 1, "topology": {"name": "complete", "n": 5}},
+    "manifold": {"samples": 30, "seed": 5, "topology": {"name": "complete", "n": 5}},
+    "bruteforce": {"topology": {"name": "complete", "n": 4}},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_THREADED_RUNS))
+def test_chunk_threads_emit_the_same_table(monkeypatch, experiment):
+    # Each sample's stream and matrix depend on its index alone, so neither the cut
+    # of a run into chunks nor the thread a chunk runs on shows in its table.
+    cfg = eh.ExperimentConfig.from_dict({"experiment": experiment, **_THREADED_RUNS[experiment]})
+    tables = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(eh, "_workers", lambda: workers)
+        tables.append(eh.emit(eh.run_experiment(cfg), "csv"))
+    assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 def _traced_peak_bytes(fn):
@@ -443,6 +575,21 @@ def test_fig1_memory_is_chunked(monkeypatch):
     cfg = eh.ExperimentConfig(experiment="fig1", n=60, samples=400, seed=1, p_grid=(0.5,))
     assert 400 * 16 * 60 ** 2 > 16 * 2 ** 20
     assert _traced_peak_bytes(lambda: eh.run_fig1(cfg)) < 16 * 2 ** 20
+
+
+def test_fig1_budget_counts_each_workers_incidence_product(monkeypatch):
+    # At n = 60 one sample's incidence product, two complex (1770, 60) arrays, takes
+    # 3.4 MB: 16 MiB hold it and a GIL-free norm call's rows for 3 workers, 4 MiB for 1.
+    monkeypatch.setattr(eh, "_workers", lambda: 3)
+    norm, threads = eh.operator_norm, set()
+    monkeypatch.setattr(eh, "operator_norm",
+                        lambda ys: threads.add(threading.current_thread()) or norm(ys))
+    cfg = eh.ExperimentConfig(experiment="fig1", n=60, samples=40, seed=1, p_grid=(0.5,))
+    for budget, workers in [(16 * 2 ** 20, 3), (4 * 2 ** 20, 1)]:
+        monkeypatch.setattr(eh, "_CHUNK_BYTES", budget)
+        threads.clear()
+        eh.run_fig1(cfg)
+        assert len(threads) == workers and threading.current_thread() in threads
 
 
 def _manifold_per_sample(cfg):

@@ -1,6 +1,3 @@
-import os
-import threading
-
 import numpy as np
 import pytest
 
@@ -158,81 +155,15 @@ def _stack(kind, shape, k=6, seed=27):
     return stack + 1j * rng.standard_normal(stack.shape)
 
 
-def _spy_parts(monkeypatch, kind):
-    """Record the leading length of every part the norm kernel is called on."""
-    name = "_symmetric_norms" if kind == "symmetric" else "_svd_norms"
-    kernel, parts = getattr(spectra, name), []
-
-    def spy(a):
-        parts.append(len(a))
-        return kernel(a)
-    monkeypatch.setattr(spectra, name, spy)
-    return parts
-
-
 @pytest.mark.parametrize("kind", ["symmetric", "complex"])  # eigvalsh and SVD
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("parts", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(1,), (7,), (2, 7)])
-def test_split_norms_bit_equal_per_matrix(monkeypatch, kind, workers, shape):
-    # Thresholds at zero, so every stack splits into one part per worker it can fill.
-    monkeypatch.setattr(spectra, "_workers", lambda: workers)
-    monkeypatch.setattr(spectra, "_PART_WORK", 1)
-    monkeypatch.setattr(spectra, "_GIL_FREE_OUTPUT", 0)
+def test_split_norms_bit_equal_per_matrix(kind, parts, shape):
+    # A stack cut along its leading axis, as the harness cuts a run into chunks, and
+    # normed part by part gives every matrix the bytes of its own call and of the whole.
     stack = _stack(kind, shape)
     per_matrix = np.array([spectra.operator_norm(m) for m in stack.reshape(-1, 6, 6)])
-    parts = _spy_parts(monkeypatch, kind)  # after the references: matrices never split
-    norms = spectra.operator_norm(stack)
-    assert sorted(parts) == sorted(len(p) for p in np.array_split(stack, min(workers, shape[0])))
+    norms = np.concatenate([spectra.operator_norm(part) for part in np.array_split(stack, parts)])
     assert norms.shape == shape
     assert norms.tobytes() == per_matrix.reshape(shape).tobytes()
-
-
-def test_split_needs_work_and_a_gil_free_part(monkeypatch):
-    monkeypatch.setattr(spectra, "_workers", lambda: 2)
-    parts = _spy_parts(monkeypatch, "symmetric")
-    for shape, k, want in [
-        ((), 20, [20]),           # a matrix is never split
-        ((50,), 20, [50]),        # a half outputs 25 x 20 = 500 numbers, not above 500
-        ((52,), 20, [26, 26]),    # 26 x 20 = 520, and 4.2e5 of work
-        ((2, 50), 20, [1, 1]),    # split along the leading axis only
-        ((400,), 3, [400]),       # 200 x 3 = 600, but only 1.1e4 of work
-        ((4000,), 3, [2000, 2000]),
-    ]:
-        parts.clear()
-        spectra.operator_norm(_stack("symmetric", shape, k=k))
-        assert sorted(parts) == want, shape
-
-
-@pytest.mark.parametrize("env,serial", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": " 1 "}, True),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": ""}, False),
-])
-def test_workers_need_a_serial_blas(monkeypatch, env, serial):
-    for var in spectra._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert spectra._workers() == (len(os.sched_getaffinity(0)) if serial else 1)
-
-
-def test_split_raises_an_error_from_any_part(monkeypatch):
-    monkeypatch.setattr(spectra, "_workers", lambda: 3)
-    monkeypatch.setattr(spectra, "_PART_WORK", 1)
-    monkeypatch.setattr(spectra, "_GIL_FREE_OUTPUT", 0)
-    stack = _stack("symmetric", (7,))
-    kernel = spectra._symmetric_norms
-    for bad in range(3):
-        def failing(a, bad=bad):
-            if len(a) < len(stack) and np.shares_memory(a, stack[7 * bad // 3]):
-                raise np.linalg.LinAlgError(f"part {bad}")
-            return kernel(a)
-        monkeypatch.setattr(spectra, "_symmetric_norms", failing)
-        before = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match=f"part {bad}"):
-            spectra.operator_norm(stack)
-        assert threading.active_count() == before  # every part thread joined
+    assert norms.tobytes() == spectra.operator_norm(stack).tobytes()
