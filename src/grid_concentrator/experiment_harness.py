@@ -12,10 +12,10 @@ and maps them to line weights by one law transform per chunk.
 Every runner works in bounded chunks of samples, each normed by one batched
 call. :func:`_chunks` maps a runner's chunk function over them, in one thread
 per CPU when the BLAS is single-threaded, and keeps the results in order. The
-Monte Carlo, enumeration and ``lcpf_bounds`` chunks are assembled by
-one line-order scatter, so their per-sample memory is O(n^2).
-``fig1`` still takes one incidence product per sample, of a complex m x n
-matrix of K_n incidence rows (about 175 MB peak at n = 200, p = 1).
+Monte Carlo, enumeration, ``lcpf_bounds`` and ``manifold`` chunks are assembled
+by one line-order scatter, so their per-sample memory is O(n^2). Only ``fig1``
+still builds a product per sample, of a complex m x n matrix of K_n incidence
+rows (about 175 MB peak at n = 200, p = 1).
 
 Experiments
 -----------
@@ -57,7 +57,7 @@ from . import bounds as bnd
 from . import graph_core as gc
 from .admittance import (
     LineLaw,
-    assemble_admittance,
+    assemble_admittance,  # not called here: bench/tracing patches it (ROADMAP item 1)
     complex_from_json,
     lift_blocks,
     line_law_from_json,
@@ -757,30 +757,26 @@ def run_manifold_experiment(cfg: ExperimentConfig) -> RunResult:
     certificate 3*||h||_inf*||h||_2*||Y||. The mean Holder certificate is
     compared against the expected-distance bound built from the topology's
     max degree. Sample s transforms ``sample_rng(seed, 0, s).random((m,
-    law.draws))``; a chunk is drawn, transformed and normed by one call each.
+    law.draws))``; a chunk is drawn, transformed, assembled, normed, certified
+    and Holder-bounded by one call each.
     """
     topology, samples, h, law = cfg.topology, cfg.samples, cfg.h, cfg.line_model
-    m = topology.n_edges
-    u_flat = np.ones(topology.n_nodes, dtype=complex)
-    analytic = distance_bound(h, bnd.thm1_expectation_bound(topology.n_nodes,
-                                                             gc.max_degree(topology)))
-    # The last chunk's stack, freed only once the next is built. Freed at chunk end, it let
-    # malloc trim the heap: a 300-bus path took 14x the page faults and 1.1-1.5x the time.
-    last = [None]
+    n, m = topology.n_nodes, topology.n_edges
+    analytic = distance_bound(h, bnd.thm1_expectation_bound(n, gc.max_degree(topology)))
 
     def chunk(start, stop):
-        rows = []
-        u = sample_uniforms(cfg.seed, 0, start, stop, law.draws * m)
-        weights = law.transform(u.reshape(stop - start, m, law.draws))
-        ys = last[0] = np.stack([assemble_admittance(topology, w) for w in weights])
-        for s, y, y_norm in zip(range(start, stop), ys, operator_norm(ys).tolist()):
-            residual_cert = 3.0 * projection_distance(y, u_flat, h)
-            holder_cert = distance_bound(h, y_norm)
-            rows.append({"sample_index": s, "y_norm": y_norm,
-                         "residual_certificate": residual_cert, "holder_certificate": holder_cert,
-                         "residual_ok": bool(residual_cert <= holder_cert + 1e-12)})
-        return rows
-    rows = list(itertools.chain(*_chunks(samples, _row_bytes(topology), topology.n_nodes, chunk)))
+        weights = law.transform(sample_uniforms(cfg.seed, 0, start, stop, law.draws * m)
+                                .reshape(stop - start, m, law.draws))
+        # C order: on the scatter's strided view a dense complex Y h rounds otherwise.
+        ys = np.ascontiguousarray(gc.weighted_laplacians(topology, weights))
+        y_norms = operator_norm(ys)
+        residual_certs = 3.0 * projection_distance(ys, np.ones(n), h)  # from the flat start
+        holder_certs = distance_bound(h, y_norms)
+        return [dict(zip(MANIFOLD_FIELDS, row)) for row in zip(  # the first five fields
+            range(start, stop), y_norms.tolist(), residual_certs.tolist(), holder_certs.tolist(),
+            (residual_certs <= holder_certs + 1e-12).tolist())]
+    # The complex stack, its C-order copy and the complex line weights.
+    rows = list(itertools.chain(*_chunks(samples, 16 * (2 * n * n + m), n, chunk)))
     mean_cert = float(np.mean([row["holder_certificate"] for row in rows]))
     bound_ok = bool(mean_cert <= analytic) and all(row["residual_ok"] for row in rows)
     for row in rows:

@@ -16,10 +16,10 @@ True projection onto the manifold is nonconvex and not attempted; the
 certificate plus the same-voltage projection proxy sandwich the distance.
 Complex vectors are identified with stacked real/imaginary parts, so the
 complex 2-norm is the ambient Euclidean norm. Every function takes plain
-arrays: ``y`` is the admittance matrix Y as a complex (n, n) array, ``u`` the
-base voltage and ``h`` the step, both of length n. The residual functions
-evaluate psi(u) from the ``y`` they are given, so base point and matrix
-cannot disagree.
+arrays: ``y`` is the admittance matrix Y as a complex (n, n) array or a C-order
+(..., n, n) stack, with one result per matrix, bit-equal to per-matrix calls;
+``u`` is the base voltage and ``h`` the step, both of length n. The residual
+functions evaluate psi(u) from the given ``y``, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -49,15 +49,15 @@ def _as_complex_vector(v, n: int | None = None, name: str = "vector") -> np.ndar
 def power_flow_map(y, u) -> np.ndarray:
     """Injections s = diag(u) * conj(Y u)."""
     ym = np.asarray(y, dtype=complex)
-    uv = _as_complex_vector(u, ym.shape[0], "voltage")
+    uv = _as_complex_vector(u, ym.shape[-1], "voltage")
     return uv * np.conj(ym @ uv)
 
 
 def power_flow_derivative(y, u, h) -> np.ndarray:
     """Frechet derivative Dpsi(u)[h] = diag(h) conj(Y u) + diag(u) conj(Y h)."""
     ym = np.asarray(y, dtype=complex)
-    uv = _as_complex_vector(u, ym.shape[0], "voltage")
-    hv = _as_complex_vector(h, ym.shape[0], "step")
+    uv = _as_complex_vector(u, ym.shape[-1], "voltage")
+    hv = _as_complex_vector(h, ym.shape[-1], "step")
     return hv * np.conj(ym @ uv) + uv * np.conj(ym @ hv)
 
 
@@ -66,35 +66,41 @@ def tangent_residual(y, u, h) -> np.ndarray:
 
     Computed by the closed form diag(h) * conj(Y h) and cross-checked
     against the direct Taylor subtraction, with psi(u) taken from the same
-    ``y`` (the map is exactly quadratic, so the two must agree to 1e-12).
+    ``y`` (the map is exactly quadratic, so the two must agree to 1e-12 of
+    each matrix's own residual scale).
     """
     ym = np.asarray(y, dtype=complex)
-    uv = _as_complex_vector(u, ym.shape[0], "voltage")
-    hv = _as_complex_vector(h, ym.shape[0], "step")
+    uv = _as_complex_vector(u, ym.shape[-1], "voltage")
+    hv = _as_complex_vector(h, ym.shape[-1], "step")
     closed = hv * np.conj(ym @ hv)
     direct = (power_flow_map(ym, uv + hv) - power_flow_map(ym, uv)
               - power_flow_derivative(ym, uv, hv))
-    scale = max(1.0, float(np.max(np.abs(closed), initial=0.0)))
-    if float(np.max(np.abs(closed - direct), initial=0.0)) > _RESIDUAL_TOL * scale:
+    scale = np.maximum(1.0, np.max(np.abs(closed), axis=-1, initial=0.0))
+    if np.any(np.max(np.abs(closed - direct), axis=-1, initial=0.0) > _RESIDUAL_TOL * scale):
         raise ArithmeticError("quadratic-map identity violated beyond 1e-12")
     return closed
 
 
-def projection_distance(y, u, h) -> float:
+def projection_distance(y, u, h):
     """Distance from the tangent point of step h at u to the manifold point sharing its voltage.
 
     An upper proxy for the true manifold distance: only the injection part
-    differs, so it equals the 2-norm of the tangent residual.
+    differs, so it equals the 2-norm of the tangent residual (a float, or an
+    array of a stack's leading shape).
     """
-    return float(np.linalg.norm(tangent_residual(y, u, h)))
+    residual = tangent_residual(y, u, h)
+    norms = np.empty(residual.shape[:-1])
+    for index in np.ndindex(norms.shape):  # one call each: axis=-1 rounds unlike it
+        norms[index] = np.linalg.norm(residual[index])
+    return float(norms) if norms.ndim == 0 else norms
 
 
-def distance_bound(h, y_norm: float) -> float:
-    """Holder distance certificate 3 ||h||_inf ||h||_2 ||Y|| from the residual norm chain."""
-    if not y_norm >= 0:
+def distance_bound(h, y_norm):
+    """Holder distance certificate 3 ||h||_inf ||h||_2 ||Y|| from the residual norm chain,
+    for a norm ``y_norm`` (a float) or an array of them (an array)."""
+    norms = np.asarray(y_norm, dtype=float)
+    if not np.all(norms >= 0):
         raise ValueError("operator norm must be >= 0")
     hv = _as_complex_vector(h, name="step")
-    h2 = float(np.linalg.norm(hv))
-    hinf = float(np.max(np.abs(hv), initial=0.0))
-    return 3.0 * hinf * h2 * y_norm
-
+    bound = 3.0 * float(np.max(np.abs(hv), initial=0.0)) * float(np.linalg.norm(hv)) * norms
+    return float(bound) if bound.ndim == 0 else bound

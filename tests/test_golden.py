@@ -122,6 +122,14 @@ GOLDEN = {
          "line_model": {"kind": "bounded", "center_g": 0.5, "center_b": -0.5,
                         "delta": 0.2}},
         "77c1ded0ba3416febb1498100db4bcfbf86185b9455c0ffb9435ffe2bae1bffc"),
+    # A complex step at every node: Y h is a dense complex product, which rounds by the
+    # layout of the stack it is taken on. The goldens above step one node by a real h,
+    # for which every product is exact.
+    "manifold_dense_step": (
+        {"experiment": "manifold", "topology": {"name": "complete", "n": 5},
+         "samples": 20, "seed": 3, "line_model": {"kind": "sphere", "radius_sq": 0.5},
+         "h": [[0.1, -0.05], [0.03, 0.07], [-0.08, 0.02], [0.0, 0.06], [0.05, -0.04]]},
+        "fab387dddeb6c5d7ad3be65010dd6b167e7470d223e2ec5ceb848aeaae433572"),
 }
 
 

@@ -195,7 +195,8 @@ def test_fig1_draws_per_chunk_not_per_sample(monkeypatch, law):
     # 40 samples make one chunk per worker (40 rows, or 20 and 20 in two threads), 7
     # samples one of 7 (or 3 and 4): a short chunk is drawn by the same vectorized stream
     # as a long one. fig1 and manifold each make one draw, one law transform and one norm
-    # call per chunk, and no per-sample generator.
+    # call per chunk, and no per-sample generator. manifold also assembles, certifies and
+    # Holder-bounds each chunk by one call each, plus one Holder bound for the whole run.
     for workers, samples in itertools.product((1, 2), (40, 7)):
         monkeypatch.setattr(eh, "_workers", lambda: workers)
         fig1 = eh.ExperimentConfig(experiment="fig1", n=9, samples=samples, seed=2,
@@ -203,20 +204,25 @@ def test_fig1_draws_per_chunk_not_per_sample(monkeypatch, law):
         manifold = eh.ExperimentConfig(experiment="manifold", samples=samples, seed=2,
                                        topology={"name": "complete", "n": 5}, line_model=law)
         per_chunk = ("sample_uniforms", "transform", "operator_norm")
-        for cfg, chunks, per_run in [(fig1, 2 * workers, {"incidence_matrix": 1}),
-                                     (manifold, workers, {"assemble_admittance": samples})]:
+        for cfg, chunks, per_run, also_per_chunk in [
+                (fig1, 2 * workers, {"incidence_matrix": 1}, ()),
+                (manifold, workers, {"distance_bound": 1},
+                 ("weighted_laplacians", "projection_distance", "distance_bound"))]:
             want = eh.run_experiment(cfg).records
             calls = []
             with monkeypatch.context() as mp:
                 for owner, name in [(eh, "sample_rng"), (gc, "sample_er_topology"),
                                     (gc, "incidence_matrix"), (eh, "sample_uniforms"),
                                     (type(cfg.line_model), "transform"),
-                                    (eh, "assemble_admittance"), (eh, "operator_norm")]:
+                                    (eh, "assemble_admittance"), (gc, "weighted_laplacians"),
+                                    (eh, "operator_norm"), (eh, "projection_distance"),
+                                    (eh, "distance_bound")]:
                     fn = getattr(owner, name)
                     mp.setattr(owner, name,
                                lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
                 assert eh.run_experiment(cfg).records == want
-            assert collections.Counter(calls) == {**per_run, **dict.fromkeys(per_chunk, chunks)}
+            assert collections.Counter(calls) == collections.Counter(per_run) + \
+                collections.Counter(dict.fromkeys(per_chunk + also_per_chunk, chunks))
 
 
 def test_fig1_independent_of_chunking(monkeypatch):
@@ -509,7 +515,7 @@ def test_chunks_cut_workers_to_what_the_budget_holds(monkeypatch):
     # over 500 numbers (and so drops the GIL) within _CHUNK_BYTES.
     monkeypatch.setattr(eh, "_workers", lambda: 3)
     path = gc.path_topology(300)
-    for order, want in [(300, 1), (600, 2)]:  # manifold or thm2_*, and lcpf_bounds
+    for order, want in [(300, 1), (600, 2)]:  # thm2_*, and lcpf_bounds
         threads = eh._chunks(4, eh._row_bytes(path), order, lambda *r: threading.current_thread())
         assert len(set(threads)) == want
     monkeypatch.setattr(eh, "_CHUNK_BYTES", 12)
@@ -592,6 +598,32 @@ def test_fig1_budget_counts_each_workers_incidence_product(monkeypatch):
         assert len(threads) == workers and threading.current_thread() in threads
 
 
+def test_manifold_chunk_memory_is_its_rows(monkeypatch):
+    # A dense per-line basis takes m*n^2 complex numbers, 790 MB on K100. A manifold chunk
+    # holds its rows: the complex stack, its C-order copy and the line weights, 16 (2 n^2 + m)
+    # bytes a sample. Each run follows one that fills the scatter's cached rounds.
+    monkeypatch.setattr(eh, "_workers", lambda: 1)
+    for topology in (gc.complete_topology(100), gc.path_topology(200)):
+        cfg = eh.ExperimentConfig(experiment="manifold", samples=3, seed=1, topology=topology)
+        eh.run_manifold_experiment(cfg)
+        peak = _traced_peak_bytes(lambda: eh.run_manifold_experiment(cfg))
+        rows = 3 * 16 * (2 * topology.n_nodes ** 2 + topology.n_edges)
+        assert peak < eh._CHUNK_BYTES
+        assert rows <= peak < 1.05 * rows, (topology.n_nodes, peak / rows)
+
+
+def test_manifold_on_a_300_bus_path_norms_in_two_threads(monkeypatch):
+    # A worker's share of the budget holds the 2 rows of a GIL-free 300 x 300 norm call.
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+    norm, threads = eh.operator_norm, []
+    monkeypatch.setattr(eh, "operator_norm",
+                        lambda ys: threads.append(threading.current_thread()) or norm(ys))
+    cfg = eh.ExperimentConfig(experiment="manifold", samples=4, seed=1,
+                              topology=gc.path_topology(300))
+    eh.run_manifold_experiment(cfg)
+    assert len(threads) == 2 and len(set(threads)) == 2
+
+
 def _manifold_per_sample(cfg):
     # Reference: each sample's own generator, assembled matrix and norm call.
     law, m = cfg.line_model, cfg.topology.n_edges
@@ -611,20 +643,25 @@ def _manifold_per_sample(cfg):
 
 @pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
 def test_manifold_bit_equal_per_sample_reference(monkeypatch, law):
-    # One chunk of 30 rows, then chunks of 7, 7, 7, 7 and 2 under a smaller budget.
-    cfg = eh.ExperimentConfig(experiment="manifold", samples=30, seed=5, h=0.2,
-                              topology={"name": "complete", "n": 5}, line_model=law)
-    reference = _manifold_per_sample(cfg)
-    if law["kind"] != "fixed":  # the norms vary by sample, so a shifted stream shows
-        assert len({row["y_norm"] for row in reference}) > 1
-    for budget in (eh._CHUNK_BYTES, 7 * eh._row_bytes(cfg.topology)):
-        monkeypatch.setattr(eh, "_CHUNK_BYTES", budget)
-        records = eh.run_manifold_experiment(cfg).records
-        assert [{key: rec[key] for key in row} for rec, row in zip(records, reference)] \
-            == reference
-        assert len(records) == len(reference)
-        mean_cert = float(np.mean([row["holder_certificate"] for row in reference]))
-        assert {rec["mean_certificate"] for rec in records} == {mean_cert}
+    # One chunk of 30 rows, then five of 6 rows (30 spread evenly over ceil(30 / 7) chunks)
+    # under a budget of 7 of manifold's rows: the complex stack, its C-order copy and the
+    # K5 line weights. A real step at node 0 makes every product Y h exact; a complex step
+    # at every node makes it a dense product, which rounds by the layout of the stack.
+    budgets = (eh._CHUNK_BYTES, 7 * 16 * (2 * 5 ** 2 + 10))
+    for h in (0.2, [[0.1, -0.05], [0.03, 0.07], [-0.08, 0.02], [0.0, 0.06], [0.05, -0.04]]):
+        cfg = eh.ExperimentConfig(experiment="manifold", samples=30, seed=5, h=h,
+                                  topology={"name": "complete", "n": 5}, line_model=law)
+        reference = _manifold_per_sample(cfg)
+        if law["kind"] != "fixed":  # the norms vary by sample, so a shifted stream shows
+            assert len({row["y_norm"] for row in reference}) > 1
+        for budget in budgets:
+            monkeypatch.setattr(eh, "_CHUNK_BYTES", budget)
+            records = eh.run_manifold_experiment(cfg).records
+            assert [{key: rec[key] for key in row} for rec, row in zip(records, reference)] \
+                == reference
+            assert len(records) == len(reference)
+            mean_cert = float(np.mean([row["holder_certificate"] for row in reference]))
+            assert {rec["mean_certificate"] for rec in records} == {mean_cert}
 
 
 def test_manifold_experiment_small():

@@ -198,3 +198,65 @@ def test_expected_distance_dominates_monte_carlo_proxy():
         certs.append(3 * np.max(np.abs(h)) * np.linalg.norm(h)
                      * operator_norm(y))
     assert np.mean(certs) <= analytic
+
+
+def _stack_instance(rng, samples=6, n=5):
+    # A C-contiguous stack of complex admittance matrices on one topology, and a dense
+    # complex base voltage and step.
+    t = gc.complete_topology(n)
+    ys = np.stack([assemble_admittance(t, rng.uniform(-1, 1, t.n_edges)
+                                       + 1j * rng.uniform(-1, 1, t.n_edges))
+                   for _ in range(samples)])
+    u = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.2, 0.2, n))
+    h = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return ys, u, h
+
+
+@pytest.mark.parametrize("lead", [(6,), (2, 3)])
+def test_stack_forms_bit_equal_per_matrix(lead):
+    ys, u, h = _stack_instance(np.random.default_rng(76))
+    stack = ys.reshape(lead + ys.shape[-2:])
+    for fn, args in [(mf.power_flow_map, (u,)), (mf.power_flow_derivative, (u, h)),
+                     (mf.tangent_residual, (u, h))]:
+        per_matrix = np.stack([fn(y, *args) for y in ys])
+        assert np.array_equal(fn(stack, *args), per_matrix.reshape(lead + per_matrix.shape[1:]))
+    distances = mf.projection_distance(stack, u, h)
+    assert distances.shape == lead
+    assert distances.ravel().tolist() == [mf.projection_distance(y, u, h) for y in ys]
+    assert type(mf.projection_distance(ys[0], u, h)) is float
+    norms = operator_norm(stack)
+    bounds = mf.distance_bound(h, norms)
+    assert bounds.shape == lead
+    assert bounds.ravel().tolist() == [mf.distance_bound(h, y_norm)
+                                       for y_norm in norms.ravel().tolist()]
+    assert type(mf.distance_bound(h, float(norms.flat[0]))) is float
+    with pytest.raises(ValueError):
+        mf.distance_bound(h, np.append(norms, -1.0))
+    with pytest.raises(ValueError):
+        mf.distance_bound(h, np.append(norms, np.nan))
+
+
+@pytest.mark.parametrize("defect_row, raises", [(0, True), (1, False)])
+def test_stack_cross_check_keeps_each_matrix_scale(monkeypatch, defect_row, raises):
+    # Row 0's residual has scale about 1, row 1's about 1e3. A 1e-10 defect in row 0's
+    # Taylor subtraction breaks its 1e-12 relative identity; under a scale shared by the
+    # stack (1e3) it would pass. In row 1 the same defect is within the identity.
+    ys, u, h = _stack_instance(np.random.default_rng(77), samples=2)
+    h = h / np.max(np.abs(h))
+    ys[0] /= np.max(np.abs(h * np.conj(ys[0] @ h)))
+    ys[1] *= 1e3 / np.max(np.abs(h * np.conj(ys[1] @ h)))
+    closed = mf.tangent_residual(ys, u, h)  # no defect: the identity holds on both rows
+    assert np.max(np.abs(closed[0])) == pytest.approx(1.0)
+    assert np.max(np.abs(closed[1])) == pytest.approx(1e3)
+    derivative = mf.power_flow_derivative
+
+    def defective(y, u, h):
+        out = derivative(y, u, h)
+        out[defect_row] += 1e-10
+        return out
+    monkeypatch.setattr(mf, "power_flow_derivative", defective)
+    if raises:
+        with pytest.raises(ArithmeticError):
+            mf.tangent_residual(ys, u, h)
+    else:
+        assert np.array_equal(mf.tangent_residual(ys, u, h), closed)
