@@ -8,7 +8,9 @@ The bounds implemented:
 
 * bounded-admittance expectation bound
       E||Y|| <= sqrt(4 * Delta * log(4n)) + (2/3) * log(4n)
-  for any per-line law with |w| <= 1, where Delta is the max node degree.
+  for per-line weights with |w| <= 1, where Delta is the max node degree. It has
+  the form of matrix Bernstein, whose terms are centered: for a law with nonzero
+  mean, ||EY|| grows like Delta and outgrows it on dense grids.
 
 * Bernoulli line-switching (contingency) bounds, driven by the per-line
   contingency factors c_l = 2 p_l (1 - p_l) |y_l|^2, the nodal criticality
@@ -99,16 +101,19 @@ class CriticalityProfile:
         return self.max_criticality == 0.0
 
 
+def _check_n_delta(n: int, delta: float) -> None:
+    # delta is the max degree (Theorem 1) or the noise bound (the lcpf bounds).
+    if not (n >= 1 and delta >= 0):
+        raise ValueError(f"need n >= 1 and delta >= 0, got n = {n!r} and delta = {delta!r}")
+
+
 def thm1_expectation_bound(n: int, delta: float) -> float:
     """E||Y|| bound for |w| <= 1 laws on a fixed topology with max degree delta.
 
     A sample may exceed it. For a law with nonzero mean, ||EY|| >= |E w| (delta + 1)
     outgrows it on dense large grids (disk, n = 100, p = 1: ||Y|| 66-68 vs 52.7).
     """
-    if not n >= 1:
-        raise ValueError("need at least one node")
-    if not delta >= 0:
-        raise ValueError("max degree must be >= 0")
+    _check_n_delta(n, delta)
     log4n = math.log(4.0 * n)
     return math.sqrt(4.0 * delta * log4n) + (2.0 / 3.0) * log4n
 
@@ -195,10 +200,7 @@ def lcpf_tail_bound(t: float, n: int, delta: float) -> float:
     """
     if not t >= 0:
         raise ValueError("threshold t must be >= 0")
-    if not n >= 1:
-        raise ValueError("need at least one node")
-    if not delta >= 0:
-        raise ValueError("perturbation bound must be >= 0")
+    _check_n_delta(n, delta)
     if t == 0.0:
         return float(n)
     if delta == 0.0:
@@ -212,8 +214,7 @@ def lcpf_tail_bound(t: float, n: int, delta: float) -> float:
 def lcpf_tail_threshold(n: int, delta: float) -> float:
     """The t where :func:`lcpf_tail_bound` crosses 1, the root of
     t^2 = 4 log(n) (delta^2 n + delta t / 3): 0 when n = 1 or delta = 0."""
-    if not (n >= 1 and delta >= 0):
-        raise ValueError("need at least one node and a perturbation bound >= 0")
+    _check_n_delta(n, delta)
     log_n = math.log(n)
     half_linear = 2.0 * delta * log_n / 3.0
     return half_linear + math.sqrt(half_linear ** 2 + 4.0 * delta * delta * n * log_n)
@@ -221,9 +222,6 @@ def lcpf_tail_threshold(n: int, delta: float) -> float:
 
 def lcpf_expectation_bound(n: int, delta: float) -> float:
     """E||F - EF|| <= 2 delta sqrt(2) (sqrt(n log 4n) + (1/3) log 4n)."""
-    if not n >= 1:
-        raise ValueError("need at least one node")
-    if not delta >= 0:
-        raise ValueError("perturbation bound must be >= 0")
+    _check_n_delta(n, delta)
     log4n = math.log(4.0 * n)
     return 2.0 * delta * math.sqrt(2.0) * (math.sqrt(n * log4n) + log4n / 3.0)

@@ -85,7 +85,7 @@ def main(argv=None) -> int:
     try:
         text = emit(result, cfg.format, cfg.out)
     except OSError as exc:
-        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        print(f"config error: out cannot be written: {exc}", file=sys.stderr)
         return 1
     if cfg.out is None:
         sys.stdout.write(text)

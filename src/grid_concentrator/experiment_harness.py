@@ -594,27 +594,27 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
     the centered norm exactly, and returns exact mean and tail values.
     Limited to m <= 20 lines. Real admittances give real symmetric matrices,
     for the eigensolver; if every p_l = 1/2, pattern 2^m - 1 - k has the negated
-    matrix of pattern k, so only the first half is normed (round-off changes only).
+    matrix and the probability 2^-m of pattern k, so only the first half is built,
+    its norms and probabilities mirrored onto the rest (round-off changes only).
     """
     m = model.topology.n_edges
     if m > BRUTE_FORCE_MAX_LINES:
         raise ValueError(f"exhaustive enumeration capped at "
                          f"{BRUTE_FORCE_MAX_LINES} lines, got {m}")
     total = 1 << m
-    normed = total >> 1 if m and np.all(model.probs == 0.5) else total
+    built = total >> 1 if m and np.all(model.probs == 0.5) else total
     norms = np.empty(total)
     probs = np.empty(total)
 
     def chunk(start, stop):
         idx = np.arange(start, stop, dtype=np.uint64)[:, None]
         patterns = ((idx >> np.arange(m, dtype=np.uint64)) & 1).astype(float)
-        if start < normed:
-            norms[start:min(stop, normed)] = _centered_norms_for_patterns(
-                model, patterns[:normed - start])
+        norms[start:stop] = _centered_norms_for_patterns(model, patterns)
         probs[start:stop] = np.prod(
             np.where(patterns == 1.0, model.probs, 1.0 - model.probs), axis=1)
-    _chunks(total, _row_bytes(model.topology), model.topology.n_nodes, chunk)
-    norms[normed:] = norms[:total - normed][::-1]  # complements, when p = 1/2
+    _chunks(built, _row_bytes(model.topology), model.topology.n_nodes, chunk)
+    for values in (norms, probs):  # complements, when p = 1/2
+        values[built:] = values[:total - built][::-1]
     total_prob = probs.sum()
     if abs(total_prob - 1.0) > 1e-12:
         raise ArithmeticError(f"pattern probabilities sum to {total_prob!r}, not 1")

@@ -47,19 +47,18 @@ def operator_norm(m):
 def intrinsic_dimension(m) -> float:
     """Effective rank tr(M)/||M|| of a PSD matrix, which lies in [1, rank(M)].
 
-    The input must be square, Hermitian (within ``HERMITIAN_TOL``) and
+    The input must be square, finite, Hermitian (within ``HERMITIAN_TOL``) and
     nonzero, with smallest eigenvalue >= -1e-10; raises ValueError otherwise.
     """
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    norm = operator_norm(a)  # raises on NaN or Inf
+    if not np.all(np.isfinite(a)) or np.max(np.abs(a - a.conj().T), initial=0.0) > HERMITIAN_TOL:
+        raise ValueError("psd check requires a finite Hermitian matrix")
+    eigenvalues = np.linalg.eigvalsh((a + a.conj().T) / 2.0)  # ascending
+    norm = float(np.abs(eigenvalues).max(initial=0.0))
     if norm == 0.0:
         raise ValueError("intrinsic dimension undefined for the zero matrix")
-    if float(np.max(np.abs(a - a.conj().T), initial=0.0)) > HERMITIAN_TOL:
-        raise ValueError("psd check requires a Hermitian matrix")
-    h = (a + a.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(h)[0])
-    if lam_min < -1e-10:
-        raise ValueError(f"matrix is not PSD: lambda_min = {lam_min:.3e}")
+    if eigenvalues[0] < -1e-10:
+        raise ValueError(f"matrix is not PSD: lambda_min = {eigenvalues[0]:.3e}")
     return float(np.real(np.trace(a))) / norm

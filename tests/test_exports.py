@@ -1,8 +1,8 @@
 """Every exported name resolves, so a deleted function leaves no stale export,
 and so does every name the traced benchmark patches; and every public
 definition in the package has a caller in the package, or is on the README's
-list of library API awaiting callers. The README's config table and library
-example are checked against the package too."""
+list of library API awaiting callers. The README's config table, line-law
+table and library example are checked against the package too."""
 
 import ast
 import importlib
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import grid_concentrator
+from grid_concentrator.admittance import _LAWS
 from grid_concentrator.experiment_harness import _PARSERS, SCHEMA
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(grid_concentrator.__path__))
@@ -131,6 +132,22 @@ def test_readme_config_table_matches_schema():
     assert sorted(documented) == sorted(_PARSERS)
     for field, readers in documented.items():
         assert readers == sorted(e for e, reads in SCHEMA.items() if field in reads), field
+
+
+def test_readme_line_law_table_matches_laws():
+    # One row per kind; its fields, each "`name`" or "`name` (default x)" and split
+    # by "; ", and its draws are those of the kind's entry in _LAWS.
+    documented = {}
+    for kind, fields, draws, _ in _readme_rows("### Config fields",
+                                               "| kind | fields | draws | law |"):
+        parsed = {} if fields.strip() == "none" else dict(
+            re.match(r"\s*`(\w+)`(?: \(default ([^)]+)\))?", part).groups()
+            for part in fields.split(";"))
+        documented[kind.strip().strip("`")] = (parsed, int(re.match(r"\s*(\d+)", draws)[1]))
+    assert documented == {
+        kind: ({key: None if default is None else str(default) for key, default in fields.items()},
+               law.draws)
+        for kind, (law, fields) in _LAWS.items()}
 
 
 def test_readme_library_example_runs(capsys):

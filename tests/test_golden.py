@@ -60,15 +60,17 @@ GOLDEN = {
          "topology": {"name": "complete", "n": 4}, "probs": 0.4,
          "admittances": [0.6, -0.8], "samples": 2000, "seed": 11},
         "50a2786f98a1f109a45e9acb0f6d491d2a75d68685a9c15d9e5135c99e3a2dc2"),
-    # Default K3 model; 9000 samples: more than one 8192-row chunk. At p = 1/2 every
-    # sample's centered norm is 1.5 (to the last bit or one ulp off), so this digest
-    # holds across seeds and sample counts: it cannot see a stream or chunking fault.
+    # Default K3 model; 9000 samples: two chunks of 4500 rows at one or two workers
+    # (the chunk count rounds up to a multiple of the workers, rows spread evenly). At
+    # p = 1/2 every sample's centered norm is 1.5 (to the last bit or one ulp off), so
+    # this digest holds across seeds and sample counts: it cannot see a stream or
+    # chunking fault.
     "thm2_expectation_montecarlo_multichunk": (
         {"experiment": "thm2_expectation", "backend": "montecarlo",
          "samples": 9000, "seed": 2},
         "91294d2f9c36d0e3ea1522ced557a20b19ff96bff0088a845c54b8044e34912c"),
-    # K4 with 14 distinct norms; 8200 samples: chunks of 8192 and 8 rows, so the short
-    # tail's stream is in the digest too.
+    # K4 with 14 distinct norms; 8200 samples: two chunks of 4100 rows at one or two
+    # workers, so the streams of a chunk that starts mid-run are in the digest too.
     "thm2_expectation_montecarlo_k4_short_tail": (
         {"experiment": "thm2_expectation", "backend": "montecarlo",
          "topology": {"name": "complete", "n": 4}, "probs": 0.4,
@@ -87,12 +89,13 @@ GOLDEN = {
         {"experiment": "lcpf_bounds", "topology": {"name": "complete", "n": 30},
          "delta": 0.05, "samples": 400, "seed": 6},
         "7f55cf942b78e99ee88bb8f952377edf2f4c1c39cedb443da1fa424c1588ea92"),
-    # 250 samples: chunks of 246 and 4 rows of 870 draws, a wide short tail.
+    # 250 samples: two chunks of 125 rows of 870 draws at one worker, four of 62 or 63
+    # at two; wide rows in short chunks.
     "lcpf_bounds_k30_short_tail": (
         {"experiment": "lcpf_bounds", "topology": {"name": "complete", "n": 30},
          "delta": 0.05, "samples": 250, "seed": 6},
         "958ab77fd0171a53ddaf70a19cb88b4ca4931b7a000ecb4668287baef2c83e12"),
-    # 10 000 samples: more than one 8192-row chunk.
+    # 10 000 samples: more than one chunk (two of 5000 rows at one or two workers).
     "lcpf_bounds_p3_multichunk": (
         {"experiment": "lcpf_bounds", "topology": {"name": "path", "n": 3},
          "delta": 0.1, "samples": 10000, "seed": 1},

@@ -318,16 +318,28 @@ def test_brute_force_norms_match_complex_reference(name):
 
 @pytest.mark.parametrize("workers", [5, 7, 9])
 def test_brute_force_independent_of_chunking_across_half(monkeypatch, workers):
-    # An odd number of even chunks cuts the 64 patterns off the half at 32.
-    model = bnd.ContingencyModel(_K4, np.full(6, 0.5), _MIXED_Y)
-    whole = eh.brute_force_distribution(model)
+    # An odd number of even chunks of the 64 patterns cuts them off the half at 32. At
+    # p = 1/2 only the 32 patterns below it are built, in `workers` chunks, and the rest
+    # mirrored; at any other p all 64 are built, and a chunk straddles the half.
+    half = bnd.ContingencyModel(_K4, np.full(6, 0.5), _MIXED_Y)
+    whole = eh.brute_force_distribution(half)
     monkeypatch.setattr(eh, "_workers", lambda: workers)
-    ranges = eh._chunks(64, eh._row_bytes(_K4), 4, lambda start, stop: (start, stop))
-    assert len(ranges) == workers and any(start < 32 < stop for start, stop in ranges)
-    chunked = eh.brute_force_distribution(model)
+    chunks, ranges = eh._chunks, []
+    monkeypatch.setattr(eh, "_chunks", lambda total, row_bytes, order, chunk: chunks(
+        total, row_bytes, order, lambda *span: ranges.append(span) or chunk(*span)))
+    chunked = eh.brute_force_distribution(half)
+    cuts = sorted(ranges)
+    assert len(cuts) == workers and cuts[0][0] == 0 and cuts[-1][1] == 32
+    assert all(stop == start for (_, stop), (start, _) in zip(cuts, cuts[1:]))
     np.testing.assert_array_equal(chunked.norms, whole.norms)
-    np.testing.assert_array_equal(chunked.probabilities, whole.probabilities)
+    patterns = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    product = np.prod(np.where(patterns == 1, half.probs, 1.0 - half.probs), axis=1)
+    assert chunked.probabilities.tobytes() == product.tobytes()
     assert chunked.mean == whole.mean
+    ranges.clear()
+    eh.brute_force_distribution(bnd.ContingencyModel(_K4, _MIXED_P, _MIXED_Y))
+    assert sum(stop - start for start, stop in ranges) == 64
+    assert any(start < 32 < stop for start, stop in ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +624,19 @@ def test_manifold_chunk_memory_is_its_rows(monkeypatch):
         assert rows <= peak < 1.05 * rows, (topology.n_nodes, peak / rows)
 
 
+def test_manifold_sphere_chunk_peaks_within_the_budget(monkeypatch):
+    # One full K100 chunk of 42 rows under the sphere law. Its transform's temporaries
+    # (the uniforms, logs, radii, angles, normals and their squared cumsum), live at once,
+    # took the chunk to 1.19 of the budget; the disk law's chunk peaks at 0.999 of it.
+    monkeypatch.setattr(eh, "_workers", lambda: 1)
+    topology = gc.complete_topology(100)
+    rows = eh._CHUNK_BYTES // (16 * (2 * 100 ** 2 + topology.n_edges))
+    cfg = eh.ExperimentConfig(experiment="manifold", samples=rows, seed=1, topology=topology,
+                              line_model={"kind": "sphere"})
+    eh.run_manifold_experiment(cfg)  # fills the scatter's cached rounds
+    assert _traced_peak_bytes(lambda: eh.run_manifold_experiment(cfg)) < eh._CHUNK_BYTES
+
+
 def test_manifold_on_a_300_bus_path_norms_in_two_threads(monkeypatch):
     # A worker's share of the budget holds the 2 rows of a GIL-free 300 x 300 norm call.
     monkeypatch.setattr(eh, "_workers", lambda: 2)
@@ -887,6 +912,18 @@ def test_cli_unreadable_config_file_is_config_error(tmp_path, capsys, name):
     ("manifold", {"h": 10 ** 400}, "h"),
     ("manifold", {"line_model": {"kind": "bounded", "center_g": 10 ** 400,
                                  "center_b": 0.0, "delta": 0.1}}, "line_model"),
+    # a value outside its choices, given in the file rather than as an option
+    ("fig1", {"format": "xml"}, "format"),
+    ("thm2_tail", {"backend": "gpu"}, "backend"),
+    # a per-line or per-node list of the wrong length (K3: 3 lines; P3: 3 nodes)
+    ("thm2_tail", {"probs": [0.5, 0.5]}, "probs"),
+    ("thm2_tail", {"admittances": [1.0, 1.0, 1.0, 1.0]}, "admittances"),
+    ("manifold", {"h": [0.1, 0.1]}, "h"),
+    # K8's 28 lines are past the enumeration cap of the default bruteforce backend
+    ("thm2_tail", {"topology": {"name": "complete", "n": 8}}, "topology"),
+    ("lcpf_bounds", {"topology": {"n": 3, "edges": [[0, 1, 2]]}}, "topology"),
+    # parsed, but it cannot be opened for writing once the run is done
+    ("fig1", {"n": 4, "samples": 1, "out": "."}, "out"),
 ])
 def test_cli_invalid_field_is_config_error(tmp_path, capsys, experiment, config, field):
     cfg_path = tmp_path / "cfg.json"
