@@ -13,9 +13,10 @@ Every runner works in bounded chunks of samples, each normed by one batched
 call. :func:`_chunks` maps a runner's chunk function over them, in one thread
 per CPU when the BLAS is single-threaded, and keeps the results in order. The
 Monte Carlo, enumeration, ``lcpf_bounds`` and ``manifold`` chunks are assembled
-by one line-order scatter, so their per-sample memory is O(n^2). Only ``fig1``
-still builds a product per sample, of a complex m x n matrix of K_n incidence
-rows (about 175 MB peak at n = 200, p = 1).
+by one line-order scatter, so their per-sample memory is O(n^2); a Monte Carlo
+chunk builds and norms each distinct switch pattern once. Only ``fig1`` still
+builds a product per sample, of a complex m x n matrix of K_n incidence rows
+(about 175 MB peak at n = 200, p = 1).
 
 Experiments
 -----------
@@ -624,12 +625,19 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
 
 def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
                              seed: int) -> SampleStats:
-    """Monte Carlo estimate of the ||Y - EY|| distribution (per-sample streams)."""
+    """Monte Carlo estimate of the ||Y - EY|| distribution: sample s switches line l
+    on when draw l of ``sample_rng(seed, 0, s)`` is below p_l. A chunk norms each
+    distinct pattern once and gives every sample that drew it that norm, bit for bit
+    the one the sample gets normed alone (the same matrix and LAPACK call)."""
     norms = np.empty(samples)
 
     def chunk(start, stop):
-        norms[start:stop] = _centered_norms_for_patterns(
-            model, sample_uniforms(seed, 0, start, stop, len(model.probs)) < model.probs)
+        patterns = sample_uniforms(seed, 0, start, stop, len(model.probs)) < model.probs
+        # Row keys: packed bits and a spare one, for m = 0, as bytes (void sorts 3x slower).
+        keys = np.packbits(np.pad(patterns, ((0, 0), (0, 1))), axis=1)
+        _, first, inverse = np.unique(keys.view(f"S{keys.shape[1]}")[:, 0],
+                                      return_index=True, return_inverse=True)
+        norms[start:stop] = _centered_norms_for_patterns(model, patterns[first])[inverse]
     _chunks(samples, _row_bytes(model.topology), model.topology.n_nodes, chunk)
     return SampleStats.sampled(norms)
 

@@ -6,6 +6,7 @@ table and library example are checked against the package too."""
 
 import ast
 import importlib
+import itertools
 import pkgutil
 import re
 import sys
@@ -122,14 +123,15 @@ def test_readme_awaiting_callers_match():
 
 
 def test_readme_config_table_matches_schema():
-    # One row per config field; "read by" names exactly the experiments whose
-    # SCHEMA entry reads the field ("all": every experiment).
+    # One row per config field, and every field parsed is read by some experiment;
+    # "read by" names exactly the experiments whose SCHEMA entry reads the field
+    # ("all": every experiment).
     documented = {}
     for field, read_by, *_ in _readme_rows("### Config fields",
                                            "| field | read by | default | accepted form |"):
         readers = SCHEMA if read_by.strip() == "all" else re.findall(r"`(\w+)`", read_by)
         documented[field.strip().strip("`")] = sorted(readers)
-    assert sorted(documented) == sorted(_PARSERS)
+    assert sorted(documented) == sorted(_PARSERS) == sorted({*itertools.chain(*SCHEMA.values())})
     for field, readers in documented.items():
         assert readers == sorted(e for e, reads in SCHEMA.items() if field in reads), field
 

@@ -4,11 +4,9 @@ import itertools
 import json
 import math
 import os
-import re
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,23 +68,6 @@ def test_config_topology_parsing():
     with pytest.raises(eh.ConfigError):
         eh.ExperimentConfig.from_dict(
             {"experiment": "thm2_tail", "topology": {"name": "moebius", "n": 3}})
-
-
-def test_readme_config_table_matches_schema():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    lines = readme.split("### Config fields", 1)[1].splitlines()
-    start = lines.index("| field | read by | default | accepted form |") + 2
-    documented = {}
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
-        readers = cells[1]
-        documented[cells[0].strip("`")] = \
-            set(eh.EXPERIMENT_NAMES) if readers == "all" else set(re.findall(r"`(\w+)`", readers))
-    schema = {field: {exp for exp, reads in eh.SCHEMA.items() if field in reads}
-              for field in {field for reads in eh.SCHEMA.values() for field in reads}}
-    assert documented == schema
 
 
 @pytest.mark.parametrize("experiment", eh.EXPERIMENT_NAMES)

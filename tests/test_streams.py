@@ -164,6 +164,66 @@ def test_long_stream_lcpf_matches_per_sample_generators(monkeypatch):
     assert [r["tail_empirical"] for r in records] == [want.tail_at(x) for x in lcpf.t_grid]
 
 
+# Monte Carlo contingency models: real K3 lines of three sizes (8 patterns, 4 distinct
+# norms), complex K4 lines (the SVD path), K8's 28 lines (nearly every row distinct), and
+# K8 with rare lines on, whose byte keys hold zero and space (0x20) bytes inside and last.
+MC_MODELS = {
+    "k3_real": {"admittances": [1.0, 0.5, 0.25]},
+    "k4_complex": {"topology": {"name": "complete", "n": 4}, "probs": 0.4,
+                   "admittances": [0.6, -0.8]},
+    "k8": {"topology": {"name": "complete", "n": 8}},
+    "k8_rare": {"topology": {"name": "complete", "n": 8}, "probs": 0.03},
+}
+MC_CHUNKS = {"chunk7": 7, "default": eh._ENUM_CHUNK}
+
+
+def _mc_model(name):
+    return eh.ExperimentConfig(experiment="thm2_tail", backend="montecarlo",
+                               **MC_MODELS[name]).model
+
+
+@pytest.mark.parametrize("chunk", MC_CHUNKS.values(), ids=MC_CHUNKS)
+@pytest.mark.parametrize("name", MC_MODELS)
+def test_monte_carlo_norms_match_per_sample_norming(monkeypatch, name, chunk):
+    # A chunk norms each distinct pattern once; every sample must still get, bit for
+    # bit, the norm of its own pattern normed alone.
+    model, samples, seed = _mc_model(name), 120, 11
+    patterns = eh.sample_uniforms(seed, 0, 0, samples, len(model.probs)) < model.probs
+    want = np.array([eh._centered_norms_for_patterns(model, row[None])[0] for row in patterns])
+    assert len(np.unique(want)) > 1
+    monkeypatch.setattr(eh, "_ENUM_CHUNK", chunk)
+    assert np.array_equal(eh.monte_carlo_distribution(model, samples, seed).norms, want)
+
+
+@pytest.mark.parametrize("chunk", MC_CHUNKS.values(), ids=MC_CHUNKS)
+@pytest.mark.parametrize("name", MC_MODELS)
+def test_monte_carlo_norms_each_distinct_pattern_once(monkeypatch, name, chunk):
+    model, samples, seed = _mc_model(name), 120, 11
+    ranges, normed, uniforms, norms = [], [], eh.sample_uniforms, eh._centered_norms_for_patterns
+    monkeypatch.setattr(eh, "_workers", lambda: 1)  # one thread: calls in range order
+    monkeypatch.setattr(eh, "_ENUM_CHUNK", chunk)
+    monkeypatch.setattr(eh, "sample_uniforms", lambda seed, sweep, start, stop, count:
+                        ranges.append((start, stop)) or uniforms(seed, sweep, start, stop, count))
+    monkeypatch.setattr(eh, "_centered_norms_for_patterns",
+                        lambda model, patterns: normed.append(patterns) or norms(model, patterns))
+    eh.monte_carlo_distribution(model, samples, seed)
+    patterns = uniforms(seed, 0, 0, samples, len(model.probs)) < model.probs
+    assert len(normed) == len(ranges) > (1 if chunk == 7 else 0)
+    for (start, stop), rows in zip(ranges, normed):
+        assert len(rows) == len(np.unique(patterns[start:stop], axis=0))
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        if name == "k3_real":
+            assert len(rows) <= 8
+
+
+def test_monte_carlo_on_an_edgeless_topology():
+    # No lines: one (empty) pattern, whose centered matrix is zero.
+    cfg = eh.ExperimentConfig(experiment="thm2_expectation", backend="montecarlo", samples=50,
+                              topology={"n": 2, "edges": []})
+    record = eh.run_expectation_experiment(cfg).records[0]
+    assert record["expectation_empirical"] == 0.0 and record["bound_ok"] is True
+
+
 def test_samples_are_capped_at_2_to_the_32():
     eh.ExperimentConfig(experiment="thm2_tail", backend="montecarlo", samples=2 ** 32)
     with pytest.raises(eh.ConfigError, match="^samples must be at most 2\\^32"):
