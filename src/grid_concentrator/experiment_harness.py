@@ -10,13 +10,13 @@ sampled runner draws those streams a chunk at a time by :func:`sample_uniforms`
 and maps them to line weights by one law transform per chunk.
 
 Every runner works in bounded chunks of samples, each normed by one batched
-call. :func:`_chunks` maps a runner's chunk function over them, in one thread
-per CPU when the BLAS is single-threaded, and keeps the results in order. The
-Monte Carlo, enumeration, ``lcpf_bounds`` and ``manifold`` chunks are assembled
-by one line-order scatter, so their per-sample memory is O(n^2); a Monte Carlo
-chunk builds and norms each distinct switch pattern once. Only ``fig1`` still
-builds a product per sample, of a complex m x n matrix of K_n incidence rows
-(about 175 MB peak at n = 200, p = 1).
+call. :func:`_chunks` maps a runner's chunk function over them, in one thread per
+CPU when the BLAS is single-threaded and each gets a GIL-free norm call, and keeps
+the results in order. The Monte Carlo, enumeration, ``lcpf_bounds`` and ``manifold``
+chunks are assembled by one line-order scatter, so their per-sample memory is O(n^2);
+Monte Carlo keys its chunks in the calling thread and norms each distinct switch
+pattern once. Only ``fig1`` still builds a product per sample, of a complex m x n
+matrix of K_n incidence rows (about 175 MB peak at n = 200, p = 1).
 
 Experiments
 -----------
@@ -346,11 +346,13 @@ class SampleStats:
         stderr = float(np.std(norms, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
         return cls(norms=norms, probabilities=None, mean=float(np.mean(norms)), stderr=stderr)
 
-    def tail_at(self, t: float) -> float:
-        """Pr(norm >= t) under the sample/pattern weights."""
+    def tails(self, grid) -> list:
+        """Pr(norm >= t) under the sample/pattern weights, for each t of ``grid``. Samples
+        are sorted once; each count of norms >= t over N is ``np.mean(norms >= t)``."""
         if self.probabilities is None:
-            return float(np.mean(self.norms >= t))
-        return float(self.probabilities[self.norms >= t].sum())
+            ahead = len(self.norms) - np.searchsorted(np.sort(self.norms), grid, "left")
+            return (ahead / len(self.norms)).tolist()
+        return [float(self.probabilities[self.norms >= t].sum()) for t in grid]
 
 
 @dataclass
@@ -362,13 +364,14 @@ class RunResult:
 
     @property
     def failing_rows(self) -> list:
-        """0-based indices of the rows with a ``*_ok`` cell that is False."""
+        """0-based indices of the rows with a ``*_ok`` field that is False."""
+        verdicts = [key for key in self.fieldnames if key.endswith("_ok")]
         return [index for index, rec in enumerate(self.records)
-                if any(key.endswith("_ok") and ok is False for key, ok in rec.items())]
+                if any(rec.get(key) is False for key in verdicts)]
 
     @property
     def bounds_ok(self) -> bool:
-        """True when no row has a ``*_ok`` cell that is False (None is no verdict)."""
+        """True when no row has a ``*_ok`` field that is False (None is no verdict)."""
         return not self.failing_rows
 
 
@@ -470,16 +473,17 @@ def _chunks(total: int, row_bytes: int, order: int, chunk, most: int | None = No
 
     A range holds at most ``most`` (default ``_ENUM_CHUNK``) rows of ``row_bytes``
     and a worker's share of ``_CHUNK_BYTES``; its rows are normed as matrices of
-    order ``order``. :func:`_workers` is cut to as many workers as the budget holds
-    ``worker_bytes`` (what each holds beyond its rows) and one GIL-free norm call's
-    rows. The range count is a multiple of the workers, rows spread evenly, dealt
-    round robin to the caller and one thread per further worker. After an error no
-    worker starts another call; the first in range order is raised once all joined.
+    order ``order``. :func:`_workers` is cut so that the run, and the budget with each
+    worker's ``worker_bytes`` (held beyond its rows), give each the rows of one GIL-free
+    norm call: a smaller run starts no thread. Ranges, a multiple of the workers with rows
+    spread evenly, are dealt round robin to the caller and one thread per further worker.
+    After an error no worker starts another; the first in range order is raised once all joined.
     """
     # numpy's linalg loops drop the GIL only for calls that output over 500 numbers: halves
     # of 10 eigvalsh of 99 x 99 in 2 threads took 1.13x the serial time, of 101 x 101 0.60x.
-    least = (500 // order + 1) * row_bytes
-    workers = min(_workers(), max(1, _CHUNK_BYTES // (worker_bytes + least)))
+    least = 500 // order + 1
+    workers = min(_workers(), max(1, min(
+        total // least, _CHUNK_BYTES // (worker_bytes + least * row_bytes))))
     rows = max(1, min(most or _ENUM_CHUNK, _CHUNK_BYTES // workers // row_bytes))
     count = -(-total // rows)
     count = min(total, -(-count // workers) * workers)
@@ -625,20 +629,25 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
 
 def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
                              seed: int) -> SampleStats:
-    """Monte Carlo estimate of the ||Y - EY|| distribution: sample s switches line l
-    on when draw l of ``sample_rng(seed, 0, s)`` is below p_l. A chunk norms each
-    distinct pattern once and gives every sample that drew it that norm, bit for bit
-    the one the sample gets normed alone (the same matrix and LAPACK call)."""
-    norms = np.empty(samples)
-
-    def chunk(start, stop):
-        patterns = sample_uniforms(seed, 0, start, stop, len(model.probs)) < model.probs
-        # Row keys: packed bits and a spare one, for m = 0, as bytes (void sorts 3x slower).
-        keys = np.packbits(np.pad(patterns, ((0, 0), (0, 1))), axis=1)
-        _, first, inverse = np.unique(keys.view(f"S{keys.shape[1]}")[:, 0],
-                                      return_index=True, return_inverse=True)
-        norms[start:stop] = _centered_norms_for_patterns(model, patterns[first])[inverse]
-    _chunks(samples, _row_bytes(model.topology), model.topology.n_nodes, chunk)
+    """Monte Carlo estimate of the ||Y - EY|| distribution: sample s switches line l on when
+    draw l of ``sample_rng(seed, 0, s)`` is below p_l. Chunks are drawn and keyed in the calling
+    thread (that holds the GIL); :func:`_chunks` norms each distinct pattern once, bit for bit
+    the norm a sample gets alone (the same matrix and LAPACK call), for each sample drawing it."""
+    norms, row_bytes, m = np.empty(samples), _row_bytes(model.topology), len(model.probs)
+    rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
+    # Row keys: the packed bits in a power-of-2 width with a spare bit (for m = 0), one uint
+    # a row up to 63 lines (uint8 and uint16 sort by radix), else bytes (void sorts 3x slower).
+    width = 1 << (m // 8).bit_length()
+    key = f"u{width}" if width <= 8 else f"S{width}"
+    for start in range(0, samples, rows):
+        stop = min(start + rows, samples)
+        patterns = sample_uniforms(seed, 0, start, stop, m) < model.probs
+        keys = np.zeros((stop - start, width), np.uint8)
+        keys[:, :-(-m // 8)] = np.packbits(patterns, axis=1)  # np.pad took 2.5x as long
+        _, first, inverse = np.unique(keys.view(key)[:, 0], return_index=True, return_inverse=True)
+        parts = _chunks(len(first), row_bytes, model.topology.n_nodes,
+                        lambda a, b: _centered_norms_for_patterns(model, patterns[first[a:b]]))
+        norms[start:stop] = np.concatenate(parts)[inverse]
     return SampleStats.sampled(norms)
 
 
@@ -662,8 +671,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> RunResult:
     threshold = bnd.thm2_tail_threshold(profile)
     stats = _contingency_stats(cfg)
     records = []
-    for t in cfg.t_grid.tolist():
-        emp = stats.tail_at(t)
+    for t, emp in zip(cfg.t_grid.tolist(), stats.tails(cfg.t_grid)):
         bound = bnd.thm2_tail_bound(t, profile)
         valid = t >= threshold
         n_samp = len(stats.norms)
@@ -735,8 +743,7 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
     exp_bound = bnd.lcpf_expectation_bound(n, delta)
     mean_ok = bool(stats.mean <= exp_bound)
     records = []
-    for t in cfg.t_grid:
-        tail_emp = stats.tail_at(t)
+    for t, tail_emp in zip(cfg.t_grid, stats.tails(cfg.t_grid)):
         tail_bound = bnd.lcpf_tail_bound(float(t), n, delta)
         slacked = LCPF_TAIL_SLACK * tail_bound
         records.append({"t": float(t), "tail_empirical": tail_emp,
@@ -807,9 +814,9 @@ def run_bruteforce(cfg: ExperimentConfig) -> RunResult:
     if grid is None:  # the default needs the enumerated norms
         top = float(stats.norms.max(initial=0.0))
         grid = np.linspace(0.0, top if top > 0 else 1.0, 20, endpoint=False)
-    records = [{"t": float(t), "tail_exact": stats.tail_at(t),
+    records = [{"t": float(t), "tail_exact": tail,
                 "mean_norm": stats.mean, "n_patterns": len(stats.norms)}
-               for t in grid]
+               for t, tail in zip(grid, stats.tails(grid))]
     return RunResult(records, BRUTEFORCE_FIELDS)
 
 
@@ -832,15 +839,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 # emission
 # ---------------------------------------------------------------------------
 
+# Never quoted, by exact type: floats' digits, '.', 'e', signs, inf or nan, and ints' digits.
+_PLAIN_CELLS = {float: "{:.17g}".format, int: str, bool: ("false", "true").__getitem__,
+                type(None): lambda value: ""}
+
+
 def _csv_cell(value) -> str:
     """One RFC 4180 cell: floats at 17 digits, None empty, ``true``/``false``, else str."""
-    value = _json_ready(value)
-    if isinstance(value, float):  # digits, '.', 'e', signs, 'inf' or 'nan': never quoted
-        return f"{value:.17g}"
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    plain = _PLAIN_CELLS.get(type(value))
+    if plain is None:  # numpy scalars and other types
+        value = _json_ready(value)
+        plain = _PLAIN_CELLS.get(type(value))
+    if plain is not None:
+        return plain(value)
     cell = str(value)
     return '"' + cell.replace('"', '""') + '"' if re.search('[,"\r\n]', cell) else cell
 

@@ -7,6 +7,7 @@ import os
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -173,21 +174,23 @@ def test_fig1_bit_equal_per_sample_reference(law):
 
 @pytest.mark.parametrize("law", _FIG1_LAWS, ids=lambda law: law["kind"])
 def test_fig1_draws_per_chunk_not_per_sample(monkeypatch, law):
-    # 40 samples make one chunk per worker (40 rows, or 20 and 20 in two threads), 7
-    # samples one of 7 (or 3 and 4): a short chunk is drawn by the same vectorized stream
-    # as a long one. fig1 and manifold each make one draw, one law transform and one norm
-    # call per chunk, and no per-sample generator. manifold also assembles, certifies and
-    # Holder-bounds each chunk by one call each, plus one Holder bound for the whole run.
-    for workers, samples in itertools.product((1, 2), (40, 7)):
-        monkeypatch.setattr(eh, "_workers", lambda: workers)
+    # 40 samples make one or two chunks (40 rows, or 20 and 20), 7 samples one of 7 (or 3
+    # and 4): a short chunk is drawn by the same vectorized stream as a long one. fig1 and
+    # manifold each make one draw, one law transform and one norm call per chunk, and no
+    # per-sample generator. manifold also assembles, certifies and Holder-bounds each
+    # chunk by one call each, plus one Holder bound for the whole run.
+    for chunks_per_sweep, samples in itertools.product((1, 2), (40, 7)):
+        most = -(-samples // chunks_per_sweep)
+        monkeypatch.setattr(eh, "_FIG1_CHUNK", most)
+        monkeypatch.setattr(eh, "_ENUM_CHUNK", most)
         fig1 = eh.ExperimentConfig(experiment="fig1", n=9, samples=samples, seed=2,
                                    p_grid=(0.3, 1.0), line_model=law)
         manifold = eh.ExperimentConfig(experiment="manifold", samples=samples, seed=2,
                                        topology={"name": "complete", "n": 5}, line_model=law)
         per_chunk = ("sample_uniforms", "transform", "operator_norm")
         for cfg, chunks, per_run, also_per_chunk in [
-                (fig1, 2 * workers, {"incidence_matrix": 1}, ()),
-                (manifold, workers, {"distance_bound": 1},
+                (fig1, 2 * chunks_per_sweep, {"incidence_matrix": 1}, ()),
+                (manifold, chunks_per_sweep, {"distance_bound": 1},
                  ("weighted_laplacians", "projection_distance", "distance_bound"))]:
             want = eh.run_experiment(cfg).records
             calls = []
@@ -223,7 +226,7 @@ def test_brute_force_all_lines_certain():
     stats = eh.brute_force_distribution(model)
     assert stats.exact
     assert stats.mean == pytest.approx(0.0, abs=1e-15)
-    assert stats.tail_at(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert stats.tails([0.5]) == [pytest.approx(0.0, abs=1e-15)]
 
 
 def test_brute_force_single_line_half():
@@ -233,8 +236,8 @@ def test_brute_force_single_line_half():
     # ||(xi - 1/2) E_01|| = 1 for either switch state
     np.testing.assert_allclose(stats.norms, 1.0, atol=1e-12)
     assert stats.mean == pytest.approx(1.0, rel=1e-12)
-    np.testing.assert_allclose([stats.tail_at(0.5), stats.tail_at(1.0)], 1.0)
-    assert stats.tail_at(1.0 + 1e-9) == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_allclose(stats.tails([0.5, 1.0]), 1.0)
+    assert stats.tails([1.0 + 1e-9]) == [pytest.approx(0.0, abs=1e-15)]
 
 
 def test_brute_force_probabilities_sum_to_one():
@@ -297,20 +300,21 @@ def test_brute_force_norms_match_complex_reference(name):
         np.testing.assert_array_equal(norms, norms[::-1])
 
 
-@pytest.mark.parametrize("workers", [5, 7, 9])
-def test_brute_force_independent_of_chunking_across_half(monkeypatch, workers):
-    # An odd number of even chunks of the 64 patterns cuts them off the half at 32. At
-    # p = 1/2 only the 32 patterns below it are built, in `workers` chunks, and the rest
-    # mirrored; at any other p all 64 are built, and a chunk straddles the half.
+@pytest.mark.parametrize("most", [5, 10, 13])
+def test_brute_force_independent_of_chunking_across_half(monkeypatch, most):
+    # Chunks of at most 5, 10 or 13 rows cut the 64 patterns into an odd number of even
+    # chunks (13, 7 or 5), off the half at 32. At p = 1/2 only the 32 patterns below it
+    # are built, in chunks of at most `most`, and the rest mirrored; at any other p all
+    # 64 are built, and a chunk straddles the half.
     half = bnd.ContingencyModel(_K4, np.full(6, 0.5), _MIXED_Y)
     whole = eh.brute_force_distribution(half)
-    monkeypatch.setattr(eh, "_workers", lambda: workers)
+    monkeypatch.setattr(eh, "_ENUM_CHUNK", most)
     chunks, ranges = eh._chunks, []
     monkeypatch.setattr(eh, "_chunks", lambda total, row_bytes, order, chunk: chunks(
         total, row_bytes, order, lambda *span: ranges.append(span) or chunk(*span)))
     chunked = eh.brute_force_distribution(half)
     cuts = sorted(ranges)
-    assert len(cuts) == workers and cuts[0][0] == 0 and cuts[-1][1] == 32
+    assert len(cuts) == -(-32 // most) and cuts[0][0] == 0 and cuts[-1][1] == 32
     assert all(stop == start for (_, stop), (start, _) in zip(cuts, cuts[1:]))
     np.testing.assert_array_equal(chunked.norms, whole.norms)
     patterns = (np.arange(64)[:, None] >> np.arange(6)) & 1
@@ -319,7 +323,7 @@ def test_brute_force_independent_of_chunking_across_half(monkeypatch, workers):
     assert chunked.mean == whole.mean
     ranges.clear()
     eh.brute_force_distribution(bnd.ContingencyModel(_K4, _MIXED_P, _MIXED_Y))
-    assert sum(stop - start for start, stop in ranges) == 64
+    assert len(ranges) % 2 == 1 and sum(stop - start for start, stop in ranges) == 64
     assert any(start < 32 < stop for start, stop in ranges)
 
 
@@ -340,8 +344,8 @@ def test_tail_experiment_matches_brute_force():
     cfg = eh.ExperimentConfig(experiment="thm2_tail", t_grid=grid)
     result = eh.run_tail_experiment(cfg)
     stats = eh.brute_force_distribution(model)
-    for rec, threshold in zip(result.records, grid):
-        assert rec["tail_empirical"] == pytest.approx(stats.tail_at(threshold), abs=1e-15)
+    for rec, threshold, tail in zip(result.records, grid, stats.tails(grid)):
+        assert rec["tail_empirical"] == pytest.approx(tail, abs=1e-15)
         assert rec["exact"]
         assert rec["valid"] is (threshold >= math.sqrt(2.0) + 2.0 / 3.0)
         assert rec["tail_bound_clamped"] == min(1.0, rec["tail_bound"])
@@ -476,9 +480,9 @@ def test_chunks_raise_an_error_from_any_chunk(monkeypatch):
                     chunk_2_ended.set()
         before = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError, match=f"chunk {bad[0]}"):
-            eh._chunks(9, 1, 1, chunk)
+            eh._chunks(9, 1, 501, chunk)  # order 501: one row's norm drops the GIL
         assert threading.active_count() == before  # every chunk thread joined
-    assert eh._chunks(9, 1, 1, chunk=lambda start, stop: start) == [0, 3, 6]
+    assert eh._chunks(9, 1, 501, chunk=lambda start, stop: start) == [0, 3, 6]
 
 
 def test_chunks_start_no_chunk_after_an_error(monkeypatch):
@@ -520,14 +524,18 @@ def test_chunks_cut_workers_to_what_the_budget_holds(monkeypatch):
         assert len(threads) == 60 // (12 // want)  # each worker's share of the 12 rows
 
 
+# Each run norms at least 3 x (500 // order + 1) rows, so 3 workers each get a norm call
+# that drops the GIL: fig1 2 sweeps of 200 on K8, thm2_tail 1024 K5 patterns, Monte Carlo
+# 500 K8 samples (nearly all distinct), lcpf_bounds 300 lifted K5, manifold 310 on K5 and
+# bruteforce the 512 K5 patterns below the half.
 _THREADED_RUNS = {
-    "fig1": {"n": 8, "samples": 120, "p_grid": [0.3, 0.9], "seed": 3},
-    "thm2_tail": {"topology": {"name": "complete", "n": 4}, "probs": 0.4},
+    "fig1": {"n": 8, "samples": 200, "p_grid": [0.3, 0.9], "seed": 3},
+    "thm2_tail": {"topology": {"name": "complete", "n": 5}, "probs": 0.4},
     "thm2_expectation": {"backend": "montecarlo", "samples": 500, "seed": 6,
-                         "topology": {"name": "complete", "n": 4}, "admittances": [0.5, 0.3]},
+                         "topology": {"name": "complete", "n": 8}, "admittances": [0.5, 0.3]},
     "lcpf_bounds": {"samples": 300, "seed": 1, "topology": {"name": "complete", "n": 5}},
-    "manifold": {"samples": 30, "seed": 5, "topology": {"name": "complete", "n": 5}},
-    "bruteforce": {"topology": {"name": "complete", "n": 4}},
+    "manifold": {"samples": 310, "seed": 5, "topology": {"name": "complete", "n": 5}},
+    "bruteforce": {"topology": {"name": "complete", "n": 5}},
 }
 
 
@@ -536,11 +544,93 @@ def test_chunk_threads_emit_the_same_table(monkeypatch, experiment):
     # Each sample's stream and matrix depend on its index alone, so neither the cut
     # of a run into chunks nor the thread a chunk runs on shows in its table.
     cfg = eh.ExperimentConfig.from_dict({"experiment": experiment, **_THREADED_RUNS[experiment]})
-    tables = []
+    norm, tables = eh.operator_norm, []
     for workers in (1, 2, 3):
+        threads = set()
         monkeypatch.setattr(eh, "_workers", lambda: workers)
+        monkeypatch.setattr(eh, "operator_norm",
+                            lambda ys: threads.add(threading.current_thread()) or norm(ys))
         tables.append(eh.emit(eh.run_experiment(cfg), "csv"))
+        sweeps = len(cfg.p_grid) if experiment == "fig1" else 1  # each sweep starts its own
+        assert len(threads) == 1 + (workers - 1) * sweeps
+        assert threading.current_thread() in threads
     assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
+def _thread_starts(monkeypatch) -> list:
+    """The threads that ``_chunks`` starts from here on."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(eh, "threading", types.SimpleNamespace(Thread=Counted))
+    return started
+
+
+def test_monte_carlo_and_enumeration_start_no_thread_for_a_small_run(monkeypatch):
+    # K3 norms are 3 x 3: a norm call drops the GIL from 500 // 3 + 1 = 167 rows on, so a
+    # run needs 2 x 167 rows for a second worker. The enumeration builds 4 K3 patterns, and
+    # a Monte Carlo draw chunk of 8192 samples holds at most 8 distinct ones.
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+    started = _thread_starts(monkeypatch)
+    _, model = _k3_model()
+    eh.brute_force_distribution(model)
+    eh.monte_carlo_distribution(model, 20000, seed=0)
+    assert started == []
+    eh._chunks(2 * 167 - 1, 1, 3, lambda *r: r)
+    assert started == []
+    assert eh._chunks(2 * 167, 1, 3, lambda *r: r) == [(0, 167), (167, 334)]
+    assert len(started) == 1
+
+
+def _monte_carlo_k8(monkeypatch, samples):
+    """K8 at p = 1/2 over 28 lines at 2 workers, in draw chunks of at most 300 samples:
+    the threads that draw, those that norm, and the thread starts of each."""
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+    monkeypatch.setattr(eh, "_ENUM_CHUNK", 300)
+    started, drew, normed = _thread_starts(monkeypatch), [], []
+    uniforms, norm = eh.sample_uniforms, eh.operator_norm
+    monkeypatch.setattr(eh, "sample_uniforms", lambda *args: drew.append(
+        (threading.current_thread(), len(started))) or uniforms(*args))
+    monkeypatch.setattr(eh, "operator_norm",
+                        lambda ys: normed.append(threading.current_thread()) or norm(ys))
+    k8 = gc.complete_topology(8)
+    model = bnd.ContingencyModel(k8, np.full(28, 0.5), np.ones(28, dtype=complex))
+    return eh.monte_carlo_distribution(model, samples, seed=3), drew, normed, started
+
+
+def test_monte_carlo_draws_every_chunk_in_the_calling_thread(monkeypatch):
+    _, drew, _, started = _monte_carlo_k8(monkeypatch, 1200)
+    assert len(drew) == 4 and len(started) == 4  # each draw chunk's norms start a thread
+    assert all(thread is threading.current_thread() for thread, _ in drew)
+    assert [starts for _, starts in drew] == [0, 1, 2, 3]  # drawn before its norms
+
+
+def test_monte_carlo_norms_many_distinct_patterns_in_two_threads(monkeypatch):
+    # 300 samples of 28 fair lines are nearly all distinct: over 2 x (500 // 8 + 1) = 126.
+    stats, drew, normed, started = _monte_carlo_k8(monkeypatch, 300)
+    assert len(np.unique(stats.norms)) > 126
+    assert len(drew) == 1 and len(started) == 1
+    assert set(normed) == {threading.current_thread(), started[0]}
+
+
+def test_monte_carlo_sorted_tails_equal_the_mean_of_the_comparisons():
+    # K3 norms take at most 4 values, so every t equal to a drawn norm is a tie; K8's
+    # nearly all differ. Also t = 0, t at the largest norm and above it.
+    for model, samples in [(_k3_model()[1], 3000), (_k3_model(0.9)[1], 200),
+                           (bnd.ContingencyModel(gc.complete_topology(8), np.full(28, 0.5),
+                                                 np.full(28, 0.5 - 0.5j)), 500)]:
+        stats = eh.monte_carlo_distribution(model, samples, seed=7)
+        top = float(stats.norms.max())
+        grid = sorted({0.0, *np.unique(stats.norms)[:50].tolist(), top,
+                       np.nextafter(top, np.inf), top + 1.0, 0.5 * top})
+        want = [float(np.mean(stats.norms >= t)) for t in grid]
+        assert np.array(stats.tails(grid)).tobytes() == np.array(want).tobytes()
+        assert stats.tails(grid)[0] == 1.0 and stats.tails([top])[0] > 0.0
+        assert stats.tails([np.nextafter(top, np.inf)]) == [0.0]
+        assert stats.tails([]) == []
 
 
 def _traced_peak_bytes(fn):
@@ -750,6 +840,18 @@ def test_emit_csv_cells_pinned():
         ',true,false,-0,1e-300,3,"x,y","say ""hi""","two\nlines","cr\rhere",\n'
         '0.10000000000000001,false,true,-1.5000000000000001e+300,inf,7,,'
         '0.10000000149011612,1180591620717411303424,plain,\n')
+
+
+@pytest.mark.parametrize("value, cell", [
+    ('a,"b"\nc', '"a,""b""\nc"'), ("plain", "plain"), (np.float64(0.1), "0.10000000000000001"),
+    (np.int64(-3), "-3"), (np.bool_(False), "false"), (True, "true"), (False, "false"),
+    (None, ""), (-0.0, "-0"), (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (7, "7"), (2 ** 70, "1180591620717411303424"), (1.0 / 3.0, "0.33333333333333331"),
+])
+def test_emit_csv_cell_of_each_type(value, cell):
+    # Plain floats, ints, bools and None take a direct path; the rest go through their
+    # Python value and the quoting rule.
+    assert eh.emit(eh.RunResult([{"v": value}], ["v"]), "csv") == f"v\n{cell}\n"
 
 
 def test_emit_to_file(tmp_path):
@@ -974,13 +1076,39 @@ def test_cli_unknown_experiment_exit_1(capsys):
 
 
 def test_verdict_is_read_from_the_ok_cells():
+    # Only the fields named *_ok are verdicts; a row without one has no verdict there.
+    fields = ["t", "bound_ok", "tail_ok", "mean_ok", "residual_ok"]
     rows = [{"t": 0.0}, {"bound_ok": None}, {"tail_ok": True, "mean_ok": False},
-            {"residual_ok": False}]
-    result = eh.RunResult(records=rows, fieldnames=[])
+            {"residual_ok": False}, {"t": False, "okay": False}]
+    result = eh.RunResult(records=rows, fieldnames=fields)
     assert result.failing_rows == [2, 3]  # None is no verdict
     assert not result.bounds_ok
-    assert eh.RunResult(records=rows[:2], fieldnames=[]).bounds_ok
-    assert eh.RunResult(records=[], fieldnames=[]).bounds_ok
+    assert eh.RunResult(records=rows[:2], fieldnames=fields).bounds_ok
+    assert eh.RunResult(records=rows, fieldnames=fields[:3]).bounds_ok
+    assert eh.RunResult(records=[], fieldnames=fields).bounds_ok
+
+
+_SMALL_RUNS = {
+    "fig1": {"n": 6, "samples": 4, "p_grid": [0.5, 1.0]},
+    "thm2_tail": {},
+    "thm2_tail_montecarlo": {"backend": "montecarlo", "samples": 40},
+    "thm2_expectation": {},
+    "thm2_expectation_montecarlo": {"backend": "montecarlo", "samples": 40},
+    "lcpf_bounds": {"samples": 40},
+    "manifold": {"samples": 4},
+    "bruteforce": {},
+}
+
+
+@pytest.mark.parametrize("run", sorted(_SMALL_RUNS))
+def test_every_record_has_exactly_its_runners_fields(run):
+    # The verdict reads only the *_ok names of the fieldnames, so every record must
+    # carry those fields, and no others, in their order.
+    experiment = run.removesuffix("_montecarlo")
+    result = eh.run_experiment(eh.ExperimentConfig.from_dict(
+        {"experiment": experiment, **_SMALL_RUNS[run]}))
+    assert result.records
+    assert all(list(rec) == result.fieldnames for rec in result.records)
 
 
 def test_cli_assert_bounds_failure_exit_2(monkeypatch, tmp_path):

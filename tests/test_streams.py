@@ -161,18 +161,23 @@ def test_long_stream_lcpf_matches_per_sample_generators(monkeypatch):
     monkeypatch.setattr(eh, "_ENUM_CHUNK", 16)
     records = eh.run_lcpf_experiment(lcpf).records
     assert [r["mean_norm"] for r in records] == [want.mean] * 4
-    assert [r["tail_empirical"] for r in records] == [want.tail_at(x) for x in lcpf.t_grid]
+    assert [r["tail_empirical"] for r in records] == want.tails(lcpf.t_grid)
 
 
 # Monte Carlo contingency models: real K3 lines of three sizes (8 patterns, 4 distinct
 # norms), complex K4 lines (the SVD path), K8's 28 lines (nearly every row distinct), and
-# K8 with rare lines on, whose byte keys hold zero and space (0x20) bytes inside and last.
+# K8 with rare lines on, whose keys hold zero and space (0x20) bytes inside and last. Keys
+# are one uint8 a row up to 7 lines, uint16 up to 15 (K5), uint32 up to 31 (K8), uint64 up
+# to 63 (K9) and bytes beyond (K12, 66 lines, with zero bytes inside and last).
 MC_MODELS = {
     "k3_real": {"admittances": [1.0, 0.5, 0.25]},
     "k4_complex": {"topology": {"name": "complete", "n": 4}, "probs": 0.4,
                    "admittances": [0.6, -0.8]},
+    "k5": {"topology": {"name": "complete", "n": 5}, "probs": 0.3},
     "k8": {"topology": {"name": "complete", "n": 8}},
     "k8_rare": {"topology": {"name": "complete", "n": 8}, "probs": 0.03},
+    "k9": {"topology": {"name": "complete", "n": 9}, "probs": 0.9},
+    "k12_rare": {"topology": {"name": "complete", "n": 12}, "probs": 0.03},
 }
 MC_CHUNKS = {"chunk7": 7, "default": eh._ENUM_CHUNK}
 
@@ -198,20 +203,23 @@ def test_monte_carlo_norms_match_per_sample_norming(monkeypatch, name, chunk):
 @pytest.mark.parametrize("chunk", MC_CHUNKS.values(), ids=MC_CHUNKS)
 @pytest.mark.parametrize("name", MC_MODELS)
 def test_monte_carlo_norms_each_distinct_pattern_once(monkeypatch, name, chunk):
+    # A draw chunk's norm calls, which all end before the next chunk is drawn, together
+    # take exactly its distinct patterns, each once.
     model, samples, seed = _mc_model(name), 120, 11
-    ranges, normed, uniforms, norms = [], [], eh.sample_uniforms, eh._centered_norms_for_patterns
-    monkeypatch.setattr(eh, "_workers", lambda: 1)  # one thread: calls in range order
+    drawn, uniforms, norms = [], eh.sample_uniforms, eh._centered_norms_for_patterns
     monkeypatch.setattr(eh, "_ENUM_CHUNK", chunk)
-    monkeypatch.setattr(eh, "sample_uniforms", lambda seed, sweep, start, stop, count:
-                        ranges.append((start, stop)) or uniforms(seed, sweep, start, stop, count))
-    monkeypatch.setattr(eh, "_centered_norms_for_patterns",
-                        lambda model, patterns: normed.append(patterns) or norms(model, patterns))
+    monkeypatch.setattr(eh, "sample_uniforms", lambda seed, sweep, start, stop, count: drawn.append(
+        (start, stop, [])) or uniforms(seed, sweep, start, stop, count))
+    monkeypatch.setattr(eh, "_centered_norms_for_patterns", lambda model, patterns:
+                        drawn[-1][2].append(patterns) or norms(model, patterns))
     eh.monte_carlo_distribution(model, samples, seed)
     patterns = uniforms(seed, 0, 0, samples, len(model.probs)) < model.probs
-    assert len(normed) == len(ranges) > (1 if chunk == 7 else 0)
-    for (start, stop), rows in zip(ranges, normed):
-        assert len(rows) == len(np.unique(patterns[start:stop], axis=0))
-        assert len(np.unique(rows, axis=0)) == len(rows)
+    assert len(drawn) > (1 if chunk == 7 else 0)
+    assert [start for start, _, _ in drawn[1:]] == [stop for _, stop, _ in drawn[:-1]]
+    for start, stop, normed in drawn:
+        rows, distinct = np.concatenate(normed), np.unique(patterns[start:stop], axis=0)
+        assert len(rows) == len(distinct)
+        assert np.array_equal(np.unique(rows, axis=0), distinct)
         if name == "k3_real":
             assert len(rows) <= 8
 
