@@ -132,8 +132,7 @@ class FixedBernoulli:
 class BoundedPerturbation:
     """Known center (g, b) plus independent uniform noise bounded by delta.
 
-    Two uniforms per line, Dg then Db, each -delta + 2 delta u: bit for bit
-    ``Generator.uniform(-delta, delta)``.
+    Dg then Db per line, each 2 delta u - delta: bit for bit ``Generator.uniform(-delta, delta)``.
     """
 
     center_g: float
@@ -146,8 +145,11 @@ class BoundedPerturbation:
             raise ValueError(f"perturbation bound must be >= 0, got {self.delta}")
 
     def transform(self, u: np.ndarray) -> np.ndarray:
-        d = -self.delta + (2 * self.delta) * u
-        return _complex(self.center_g + d[..., 0], self.center_b + d[..., 1])
+        w = np.multiply(2 * self.delta, u, order="C")  # (g, b) pairs, read as complex
+        w -= self.delta
+        w[..., 0] += self.center_g
+        w[..., 1] += self.center_b
+        return w.view(complex)[..., 0]
 
     @property
     def mean(self) -> complex:

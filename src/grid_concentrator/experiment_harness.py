@@ -14,9 +14,9 @@ call. :func:`_chunks` maps a runner's chunk function over them, in one thread pe
 CPU when the BLAS is single-threaded and each gets a GIL-free norm call, and keeps
 the results in order. The Monte Carlo, enumeration, ``lcpf_bounds`` and ``manifold``
 chunks are assembled by one line-order scatter, so their per-sample memory is O(n^2);
-Monte Carlo keys its chunks in the calling thread and norms each distinct switch
-pattern once. Only ``fig1`` still builds a product per sample, of a complex m x n
-matrix of K_n incidence rows (about 175 MB peak at n = 200, p = 1).
+an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law, scatter, norm. Monte Carlo
+keys its chunks in the calling thread and norms each distinct switch pattern once. Only
+``fig1`` builds a product per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
 
 Experiments
 -----------
@@ -57,6 +57,7 @@ import numpy as np
 from . import bounds as bnd
 from . import graph_core as gc
 from .admittance import (
+    BoundedPerturbation,
     LineLaw,
     assemble_admittance,  # not called here: bench/tracing patches it (ROADMAP item 1)
     complex_from_json,
@@ -369,11 +370,6 @@ class RunResult:
         return [index for index, rec in enumerate(self.records)
                 if any(rec.get(key) is False for key in verdicts)]
 
-    @property
-    def bounds_ok(self) -> bool:
-        """True when no row has a ``*_ok`` field that is False (None is no verdict)."""
-        return not self.failing_rows
-
 
 def sample_rng(seed: int, sweep_index: int, sample_index: int) -> np.random.Generator:
     """Deterministic per-sample generator: hash of (master seed, sweep, sample). The seed
@@ -515,7 +511,7 @@ def _chunks(total: int, row_bytes: int, order: int, chunk, most: int | None = No
 
 def _row_bytes(topology: gc.Topology) -> int:
     # 8 n^2 + 3 m floats per sample. A full lcpf_bounds chunk, with its lift (4 n^2),
-    # n x n parts (2 n^2), boolean masks and draws, peaks at 0.84-0.91 of it (K30,
+    # n x n parts (2 n^2) and boolean masks, peaks at 0.75-0.88 of it (K30,
     # K50, K100, 100- and 300-bus paths).
     return 8 * (8 * topology.n_nodes ** 2 + 3 * topology.n_edges)
 
@@ -727,17 +723,19 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
     [-delta, delta]. The centered operator F - EF is the pure-noise
     Jacobian, so the centers drop out; its norms are compared against the
     expectation bound and, per grid threshold, against the tail bound with
-    slack factor 4.
+    slack factor 4. The noise is the ``bounded`` line law at center 0.
     """
     topology, samples, delta = cfg.topology, cfg.samples, cfg.delta
     n, m = topology.n_nodes, topology.n_edges
-    norms = np.empty(samples)
+    noise, norms = BoundedPerturbation(0.0, 0.0, delta), np.empty(samples)
 
     def chunk(start, stop):
-        # Generator.uniform(-delta, delta, (2, m)) per sample: all of dG, then all of dB
-        draws = -delta + (2 * delta) * sample_uniforms(cfg.seed, 0, start, stop, 2 * m)
-        g, b = gc.weighted_laplacians(topology, draws.reshape(stop - start, 2, m).swapaxes(0, 1))
-        norms[start:stop] = operator_norm(lift_blocks(g, b, -1.0))
+        # Generator.uniform(-delta, delta, (2, m)) per sample, dG then dB. Weights held through
+        # the lift made glibc trim the heap between serial K50 chunks (3.4x the page faults).
+        y = gc.weighted_laplacians(topology, noise.transform(
+            sample_uniforms(cfg.seed, 0, start, stop, 2 * m).reshape(stop - start, 2, m)
+            .swapaxes(1, 2)))
+        norms[start:stop] = operator_norm(lift_blocks(y.real, y.imag, -1.0))
     _chunks(samples, _row_bytes(topology), 2 * n, chunk)
     stats = SampleStats.sampled(norms)
     exp_bound = bnd.lcpf_expectation_bound(n, delta)

@@ -89,9 +89,9 @@ def projection_distance(y, u, h):
     array of a stack's leading shape).
     """
     residual = tangent_residual(y, u, h)
-    norms = np.empty(residual.shape[:-1])
-    for index in np.ndindex(norms.shape):  # one call each: axis=-1 rounds unlike it
-        norms[index] = np.linalg.norm(residual[index])
+    # np.linalg.norm's two BLAS dot products per row, in one pass (axis=-1 rounds unlike it).
+    re, im = residual.real[..., None, :], residual.imag[..., None, :]
+    norms = np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
     return float(norms) if norms.ndim == 0 else norms
 
 

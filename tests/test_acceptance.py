@@ -212,7 +212,7 @@ def test_criterion_06_lcpf_bounds():
     bound_value_ok = first["expectation_bound"] == pytest.approx(1.0065341232727072)
     mean_ok = all(rec["mean_ok"] for rec in result.records)
     tail_ok = all(rec["tail_ok"] for rec in result.records)
-    ok = bool(bound_value_ok and mean_ok and tail_ok and result.bounds_ok)
+    ok = bool(bound_value_ok and mean_ok and tail_ok and not result.failing_rows)
     _report(6, ok, f"mean ||F-EF|| = {first['mean_norm']:.4f} <= "
                    f"{first['expectation_bound']:.4f}; tails within 4x bound at "
                    f"{len(result.records)} grid points")

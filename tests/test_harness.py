@@ -100,7 +100,7 @@ def test_fig1_p_zero_point():
         assert rec["norm"] == 0.0
         assert rec["bound"] == pytest.approx((2.0 / 3.0) * math.log(24.0))
         assert rec["bound_ok"]
-    assert result.bounds_ok
+    assert not result.failing_rows
 
 
 def test_fig1_p_one_unit_weights():
@@ -112,7 +112,7 @@ def test_fig1_p_one_unit_weights():
         assert rec["m"] == 45
         assert rec["norm"] == pytest.approx(10.0, abs=1e-9)
         assert rec["bound"] >= 10.0
-    assert result.bounds_ok
+    assert not result.failing_rows
 
 
 def test_fig1_small_sweep_dominance_and_determinism():
@@ -121,7 +121,7 @@ def test_fig1_small_sweep_dominance_and_determinism():
     r1 = eh.run_fig1(cfg)
     r2 = eh.run_fig1(cfg)
     assert r1.records == r2.records
-    assert r1.bounds_ok
+    assert not r1.failing_rows
     assert all(rec["bound_ok"] for rec in r1.records)
 
 
@@ -168,7 +168,7 @@ def test_fig1_bit_equal_per_sample_reference(law):
         reference = _fig1_per_sample(cfg)
         assert result.records == reference
         assert [type(rec["norm"]) for rec in result.records] == [float] * len(reference)
-        assert result.bounds_ok == all(rec["bound_ok"] for rec in reference)
+        assert (not result.failing_rows) == all(rec["bound_ok"] for rec in reference)
         assert {rec["m"] for rec in result.records if rec["p"] == 0.0} == {0}
 
 
@@ -335,7 +335,7 @@ def test_tail_experiment_empty_grid():
     cfg = eh.ExperimentConfig(experiment="thm2_tail", t_grid=())
     result = eh.run_tail_experiment(cfg)
     assert result.records == []
-    assert result.bounds_ok
+    assert not result.failing_rows
 
 
 def test_tail_experiment_matches_brute_force():
@@ -349,7 +349,7 @@ def test_tail_experiment_matches_brute_force():
         assert rec["exact"]
         assert rec["valid"] is (threshold >= math.sqrt(2.0) + 2.0 / 3.0)
         assert rec["tail_bound_clamped"] == min(1.0, rec["tail_bound"])
-    assert result.bounds_ok
+    assert not result.failing_rows
 
 
 def test_tail_experiment_default_grid_is_valid_window():
@@ -368,7 +368,7 @@ def test_tail_experiment_monte_carlo_backend():
     for rec in result.records:
         assert 0.0 <= rec["tail_empirical"] <= 1.0
         assert not rec["exact"]
-    assert result.bounds_ok
+    assert not result.failing_rows
 
 
 def test_expectation_experiment_exact():
@@ -380,7 +380,7 @@ def test_expectation_experiment_exact():
     assert explicit["expectation_bound"] == pytest.approx(16.374652116591715)
     assert explicit["bound_ok"]
     assert with_c["expectation_bound"] == pytest.approx(5.864590000359378)
-    assert result.bounds_ok
+    assert not result.failing_rows
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ def test_lcpf_experiment_p3():
     cfg = eh.ExperimentConfig(experiment="lcpf_bounds", samples=2000, seed=9,
                               topology=gc.path_topology(3), delta=0.1)
     result = eh.run_lcpf_experiment(cfg)
-    assert result.bounds_ok
+    assert not result.failing_rows
     first = result.records[0]
     assert first["expectation_bound"] == pytest.approx(1.0065341232727072)
     assert first["mean_norm"] <= first["expectation_bound"]
@@ -403,7 +403,7 @@ def test_lcpf_experiment_zero_delta():
     cfg = eh.ExperimentConfig(experiment="lcpf_bounds", samples=50, delta=0.0,
                               topology=gc.path_topology(3), t_grid=(0.1, 0.5))
     result = eh.run_lcpf_experiment(cfg)
-    assert result.bounds_ok
+    assert not result.failing_rows
     for rec in result.records:
         assert rec["mean_norm"] == 0.0
         assert rec["tail_empirical"] == 0.0
@@ -764,7 +764,7 @@ def test_manifold_experiment_small():
     cfg = eh.ExperimentConfig(experiment="manifold", samples=50, seed=2,
                               topology=gc.path_topology(3), h=0.1)
     result = eh.run_manifold_experiment(cfg)
-    assert result.bounds_ok
+    assert not result.failing_rows
     for rec in result.records:
         assert rec["residual_certificate"] <= rec["holder_certificate"] + 1e-12
         assert rec["residual_ok"]
@@ -1082,10 +1082,9 @@ def test_verdict_is_read_from_the_ok_cells():
             {"residual_ok": False}, {"t": False, "okay": False}]
     result = eh.RunResult(records=rows, fieldnames=fields)
     assert result.failing_rows == [2, 3]  # None is no verdict
-    assert not result.bounds_ok
-    assert eh.RunResult(records=rows[:2], fieldnames=fields).bounds_ok
-    assert eh.RunResult(records=rows, fieldnames=fields[:3]).bounds_ok
-    assert eh.RunResult(records=[], fieldnames=fields).bounds_ok
+    assert not eh.RunResult(records=rows[:2], fieldnames=fields).failing_rows
+    assert not eh.RunResult(records=rows, fieldnames=fields[:3]).failing_rows
+    assert not eh.RunResult(records=[], fieldnames=fields).failing_rows
 
 
 _SMALL_RUNS = {

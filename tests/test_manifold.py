@@ -201,28 +201,37 @@ def test_expected_distance_dominates_monte_carlo_proxy():
 
 
 def _stack_instance(rng, samples=6, n=5):
-    # A C-contiguous stack of complex admittance matrices on one topology, and a dense
-    # complex base voltage and step.
+    # A C-contiguous stack of complex admittance matrices on one topology, with a complex
+    # shunt at every bus (so order 1 is not zero), and a dense complex base voltage and step.
     t = gc.complete_topology(n)
     ys = np.stack([assemble_admittance(t, rng.uniform(-1, 1, t.n_edges)
                                        + 1j * rng.uniform(-1, 1, t.n_edges))
                    for _ in range(samples)])
     u = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.2, 0.2, n))
     h = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    shunts = rng.uniform(-1, 1, (2, samples, n))
+    ys[:, range(n), range(n)] += shunts[0] + 1j * shunts[1]
     return ys, u, h
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3)])
 def test_stack_forms_bit_equal_per_matrix(lead):
-    ys, u, h = _stack_instance(np.random.default_rng(76))
-    stack = ys.reshape(lead + ys.shape[-2:])
-    for fn, args in [(mf.power_flow_map, (u,)), (mf.power_flow_derivative, (u, h)),
-                     (mf.tangent_residual, (u, h))]:
-        per_matrix = np.stack([fn(y, *args) for y in ys])
-        assert np.array_equal(fn(stack, *args), per_matrix.reshape(lead + per_matrix.shape[1:]))
-    distances = mf.projection_distance(stack, u, h)
-    assert distances.shape == lead
-    assert distances.ravel().tolist() == [mf.projection_distance(y, u, h) for y in ys]
+    for n in (1, 30, 101, 5):  # the order-5 instance is the one checked further down
+        ys, u, h = _stack_instance(np.random.default_rng(76), n=n)
+        assert np.all(h.real != 0) and np.all(h.imag != 0)  # a complex step at every node
+        stack = ys.reshape(lead + ys.shape[-2:])
+        for fn, args in [(mf.power_flow_map, (u,)), (mf.power_flow_derivative, (u, h)),
+                         (mf.tangent_residual, (u, h))]:
+            per_matrix = np.stack([fn(y, *args) for y in ys])
+            assert np.array_equal(fn(stack, *args),
+                                  per_matrix.reshape(lead + per_matrix.shape[1:]))
+        # One pass over the stack rounds like np.linalg.norm of each residual.
+        distances = mf.projection_distance(stack, u, h)
+        assert distances.shape == lead
+        want = [float(np.linalg.norm(mf.tangent_residual(y, u, h))) for y in ys]
+        assert min(want) > 0.0
+        assert distances.ravel().tolist() == want
+        assert [mf.projection_distance(y, u, h) for y in ys] == want
     assert type(mf.projection_distance(ys[0], u, h)) is float
     norms = operator_norm(stack)
     bounds = mf.distance_bound(h, norms)

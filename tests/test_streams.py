@@ -22,6 +22,7 @@ from grid_concentrator import admittance as adm
 from grid_concentrator import cli
 from grid_concentrator import experiment_harness as eh
 from grid_concentrator import graph_core as gc
+from grid_concentrator import lcpf as lcpf_mod
 from grid_concentrator.spectra import operator_norm
 from test_properties import PROPERTIES
 
@@ -74,12 +75,15 @@ def test_hashed_rows_match_sample_rng(seed, sweep, start, rows, count):
        delta=st.sampled_from([0.1, 0.37, 1e-3]) | st.floats(1e-9, 1e3),
        m=st.sampled_from([2, 7, 1225]) | st.integers(0, 40))
 def test_uniform_form_matches_generator_uniform(seed, start, rows, delta, m):
-    # run_lcpf_experiment's draw: Generator.uniform(-delta, delta, (2, m)) per sample.
+    # run_lcpf_experiment's noise: the bounded law at center 0 on the (rows, m, 2) view of
+    # (rows, 2, m) uniforms is Generator.uniform(-delta, delta, (2, m)) per sample.
     stop = min(start + rows, 2 ** 32)
-    u = eh.sample_uniforms(seed, 0, start, stop, 2 * m)
-    got = (-delta + (2 * delta) * u).reshape(stop - start, 2, m)
-    want = [eh.sample_rng(seed, 0, s).uniform(-delta, delta, (2, m)) for s in range(start, stop)]
-    assert np.array_equal(got, np.array(want).reshape(got.shape))
+    u = eh.sample_uniforms(seed, 0, start, stop, 2 * m).reshape(stop - start, 2, m)
+    got = adm.BoundedPerturbation(0.0, 0.0, delta).transform(u.swapaxes(1, 2))
+    want = np.array([eh.sample_rng(seed, 0, s).uniform(-delta, delta, (2, m))
+                     for s in range(start, stop)]).reshape(u.shape)
+    assert got.shape == (stop - start, m)
+    assert np.array_equal(got.real, want[:, 0]) and np.array_equal(got.imag, want[:, 1])
 
 
 @pytest.mark.parametrize("seed,sweep,start,stop,count", [
@@ -160,6 +164,30 @@ def test_long_stream_lcpf_matches_per_sample_generators(monkeypatch):
     want = eh.SampleStats.sampled(np.array(norms))
     monkeypatch.setattr(eh, "_ENUM_CHUNK", 16)
     records = eh.run_lcpf_experiment(lcpf).records
+    assert [r["mean_norm"] for r in records] == [want.mean] * 4
+    assert [r["tail_empirical"] for r in records] == want.tails(lcpf.t_grid)
+
+
+def test_short_stream_lcpf_matches_per_sample_generators(monkeypatch):
+    # K4 draws 2 m = 12 uniforms per sample, so chunks of 6, 7 and 7 samples take the
+    # stepping kernel; each reference is the flat-start Jacobian of one sample's dG + j dB.
+    lcpf = eh.ExperimentConfig(experiment="lcpf_bounds", samples=20, seed=6, delta=0.3,
+                               topology={"name": "complete", "n": 4},
+                               t_grid=[0.5, 0.8, 0.9, 1.0])
+    t, m = lcpf.topology, lcpf.topology.n_edges
+    assert 2 * m <= eh._KERNEL_MAX_DRAWS
+    norms = []
+    for s in range(20):
+        dg, db = eh.sample_rng(6, 0, s).uniform(-0.3, 0.3, (2, m))
+        norms.append(operator_norm(lcpf_mod.flat_start_jacobian(t, dg + 1j * db)))
+    want = eh.SampleStats.sampled(np.array(norms))
+    assert 0.0 < want.tails(lcpf.t_grid)[-1] < want.tails(lcpf.t_grid)[0] == 1.0
+    spans, draw = [], eh.sample_uniforms
+    monkeypatch.setattr(eh, "sample_uniforms",
+                        lambda *args: spans.append(args[2:4]) or draw(*args))
+    monkeypatch.setattr(eh, "_ENUM_CHUNK", 7)
+    records = eh.run_lcpf_experiment(lcpf).records
+    assert sorted(spans) == [(0, 6), (6, 13), (13, 20)]
     assert [r["mean_norm"] for r in records] == [want.mean] * 4
     assert [r["tail_empirical"] for r in records] == want.tails(lcpf.t_grid)
 
