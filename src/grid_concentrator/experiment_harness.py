@@ -15,8 +15,9 @@ CPU when the BLAS is single-threaded and each gets a GIL-free norm call, and kee
 the results in order. The Monte Carlo, enumeration, ``lcpf_bounds`` and ``manifold``
 chunks are assembled by one line-order scatter, so their per-sample memory is O(n^2);
 an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law, scatter, norm. Monte Carlo
-keys its chunks in the calling thread and norms each distinct switch pattern once. Only
-``fig1`` builds a product per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
+keys its chunks in the calling thread and norms each distinct switch pattern once. Exact
+``thm2_tail`` eigensolves only patterns that a trace moment does not certify below its grid.
+Only ``fig1`` builds a product per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
 
 Experiments
 -----------
@@ -94,6 +95,9 @@ _ENUM_CHUNK = 8192
 _CHUNK_BYTES = 1 << 24
 # Rows per fig1 chunk: the law transforms' temporaries grow with them (200 rows: +5 MB RSS).
 _FIG1_CHUNK = 50
+# Exact tail certificate: rows per block of its products (on K8's first 18 lines, whole chunks
+# raised peak RSS by 4 MB), margin, and the odd stride and share of a sample that must pass.
+_CERT_ROWS, _CERT_MARGIN, _CERT_PROBE, _CERT_SHARE = 256, 1e-6, 17, 0.25
 
 
 class ConfigError(ValueError):
@@ -409,9 +413,8 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
     """
     if not 0 <= start <= stop <= 1 << 32 or sweep_index < 0:
         raise ValueError(f"indices must be >= 0 and below 2^32: {sweep_index}, [{start}, {stop})")
-    rows = stop - start
-    out = np.empty((rows, count))
-    words = [np.full(rows, x >> shift & _M32, np.uint32)  # the entropy words
+    out = np.empty((stop - start, count))
+    words = [np.full(1, x >> shift & _M32, np.uint32)  # one element: mixed once, then broadcast
              for x in (int(seed) % (1 << 64), int(sweep_index))
              for shift in range(0, max(x.bit_length(), 1), 32)]
     words.append(np.arange(start, stop, dtype=np.uint32))
@@ -430,7 +433,8 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
     seed_hi, seed_lo, seq_hi, seq_lo = (halves[i] | halves[i + 1] << 32 for i in (0, 2, 4, 6))
     inc = (seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63)  # PCG64 from here on
     del words, pool, halves  # free the hashing arrays before the draws
-    state = _mul_add128(_mul_add128(inc, 1, (seed_lo, seed_hi)), _PCG_MULT, inc)  # srandom
+    low = inc[0] + seed_lo  # srandom: a step from inc + seed, added mod 2^128
+    state = _mul_add128((low, inc[1] + seed_hi + (low < seed_lo)), _PCG_MULT, inc)
     if count > _KERNEL_MAX_DRAWS:
         generator = np.random.Generator(np.random.PCG64(0))
         for row, s_lo, s_hi, i_lo, i_hi in zip(out, *(half.tolist() for half in (*state, *inc))):
@@ -581,14 +585,34 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
 # exact and Monte Carlo distributions of the centered admittance norm
 # ---------------------------------------------------------------------------
 
-def _centered_norms_for_patterns(model: bnd.ContingencyModel,
-                                 patterns: np.ndarray) -> np.ndarray:
+def _certified_below(stack: np.ndarray, floor: float) -> np.ndarray:
+    """Per matrix of a real symmetric stack: tr((Z/floor)^8) < 1 - margin (never on inf, NaN)."""
+    below = np.empty(len(stack), bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(stack), _CERT_ROWS):
+            z = np.divide(stack[i:i + _CERT_ROWS], floor, order="C")  # two blocks held at once
+            z = z @ z
+            z = z @ z
+            below[i:i + _CERT_ROWS] = np.einsum("rij,rij->r", z, z) < 1.0 - _CERT_MARGIN
+    return below
+
+
+def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarray,
+                                 floor: float = 0.0) -> np.ndarray:
+    """||Y - EY|| of each pattern, or NaN where a real stack certifies it below ``floor`` > 0."""
     y = model.admittances  # real lines: a real symmetric stack, for eigvalsh
     coeff = (patterns - model.probs) * (y if np.any(y.imag) else y.real)  # (s, m)
-    return operator_norm(gc.weighted_laplacians(model.topology, coeff))
+    stack = gc.weighted_laplacians(model.topology, coeff)
+    if floor <= 0 or np.iscomplexobj(stack) or \
+            _certified_below(stack[::_CERT_PROBE], floor).mean() < _CERT_SHARE:
+        return operator_norm(stack)
+    keep, norms = ~_certified_below(stack, floor), np.full(len(patterns), np.nan)
+    del stack  # the survivors are scattered again: gathering from the strided view costs more
+    norms[keep] = operator_norm(gc.weighted_laplacians(model.topology, coeff[keep]))
+    return norms
 
 
-def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
+def brute_force_distribution(model: bnd.ContingencyModel, *, _floor: float = 0.0) -> SampleStats:
     """Exact distribution of ||Y - EY|| over all 2^m switch patterns.
 
     Enumerates every on/off pattern with its Bernoulli probability, computes
@@ -597,6 +621,7 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
     for the eigensolver; if every p_l = 1/2, pattern 2^m - 1 - k has the negated
     matrix and the probability 2^-m of pattern k, so only the first half is built,
     its norms and probabilities mirrored onto the rest (round-off changes only).
+    A tail run's private ``_floor`` t0 > 0 leaves NaN where real tr((Z/t0)^8) certifies ||Z|| < t0.
     """
     m = model.topology.n_edges
     if m > BRUTE_FORCE_MAX_LINES:
@@ -604,13 +629,12 @@ def brute_force_distribution(model: bnd.ContingencyModel) -> SampleStats:
                          f"{BRUTE_FORCE_MAX_LINES} lines, got {m}")
     total = 1 << m
     built = total >> 1 if m and np.all(model.probs == 0.5) else total
-    norms = np.empty(total)
-    probs = np.empty(total)
+    norms, probs = np.empty(total), np.empty(total)
 
     def chunk(start, stop):
         idx = np.arange(start, stop, dtype=np.uint64)[:, None]
         patterns = ((idx >> np.arange(m, dtype=np.uint64)) & 1).astype(float)
-        norms[start:stop] = _centered_norms_for_patterns(model, patterns)
+        norms[start:stop] = _centered_norms_for_patterns(model, patterns, _floor)
         probs[start:stop] = np.prod(
             np.where(patterns == 1.0, model.probs, 1.0 - model.probs), axis=1)
     _chunks(built, _row_bytes(model.topology), model.topology.n_nodes, chunk)
@@ -647,10 +671,10 @@ def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
     return SampleStats.sampled(norms)
 
 
-def _contingency_stats(cfg: ExperimentConfig) -> SampleStats:
+def _contingency_stats(cfg: ExperimentConfig, floor: float = 0.0) -> SampleStats:
     if cfg.backend == "montecarlo":
         return monte_carlo_distribution(cfg.model, cfg.samples, cfg.seed)
-    return brute_force_distribution(cfg.model)
+    return brute_force_distribution(cfg.model, _floor=floor)
 
 
 TAIL_FIELDS = ["t", "tail_empirical", "tail_bound", "tail_bound_clamped",
@@ -662,10 +686,11 @@ def run_tail_experiment(cfg: ExperimentConfig) -> RunResult:
 
     With the exact backend, dominance is required outright at every valid
     grid point; with Monte Carlo, up to a 99% binomial confidence allowance.
+    The exact backend eigensolves only patterns that can reach the grid's first point.
     """
     profile = bnd.contingency_factors(cfg.model)
     threshold = bnd.thm2_tail_threshold(profile)
-    stats = _contingency_stats(cfg)
+    stats = _contingency_stats(cfg, float(cfg.t_grid[0]) if len(cfg.t_grid) else 0.0)
     records = []
     for t, emp in zip(cfg.t_grid.tolist(), stats.tails(cfg.t_grid)):
         bound = bnd.thm2_tail_bound(t, profile)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +327,154 @@ def test_brute_force_independent_of_chunking_across_half(monkeypatch, most):
     eh.brute_force_distribution(bnd.ContingencyModel(_K4, _MIXED_P, _MIXED_Y))
     assert len(ranges) % 2 == 1 and sum(stop - start for start, stop in ranges) == 64
     assert any(start < 32 < stop for start, stop in ranges)
+    # The exact tail path: each chunk decides for itself whether to certify, and the real
+    # stacks' tails from their 57th of 64 norms on are the full enumeration's all the same.
+    for probs in (np.full(6, 0.5), _MIXED_P):
+        real = bnd.ContingencyModel(_K4, probs, _REAL_Y)
+        monkeypatch.setattr(eh, "_chunks", chunks)
+        full = eh.brute_force_distribution(real)
+        floor = float(np.sort(full.norms)[56])
+        grid = np.linspace(floor, floor + 2.0, 9)
+        monkeypatch.setattr(eh, "_chunks", lambda total, row_bytes, order, chunk: chunks(
+            total, row_bytes, order, lambda *span: ranges.append(span) or chunk(*span)))
+        tailed = eh.brute_force_distribution(real, _floor=floor)
+        assert np.isnan(tailed.norms).any()
+        assert tailed.tails(grid) == full.tails(grid)
+
+
+# ---------------------------------------------------------------------------
+# exact tails: patterns certified below the grid's first point are not eigensolved
+# ---------------------------------------------------------------------------
+
+_K8_18 = {"n": 8, "edges": [[i, j] for i in range(8) for j in range(i + 1, 8)][:18]}
+# (topology, probs, admittances) per thm2_tail config; k8_18 is the bench's switching_exact,
+# star16_p09 norms 99.8% of its patterns at its default grid, and the complex mesh all.
+_EXACT_TAIL_CONFIGS = {
+    "k3": ({"name": "complete", "n": 3}, 0.5, 1.0),
+    "p4": ({"name": "path", "n": 4}, 0.5, 1.0),
+    "k6_p09": ({"name": "complete", "n": 6}, 0.9, 1.0),
+    "star16_p09": ({"name": "star", "n": 16}, 0.9, 1.0),
+    "mesh_complex": ({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2], [0, 1]]},
+                     [0.5, 0.3, 0.8, 0.6, 0.25],
+                     [[0.6, -0.8], [0.5, -0.5], [1.0, 0.0], [0.3, -0.9], [0.2, -0.7]]),
+    "k8_18": (_K8_18, 0.5, 1.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_tail_config(name):
+    """The config at its default grid, and the full enumeration of its model."""
+    topology, probs, admittances = _EXACT_TAIL_CONFIGS[name]
+    cfg = eh.ExperimentConfig(experiment="thm2_tail", topology=topology, probs=probs,
+                              admittances=admittances)
+    return cfg, eh.brute_force_distribution(cfg.model)
+
+
+def _exact_tail_grids(cfg, full):
+    """The default grid; grids from an enumerated norm, with 9 in 10 patterns below it, and
+    from the float just below that norm; and a grid from 0."""
+    norm = float(np.sort(full.norms)[len(full.norms) * 9 // 10])
+    return {"default": cfg.t_grid, "at_norm": np.linspace(norm, norm + 3.0, 20),
+            "below_norm": np.r_[np.nextafter(norm, 0.0), np.linspace(norm, norm + 3.0, 19)],
+            "from_zero": np.linspace(0.0, norm, 20)}
+
+
+@pytest.mark.parametrize("grid", ["default", "at_norm", "below_norm", "from_zero"])
+@pytest.mark.parametrize("name", sorted(_EXACT_TAIL_CONFIGS))
+def test_exact_tail_equals_full_enumeration(name, grid):
+    cfg, full = _exact_tail_config(name)
+    t_grid = _exact_tail_grids(cfg, full)[grid]
+    records = eh.run_tail_experiment(dataclasses.replace(cfg, t_grid=t_grid)).records
+    assert [rec["tail_empirical"] for rec in records] == full.tails(t_grid)
+
+
+def _certified_at_or_above(model, floor, full):
+    """Patterns certified below ``floor`` whose norm in ``full``, the model's full enumeration,
+    reaches it. Every pattern that is normed gets its full-enumeration norm bit for bit."""
+    tailed = eh.brute_force_distribution(model, _floor=floor)
+    certified = np.isnan(tailed.norms)
+    np.testing.assert_array_equal(tailed.norms[~certified], full.norms[~certified])
+    return int(np.count_nonzero(full.norms[certified] >= floor))
+
+
+# P3 with one line far below the other: tr((Z/t)^8) is within round-off of 1 at t = ||Z||.
+_NEAR_RANK_ONE = [bnd.ContingencyModel(gc.path_topology(3), [0.5, 0.5],
+                                       [0.4625 + k / 80 + 1 / 70, (k + 1) * 2.3e-4])
+                  for k in range(40)]
+
+
+def _near_rank_one_unsound():
+    """Certified patterns at or above the floor, each near-rank-one model from each norm."""
+    return sum(_certified_at_or_above(model, float(t), full) for model in _NEAR_RANK_ONE
+               for full in [eh.brute_force_distribution(model)] for t in np.unique(full.norms))
+
+
+def test_exact_tail_certificate_is_sound():
+    cfg, full = _exact_tail_config("k8_18")
+    distinct = np.unique(full.norms)
+    for floor in [cfg.t_grid[0], *distinct[len(distinct) // 2::len(distinct) // 8]]:
+        assert _certified_at_or_above(cfg.model, float(floor), full) == 0
+    assert _near_rank_one_unsound() == 0
+
+
+def test_exact_tail_soundness_check_has_teeth(monkeypatch):
+    monkeypatch.setattr(eh, "_CERT_MARGIN", 0.0)  # round-off at ||Z|| = t certifies
+    assert _near_rank_one_unsound() > 0
+    monkeypatch.undo()
+    certified_below = eh._certified_below
+    monkeypatch.setattr(eh, "_certified_below",
+                        lambda stack, floor: certified_below(stack, 1.05 * floor))
+    cfg, full = _exact_tail_config("k8_18")
+    assert _certified_at_or_above(cfg.model, float(cfg.t_grid[0]), full) > 0
+
+
+def test_exact_tail_eigensolves_only_what_can_reach_the_grid(monkeypatch):
+    # switching_exact builds 2^17 patterns (p = 1/2); 90.5% have norms below the grid.
+    cfg, _ = _exact_tail_config("k8_18")
+    normed, norm = [], eh.operator_norm
+    monkeypatch.setattr(eh, "operator_norm", lambda a: normed.append(len(a)) or norm(a))
+    eh.run_tail_experiment(cfg)
+    assert 0 < sum(normed) <= 0.13 * (1 << 17)
+    for experiment in ("thm2_expectation", "bruteforce"):
+        normed.clear()
+        eh.run_experiment(eh.ExperimentConfig(experiment=experiment, topology=_K8_18,
+                                              probs=0.5, admittances=1.0))
+        assert sum(normed) == 1 << 17
+
+
+@pytest.mark.parametrize("grid", [(), (0.0, 1.0, 2.0)])
+def test_exact_tail_grid_empty_or_from_zero_takes_the_full_path(monkeypatch, grid):
+    monkeypatch.setattr(eh, "_certified_below", lambda *args: pytest.fail("certified"))
+    cfg, full = _exact_tail_config("k3")
+    records = eh.run_tail_experiment(dataclasses.replace(cfg, t_grid=np.array(grid))).records
+    assert [rec["tail_empirical"] for rec in records] == full.tails(grid)
+
+
+@pytest.mark.parametrize("grid", [None, (1e-300, 0.5, 1.0)])
+def test_exact_tail_degenerate_model(grid):
+    # Every line always on or always off: Z = 0 with probability 1. The default grid
+    # starts at 0; the patterns of probability 0 still enter the sums.
+    cfg = eh.ExperimentConfig(experiment="thm2_tail", probs=[1.0, 0.0, 1.0], t_grid=grid)
+    full = eh.brute_force_distribution(cfg.model)
+    assert full.mean == 0.0 and (grid or cfg.t_grid[0] == 0.0)
+    records = eh.run_tail_experiment(cfg).records
+    assert [rec["tail_empirical"] for rec in records] == full.tails(cfg.t_grid)
+
+
+def test_exact_tail_overflow_never_certifies(monkeypatch):
+    # Scaled by 1e300 the products overflow to inf and then NaN: nothing may certify, and
+    # numpy must not warn (pyproject.toml turns the package's RuntimeWarnings into errors).
+    verdicts, certified_below = [], eh._certified_below
+    monkeypatch.setattr(eh, "_certified_below", lambda stack, floor: verdicts.append(
+        certified_below(stack, floor)) or verdicts[-1])
+    cfg, full = _exact_tail_config("k3")
+    grid = np.array([1e-300, 1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = eh.run_tail_experiment(dataclasses.replace(cfg, t_grid=grid)).records
+        assert not np.isnan(eh.brute_force_distribution(cfg.model, _floor=1e-300).norms).any()
+    assert verdicts and not any(v.any() for v in verdicts)
+    assert [rec["tail_empirical"] for rec in records] == full.tails(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_stream_crossover_pins_both_sides(monkeypatch, longer):
         got = eh.sample_uniforms(9, 1, 40, 40 + rows, count)
         assert got.shape == (rows, count) and got.flags.c_contiguous
         assert np.array_equal(got, want)
-        assert len(steps) == 2 + (0 if longer else count)  # srandom, then one step per draw
+        assert len(steps) == 1 + (0 if longer else count)  # srandom, then one step per draw
 
 
 def test_long_stream_lcpf_matches_per_sample_generators(monkeypatch):
