@@ -10,14 +10,16 @@ sampled runner draws those streams a chunk at a time by :func:`sample_uniforms`
 and maps them to line weights by one law transform per chunk.
 
 Every runner works in bounded chunks of samples, each normed by one batched
-call. :func:`_chunks` maps a runner's chunk function over them, in one thread per
-CPU when the BLAS is single-threaded and each gets a GIL-free norm call, and keeps
-the results in order. The Monte Carlo, enumeration, ``lcpf_bounds`` and ``manifold``
-chunks are assembled by one line-order scatter, so their per-sample memory is O(n^2);
-an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law, scatter, norm. Monte Carlo
-keys its chunks in the calling thread and norms each distinct switch pattern once. Exact
-``thm2_tail`` eigensolves only patterns that a trace moment does not certify below its grid.
-Only ``fig1`` builds a product per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
+call, and returns each chunk's results. :func:`_chunks` maps a runner's chunk function
+over them, in the caller and one forked process per further CPU when the BLAS is
+single-threaded and each worker's rows pay for its fork, and returns the results in
+order. The Monte Carlo, enumeration, ``lcpf_bounds`` and ``manifold`` chunks are
+assembled by one line-order scatter, so their per-sample memory is O(n^2); an
+``lcpf_bounds`` or ``manifold`` chunk is uniforms, law, scatter, norm. Monte Carlo keys
+its chunks in the calling process and norms each distinct switch pattern once. Exact
+``thm2_tail`` eigensolves only patterns that neither Gershgorin's bound nor a trace
+moment certifies below its grid. Only ``fig1`` builds a product per sample from a
+complex m x n incidence (175 MB at n = 200, p = 1); its whole run is one ``_chunks`` call.
 
 Experiments
 -----------
@@ -46,8 +48,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import mmap
 import os
+import pickle
 import re
+import signal
+import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -451,20 +457,52 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
 
 
 # The variables through which OpenBLAS and MKL take their thread count. Chunk
-# threads pay only when each LAPACK call runs on one BLAS thread: two threads
-# calling a threaded OpenBLAS at once wait on its one pool, and its idle threads
-# spin (88 eigvalsh of 100 x 100, halved over 2 CPUs, took 1.86x the serial time).
+# workers pay only when each LAPACK call runs on one BLAS thread: in two processes
+# on 2 CPUs, each BLAS pool's idle threads spin against the other's (a 300 x 300
+# complex SVD in each of two forked processes took 0.61 s, against 0.023 s alone).
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# A forked worker pays for itself from _FORK_WORK // order ** 2 + 1 rows on. Its round
+# trip (the fork, the pages both processes then copy on write, the pickled results and the
+# reaping) took 4-6 ms in a process that had run fig1, and an enumeration row, the cheapest
+# of any runner's, about 0.1 order^2 us (order 3: 1.4 us, 8: 7.2, 10: 11, 50: 158, 100: 640).
+# Halving enumeration rows over 2 workers broke even near 1500 rows at order 8 and 1000 at
+# order 10 (2-vCPU VM, one BLAS thread, medians of 15 calls).
+_FORK_WORK = 60000
 
 
 def _workers() -> int:
-    """Threads the chunks of a run are dealt to: the CPUs this process may run
+    """Workers the chunks of a run are dealt to: the CPUs this process may run
     on (its affinity mask where the OS has one) when the first of
     ``_BLAS_THREAD_VARS`` that is set says one BLAS thread, else 1."""
     blas_threads = next((os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), "")
     if blas_threads.strip() != "1":
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fork_worker(deal, w: int) -> tuple[int, int]:
+    """Fork a child that runs ``deal(w)``, pickles what it returns to a pipe and leaves by
+    ``os._exit``, so it never unwinds into the caller's frames, flushes its copy of their
+    buffers or runs their ``finally``. Returns the child's pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        results, errors = deal(w)
+        try:
+            payload = pickle.dumps((results, errors))
+        except Exception as exc:  # an unpicklable result or error
+            payload = pickle.dumps(({}, {min(errors, default=w): RuntimeError(
+                f"chunk results could not be pickled: {exc!r}")}))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _chunks(total: int, row_bytes: int, order: int, chunk, most: int | None = None,
@@ -474,43 +512,62 @@ def _chunks(total: int, row_bytes: int, order: int, chunk, most: int | None = No
     A range holds at most ``most`` (default ``_ENUM_CHUNK``) rows of ``row_bytes``
     and a worker's share of ``_CHUNK_BYTES``; its rows are normed as matrices of
     order ``order``. :func:`_workers` is cut so that the run, and the budget with each
-    worker's ``worker_bytes`` (held beyond its rows), give each the rows of one GIL-free
-    norm call: a smaller run starts no thread. Ranges, a multiple of the workers with rows
-    spread evenly, are dealt round robin to the caller and one thread per further worker.
-    After an error no worker starts another; the first in range order is raised once all joined.
+    worker's ``worker_bytes`` (held beyond its rows), give each enough rows to pay for
+    its fork: a smaller run forks nothing. Ranges, a multiple of the workers with rows
+    spread evenly, are dealt round robin to the caller and one forked child per further
+    worker, which pickles its results and errors back over a pipe and leaves by
+    ``os._exit``. Only Linux forks, and only with no other live thread (a child would
+    inherit the locks that thread holds, with no thread to release them); elsewhere
+    every range runs in the caller. After an
+    error no worker starts another; the first in range order is raised once every pipe
+    is read and every child reaped, on every path.
     """
-    # numpy's linalg loops drop the GIL only for calls that output over 500 numbers: halves
-    # of 10 eigvalsh of 99 x 99 in 2 threads took 1.13x the serial time, of 101 x 101 0.60x.
-    least = 500 // order + 1
-    workers = min(_workers(), max(1, min(
+    least = _FORK_WORK // order ** 2 + 1
+    can_fork = sys.platform == "linux" and threading.active_count() == 1
+    workers = min(_workers() if can_fork else 1, max(1, min(
         total // least, _CHUNK_BYTES // (worker_bytes + least * row_bytes))))
     rows = max(1, min(most or _ENUM_CHUNK, _CHUNK_BYTES // workers // row_bytes))
     count = -(-total // rows)
     count = min(total, -(-count // workers) * workers)
     cuts = [total * c // max(count, 1) for c in range(count + 1)]
     tasks = list(zip(cuts, cuts[1:]))
-    results, errors = [None] * len(tasks), {}
+    failed = mmap.mmap(-1, 1)  # one byte the children share: set by any chunk that raises
 
     def deal(first):
+        results, errors = {}, {}
         for i in range(first, len(tasks), workers):
-            if errors:
-                return
+            if failed[0]:
+                break
             try:
                 results[i] = chunk(*tasks[i])
-            except BaseException as exc:  # raised again in the calling thread
-                errors[i] = exc
-    # The caller takes worker 0's share: each started thread gets its own malloc
-    # arena, and one more cost the default fig1 run 1.6 MB of peak RSS.
-    threads = [threading.Thread(target=deal, args=(w,))
-               for w in range(1, min(workers, len(tasks)))]
-    for thread in threads:
-        thread.start()
-    deal(0)
-    for thread in threads:
-        thread.join()
+            except BaseException as exc:  # raised again in the caller
+                errors[i], failed[0] = exc, 1
+        return results, errors
+    children, payloads, statuses = [], [], []
+    try:
+        for w in range(1, min(workers, len(tasks))):
+            children.append(_fork_worker(deal, w))
+        results, errors = deal(0)  # the caller's own share
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for pid, read in children:
+            if len(payloads) < len(children):  # the caller is raising: end every child now
+                os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for payload, status in zip(payloads, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise RuntimeError(f"a chunk worker was killed by {signal.Signals(-code).name}"
+                               if code < 0 else f"a chunk worker exited with status {code}")
+        share_results, share_errors = pickle.loads(payload)
+        results.update(share_results)
+        errors.update(share_errors)
     if errors:
         raise errors[min(errors)]
-    return results
+    return [results[i] for i in range(len(tasks))]
 
 
 def _row_bytes(topology: gc.Topology) -> int:
@@ -544,7 +601,7 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
     each row's lines, that is transformed at once; each sample's Y is one
     product of rows of the K_n incidence with its row's leading weights.
     """
-    n, law, draws = cfg.n, cfg.line_model, cfg.line_model.draws
+    n, samples, law, draws = cfg.n, cfg.samples, cfg.line_model, cfg.line_model.draws
     # int8, cast to complex a sample at a time: at n = 200, p = 1 the CLI run peaks at
     # 175 MB, against 192 MB for per-sample incidences and 229 MB for a float64 copy.
     incidence = gc.incidence_matrix(gc.complete_topology(n)).astype(np.int8)
@@ -553,7 +610,7 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
     # The stack, and per candidate line the uniforms, law slots, mask and complex weight.
     row_bytes = 8 * (2 * n * n + (4 + 2 * draws) * candidates)
 
-    def chunk(sweep_index, start, stop):
+    def sweep_chunk(sweep_index, start, stop):
         p, records = cfg.p_grid[sweep_index], []
         u = sample_uniforms(cfg.seed, sweep_index, start, stop, (1 + draws) * candidates)
         on = u[:, :candidates] < p
@@ -574,10 +631,15 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
             records.append({"p": p, "sample_index": s, "m": m, "delta": delta, "norm": norm,
                             "bound": bounds[delta], "bound_ok": bool(bounds[delta] >= norm)})
         return records
-    # Each worker holds one sample's incidence product, two complex (lines, n) arrays.
-    records = [record for sweep in range(len(cfg.p_grid)) for part in _chunks(
-        cfg.samples, row_bytes, n, partial(chunk, sweep), _FIG1_CHUNK, 32 * candidates * n)
-        for record in part]
+
+    def chunk(start, stop):  # rows sweep after sweep, cut at the sweeps' bounds
+        return [record for sweep in range(start // samples, -(-stop // samples))
+                for record in sweep_chunk(sweep, max(start - sweep * samples, 0),
+                                          min(stop - sweep * samples, samples))]
+    # One call for the whole run, so it forks once. Each worker holds one sample's
+    # incidence product, two complex (lines, n) arrays.
+    records = list(itertools.chain(*_chunks(
+        len(cfg.p_grid) * samples, row_bytes, n, chunk, _FIG1_CHUNK, 32 * candidates * n)))
     return RunResult(records, FIG1_FIELDS)
 
 
@@ -599,16 +661,30 @@ def _certified_below(stack: np.ndarray, floor: float) -> np.ndarray:
 
 def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarray,
                                  floor: float = 0.0) -> np.ndarray:
-    """||Y - EY|| of each pattern, or NaN where a real stack certifies it below ``floor`` > 0."""
+    """||Y - EY|| of each pattern, or NaN where it is certified below ``floor`` > 0: by its
+    Gershgorin bound, or by a trace moment where its stack is real."""
     y = model.admittances  # real lines: a real symmetric stack, for eigvalsh
     coeff = (patterns - model.probs) * (y if np.any(y.imag) else y.real)  # (s, m)
+    if floor <= 0:
+        return operator_norm(gc.weighted_laplacians(model.topology, coeff))
+    # Gershgorin: ||Z|| is at most Z's largest absolute row sum, 2 max_i sum_{l at i} |c_l|.
+    # Node-major, so the max runs across rows (along each row's n sums it took 5x as long).
+    sums = np.abs(gc.incidence_matrix(model.topology)).T @ np.abs(coeff).T
+    may_reach = 2.0 * sums.max(axis=0, initial=0.0) >= floor * (1.0 - _CERT_MARGIN)
+    norms = np.full(len(patterns), np.nan)
+    if not may_reach.any():
+        return norms
+    if not may_reach.all():
+        coeff = coeff[may_reach]
     stack = gc.weighted_laplacians(model.topology, coeff)
-    if floor <= 0 or np.iscomplexobj(stack) or \
+    if np.iscomplexobj(stack) or \
             _certified_below(stack[::_CERT_PROBE], floor).mean() < _CERT_SHARE:
-        return operator_norm(stack)
-    keep, norms = ~_certified_below(stack, floor), np.full(len(patterns), np.nan)
+        norms[may_reach] = operator_norm(stack)
+        return norms
+    keep = ~_certified_below(stack, floor)
     del stack  # the survivors are scattered again: gathering from the strided view costs more
-    norms[keep] = operator_norm(gc.weighted_laplacians(model.topology, coeff[keep]))
+    may_reach[may_reach] = keep
+    norms[may_reach] = operator_norm(gc.weighted_laplacians(model.topology, coeff[keep]))
     return norms
 
 
@@ -634,12 +710,12 @@ def brute_force_distribution(model: bnd.ContingencyModel, *, _floor: float = 0.0
     def chunk(start, stop):
         idx = np.arange(start, stop, dtype=np.uint64)[:, None]
         patterns = ((idx >> np.arange(m, dtype=np.uint64)) & 1).astype(float)
-        norms[start:stop] = _centered_norms_for_patterns(model, patterns, _floor)
-        probs[start:stop] = np.prod(
+        return _centered_norms_for_patterns(model, patterns, _floor), np.prod(
             np.where(patterns == 1.0, model.probs, 1.0 - model.probs), axis=1)
-    _chunks(built, _row_bytes(model.topology), model.topology.n_nodes, chunk)
-    for values in (norms, probs):  # complements, when p = 1/2
-        values[built:] = values[:total - built][::-1]
+    parts = _chunks(built, _row_bytes(model.topology), model.topology.n_nodes, chunk)
+    for k, values in enumerate((norms, probs)):
+        np.concatenate([part[k] for part in parts], out=values[:built])
+        values[built:] = values[:total - built][::-1]  # complements, when p = 1/2
     total_prob = probs.sum()
     if abs(total_prob - 1.0) > 1e-12:
         raise ArithmeticError(f"pattern probabilities sum to {total_prob!r}, not 1")
@@ -752,7 +828,7 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
     """
     topology, samples, delta = cfg.topology, cfg.samples, cfg.delta
     n, m = topology.n_nodes, topology.n_edges
-    noise, norms = BoundedPerturbation(0.0, 0.0, delta), np.empty(samples)
+    noise = BoundedPerturbation(0.0, 0.0, delta)
 
     def chunk(start, stop):
         # Generator.uniform(-delta, delta, (2, m)) per sample, dG then dB. Weights held through
@@ -760,9 +836,9 @@ def run_lcpf_experiment(cfg: ExperimentConfig) -> RunResult:
         y = gc.weighted_laplacians(topology, noise.transform(
             sample_uniforms(cfg.seed, 0, start, stop, 2 * m).reshape(stop - start, 2, m)
             .swapaxes(1, 2)))
-        norms[start:stop] = operator_norm(lift_blocks(y.real, y.imag, -1.0))
-    _chunks(samples, _row_bytes(topology), 2 * n, chunk)
-    stats = SampleStats.sampled(norms)
+        return operator_norm(lift_blocks(y.real, y.imag, -1.0))
+    stats = SampleStats.sampled(np.concatenate(
+        _chunks(samples, _row_bytes(topology), 2 * n, chunk)))
     exp_bound = bnd.lcpf_expectation_bound(n, delta)
     mean_ok = bool(stats.mean <= exp_bound)
     records = []

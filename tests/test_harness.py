@@ -4,11 +4,12 @@ import functools
 import itertools
 import json
 import math
+import mmap
 import os
+import signal
 import threading
 import time
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -428,18 +429,42 @@ def test_exact_tail_soundness_check_has_teeth(monkeypatch):
     assert _certified_at_or_above(cfg.model, float(cfg.t_grid[0]), full) > 0
 
 
-def test_exact_tail_eigensolves_only_what_can_reach_the_grid(monkeypatch):
+def _rows_normed(monkeypatch, process_log):
+    """The rows of every operator_norm call from here on, in any process."""
+    norm = eh.operator_norm
+    monkeypatch.setattr(eh, "operator_norm", lambda a: process_log(len(a)) or norm(a))
+    return lambda: sum(rows for _, (rows,) in process_log.read())
+
+
+def test_exact_tail_eigensolves_only_what_can_reach_the_grid(monkeypatch, process_log):
     # switching_exact builds 2^17 patterns (p = 1/2); 90.5% have norms below the grid.
     cfg, _ = _exact_tail_config("k8_18")
-    normed, norm = [], eh.operator_norm
-    monkeypatch.setattr(eh, "operator_norm", lambda a: normed.append(len(a)) or norm(a))
+    normed = _rows_normed(monkeypatch, process_log)
     eh.run_tail_experiment(cfg)
-    assert 0 < sum(normed) <= 0.13 * (1 << 17)
+    assert 0 < normed() <= 0.13 * (1 << 17)
     for experiment in ("thm2_expectation", "bruteforce"):
-        normed.clear()
+        process_log.clear()
         eh.run_experiment(eh.ExperimentConfig(experiment=experiment, topology=_K8_18,
                                               probs=0.5, admittances=1.0))
-        assert sum(normed) == 1 << 17
+        assert normed() == 1 << 17
+
+
+def test_exact_tail_gershgorin_certifies_a_path_without_a_scatter(monkeypatch, process_log):
+    # On a path at p = 1/2 every row of Z sums to at most 2 (1/2 per line end), below the
+    # default grid's t0 = 2.081: no pattern is scattered or eigensolved, and every tail is
+    # the full enumeration's, 0. The 21-bus path builds 2^19 patterns; the full enumeration
+    # is taken on the 13-bus path (2^11).
+    configs = [eh.ExperimentConfig(experiment="thm2_tail", topology={"name": "path", "n": n},
+                                   probs=0.5, admittances=1.0) for n in (13, 21)]
+    full = eh.brute_force_distribution(configs[0].model)
+    assert full.norms.max() < 2.0
+    monkeypatch.setattr(gc, "weighted_laplacians", lambda *args: pytest.fail("scattered"))
+    normed = _rows_normed(monkeypatch, process_log)
+    for cfg in configs:
+        assert cfg.t_grid[0] > 2.08
+        tails = [rec["tail_empirical"] for rec in eh.run_tail_experiment(cfg).records]
+        assert normed() == 0 and tails == [0.0] * 20
+    assert full.tails(configs[0].t_grid) == [0.0] * 20
 
 
 @pytest.mark.parametrize("grid", [(), (0.0, 1.0, 2.0)])
@@ -590,180 +615,293 @@ def test_workers_need_a_serial_blas(monkeypatch, env, serial):
     assert eh._workers() == (len(os.sched_getaffinity(0)) if serial else 1)
 
 
+def _wait_for(ready, timeout=10.0):
+    """Poll ``ready()`` until it is true; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not ready():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def assert_no_child():
+    """No child of the test process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_chunks_spread_a_run_evenly_over_the_workers(monkeypatch, workers):
+def test_chunks_spread_a_run_evenly_over_the_workers(monkeypatch, forks, workers):
     monkeypatch.setattr(eh, "_workers", lambda: workers)
     row_bytes = eh._row_bytes(gc.complete_topology(3))
     if workers == 2:  # switching_mc: 20000 K3 samples in chunks of at most 8192 rows
         assert eh._chunks(20000, row_bytes, 3, lambda *r: r) == [
             (0, 5000), (5000, 10000), (10000, 15000), (15000, 20000)]
     # A 12-row budget, shared by the workers: 9, 18 or 27 chunks of 100 rows. Order 501:
-    # one row's norm drops the GIL, so the budget holds every worker.
+    # one row pays for a fork, so the budget holds every worker.
     monkeypatch.setattr(eh, "_CHUNK_BYTES", 12 * row_bytes)
-    ranges, threads = [], []  # Thread objects: a joined thread's ident may be reused
-    for start, stop, thread in eh._chunks(100, row_bytes, 501, lambda start, stop: (
-            start, stop, threading.current_thread())):
+    forks.clear()
+    ranges, pids = [], []
+    for start, stop, pid in eh._chunks(100, row_bytes, 501, lambda start, stop: (
+            start, stop, os.getpid())):
         ranges.append((start, stop))
-        threads.append(thread)
+        pids.append(pid)
     assert len(ranges) == 9 * workers
     assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
     assert ranges[0][0] == 0 and ranges[-1][1] == 100
     assert {stop - start for start, stop in ranges} <= {100 // len(ranges), -(-100 // len(ranges))}
     assert max(stop - start for start, stop in ranges) <= 12 // workers
-    # Dealt round robin: chunk i runs on thread i mod workers, thread 0 the caller.
-    assert threads == threads[:workers] * 9
-    assert len(set(threads)) == workers and threads[0] is threading.current_thread()
+    # Dealt round robin: chunk i runs in worker i mod workers, worker 0 the caller and
+    # each further one a child forked for this run.
+    assert pids == pids[:workers] * 9
+    assert pids[:workers] == [os.getpid(), *forks]
+    assert_no_child()
 
 
 def test_chunks_raise_an_error_from_any_chunk(monkeypatch):
     monkeypatch.setattr(eh, "_workers", lambda: 3)
     for bad in [(0,), (1,), (2,), (1, 2)]:
-        def chunk(start, stop, bad=bad, chunk_2_ended=threading.Event()):
-            if start == 3 and 2 in bad:
-                chunk_2_ended.wait(10)  # the first failing chunk in range order fails last
+        # Bytes shared with the children: chunk 1 started, chunk 2 ended. Chunk 2 waits
+        # for chunk 1 to start, so that the error of one cannot stop the other.
+        def chunk(start, stop, bad=bad, flags=mmap.mmap(-1, 2)):
+            if start == 3:
+                flags[0] = 1
+                if 2 in bad:
+                    _wait_for(lambda: flags[1])  # the first failing chunk fails last
+            if start == 6 and 1 in bad:
+                _wait_for(lambda: flags[0])
             try:
                 if start // 3 in bad:
                     raise np.linalg.LinAlgError(f"chunk {start // 3}")
                 return start
             finally:
                 if start == 6:
-                    chunk_2_ended.set()
-        before = threading.active_count()
+                    flags[1] = 1
         with pytest.raises(np.linalg.LinAlgError, match=f"chunk {bad[0]}"):
-            eh._chunks(9, 1, 501, chunk)  # order 501: one row's norm drops the GIL
-        assert threading.active_count() == before  # every chunk thread joined
+            eh._chunks(9, 1, 501, chunk)  # order 501: one row pays for a fork
+        assert_no_child()  # after an error in the caller's share or in a child
     assert eh._chunks(9, 1, 501, chunk=lambda start, stop: start) == [0, 3, 6]
+    assert_no_child()
 
 
-def test_chunks_start_no_chunk_after_an_error(monkeypatch):
-    # 10 one-row chunks on 2 workers. Chunk 1 fails in the started thread once the
-    # caller is in chunk 0, which waits for that thread to end: then neither runs another.
+def test_chunks_start_no_chunk_after_an_error(monkeypatch, process_log):
+    # 10 one-row chunks on 2 workers. Chunk 1 fails in the forked child once the caller
+    # is in chunk 0, which waits for that child to end: then neither runs another.
     monkeypatch.setattr(eh, "_workers", lambda: 2)
-    before, ran, in_chunk_0 = threading.active_count(), [], threading.Event()
+    in_chunk_0 = mmap.mmap(-1, 1)  # shared with the child
 
     def chunk(start, stop):
-        ran.append(start)
+        process_log(start)
         if start == 1:
-            in_chunk_0.wait(10)
+            _wait_for(lambda: in_chunk_0[0])
             raise KeyboardInterrupt
-        in_chunk_0.set()
-        for _ in range(10_000):
-            if threading.active_count() == before:
-                break
-            time.sleep(0.001)
+        in_chunk_0[0] = 1
+        # Until a child has exited, left unreaped for _chunks (WNOWAIT).
+        _wait_for(lambda: os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT))
     with pytest.raises(KeyboardInterrupt):
         eh._chunks(10, 1, 501, chunk, most=1)
-    assert sorted(ran) == [0, 1]
-    assert threading.active_count() == before
+    assert sorted(start for _, (start,) in process_log.read()) == [0, 1]
+    assert_no_child()
+
+
+def test_chunks_end_their_children_when_the_caller_is_interrupted(monkeypatch, forks):
+    # An interrupt reaches the caller while it reads the pipe of a child that would run for
+    # a minute: the child is killed and reaped, and the interrupt raised. The caller's timer
+    # is not inherited by the child.
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    def chunk(start, stop):
+        if start:
+            time.sleep(60)
+        else:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+        return start
+    previous, began = signal.signal(signal.SIGALRM, interrupt), time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            eh._chunks(2, 1, 501, chunk)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1 and time.monotonic() - began < 30
+    assert_no_child()
+
+
+def test_chunks_name_the_signal_that_killed_a_child(monkeypatch):
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+
+    def chunk(start, stop):
+        if start:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return start
+    with pytest.raises(RuntimeError, match="killed by SIGKILL"):
+        eh._chunks(2, 1, 501, chunk)
+    assert_no_child()
+
+
+def test_chunks_raise_an_unpicklable_error_of_a_child(monkeypatch):
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+
+    def chunk(start, stop):
+        if start:
+            raise ValueError(lambda: start)  # a lambda does not pickle
+        return start
+    with pytest.raises(RuntimeError, match="could not be pickled"):
+        eh._chunks(2, 1, 501, chunk)
+    assert_no_child()
+
+
+def test_chunks_on_more_workers_than_cpus(monkeypatch, forks, process_log):
+    # 5 workers on fewer CPUs: every range once and in order; with failing chunks, the
+    # first in range order of those that ran, however the workers interleave; and no
+    # child left either way.
+    monkeypatch.setattr(eh, "_workers", lambda: 5)
+    monkeypatch.setattr(eh, "_CHUNK_BYTES", 5)  # one row per chunk
+    assert eh._chunks(60, 1, 501, lambda start, stop: (start, stop)) == [
+        (i, i + 1) for i in range(60)]
+    assert len(forks) == 4
+
+    def chunk(start, stop):
+        process_log(start)
+        if start in (17, 23, 41):
+            raise np.linalg.LinAlgError(f"chunk {start}")
+        return start
+    for _ in range(5):
+        process_log.clear()
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            eh._chunks(60, 1, 501, chunk)
+        ran = [start for _, (start,) in process_log.read()]
+        assert len(ran) == len(set(ran))  # no chunk twice; the caller may start none
+        assert str(raised.value) == f"chunk {min({17, 23, 41} & set(ran))}"
+        assert_no_child()
+
+
+def test_chunks_fork_nothing_beside_another_thread(monkeypatch, forks):
+    # A child forked beside a live thread would inherit the locks it holds, with none to
+    # release them.
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert eh._chunks(4, 1, 501, lambda start, stop: (start, stop, os.getpid())) == [
+            (0, 4, os.getpid())]
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
+    assert len(eh._chunks(4, 1, 501, lambda *r: r)) == 2 and len(forks) == 1
+    assert_no_child()
+
+
+def test_chunks_fork_only_on_linux(monkeypatch, forks):
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+    monkeypatch.setattr(eh.sys, "platform", "darwin")
+    assert eh._chunks(4, 1, 501, lambda start, stop: (start, stop, os.getpid())) == [
+        (0, 4, os.getpid())]
+    assert forks == []
 
 
 def test_chunks_cut_workers_to_what_the_budget_holds(monkeypatch):
-    # Each worker needs its worker_bytes plus the rows of one norm call that outputs
-    # over 500 numbers (and so drops the GIL) within _CHUNK_BYTES.
+    # Each worker needs its worker_bytes plus the rows that pay for its fork, from
+    # _FORK_WORK // order ** 2 + 1 on, within _CHUNK_BYTES.
     monkeypatch.setattr(eh, "_workers", lambda: 3)
-    path = gc.path_topology(300)
-    for order, want in [(300, 1), (600, 2)]:  # thm2_*, and lcpf_bounds
-        threads = eh._chunks(4, eh._row_bytes(path), order, lambda *r: threading.current_thread())
-        assert len(set(threads)) == want
+    path = gc.path_topology(300)  # the budget holds 2 of its rows
+    for order, want in [(200, 1), (300, 2)]:  # 2 rows pay for a fork at order 200, 1 at 300
+        pids = eh._chunks(4, eh._row_bytes(path), order, lambda *r: os.getpid())
+        assert len(set(pids)) == want
     monkeypatch.setattr(eh, "_CHUNK_BYTES", 12)
-    for order, worker_bytes, want in [(501, 0, 3), (300, 0, 3), (100, 0, 2), (50, 0, 1),
+    for order, worker_bytes, want in [(501, 0, 3), (300, 0, 3), (120, 0, 2), (50, 0, 1),
                                       (501, 3, 3), (501, 5, 2), (501, 11, 1)]:
-        threads = eh._chunks(60, 1, order, lambda *r: threading.current_thread(),
-                             worker_bytes=worker_bytes)
-        assert len(set(threads)) == want, (order, worker_bytes)
-        assert len(threads) == 60 // (12 // want)  # each worker's share of the 12 rows
+        pids = eh._chunks(60, 1, order, lambda *r: os.getpid(), worker_bytes=worker_bytes)
+        assert len(set(pids)) == want, (order, worker_bytes)
+        assert len(pids) == 60 // (12 // want)  # each worker's share of the 12 rows
+    assert_no_child()
 
 
-# Each run norms at least 3 x (500 // order + 1) rows, so 3 workers each get a norm call
-# that drops the GIL: fig1 2 sweeps of 200 on K8, thm2_tail 1024 K5 patterns, Monte Carlo
-# 500 K8 samples (nearly all distinct), lcpf_bounds 300 lifted K5, manifold 310 on K5 and
-# bruteforce the 512 K5 patterns below the half.
-_THREADED_RUNS = {
-    "fig1": {"n": 8, "samples": 200, "p_grid": [0.3, 0.9], "seed": 3},
-    "thm2_tail": {"topology": {"name": "complete", "n": 5}, "probs": 0.4},
-    "thm2_expectation": {"backend": "montecarlo", "samples": 500, "seed": 6,
+# Each run norms at least 3 x (_FORK_WORK // order ** 2 + 1) rows in one _chunks call, so
+# 3 workers each get the rows that pay for a fork: fig1 2 sweeps of 1410 on K8, thm2_tail the
+# 32768 K6 patterns, Monte Carlo 3000 K8 samples (nearly all distinct), lcpf_bounds 120 lifted
+# 25-bus paths, manifold 90 on a 50-bus path and bruteforce the 16384 K6 patterns below the half.
+_FORKED_RUNS = {
+    "fig1": {"n": 8, "samples": 1410, "p_grid": [0.3, 0.9], "seed": 3},
+    "thm2_tail": {"topology": {"name": "complete", "n": 6}, "probs": 0.4},
+    "thm2_expectation": {"backend": "montecarlo", "samples": 3000, "seed": 6,
                          "topology": {"name": "complete", "n": 8}, "admittances": [0.5, 0.3]},
-    "lcpf_bounds": {"samples": 300, "seed": 1, "topology": {"name": "complete", "n": 5}},
-    "manifold": {"samples": 310, "seed": 5, "topology": {"name": "complete", "n": 5}},
-    "bruteforce": {"topology": {"name": "complete", "n": 5}},
+    "lcpf_bounds": {"samples": 120, "seed": 1, "topology": {"name": "path", "n": 25}},
+    "manifold": {"samples": 90, "seed": 5, "topology": {"name": "path", "n": 50}},
+    "bruteforce": {"topology": {"name": "complete", "n": 6}},
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(_THREADED_RUNS))
-def test_chunk_threads_emit_the_same_table(monkeypatch, experiment):
+@pytest.mark.parametrize("experiment", sorted(_FORKED_RUNS))
+def test_chunk_threads_emit_the_same_table(monkeypatch, forks, process_log, experiment):
     # Each sample's stream and matrix depend on its index alone, so neither the cut
-    # of a run into chunks nor the thread a chunk runs on shows in its table.
-    cfg = eh.ExperimentConfig.from_dict({"experiment": experiment, **_THREADED_RUNS[experiment]})
+    # of a run into chunks nor the process a chunk runs in shows in its table.
+    cfg = eh.ExperimentConfig.from_dict({"experiment": experiment, **_FORKED_RUNS[experiment]})
     norm, tables = eh.operator_norm, []
+    monkeypatch.setattr(eh, "operator_norm", lambda ys: process_log() or norm(ys))
     for workers in (1, 2, 3):
-        threads = set()
+        forks.clear()
+        process_log.clear()
         monkeypatch.setattr(eh, "_workers", lambda: workers)
-        monkeypatch.setattr(eh, "operator_norm",
-                            lambda ys: threads.add(threading.current_thread()) or norm(ys))
         tables.append(eh.emit(eh.run_experiment(cfg), "csv"))
-        sweeps = len(cfg.p_grid) if experiment == "fig1" else 1  # each sweep starts its own
-        assert len(threads) == 1 + (workers - 1) * sweeps
-        assert threading.current_thread() in threads
+        assert len(forks) == workers - 1  # fig1 too: one fork per worker for all its sweeps
+        assert {pid for pid, _ in process_log.read()} == {os.getpid(), *forks}
+        assert_no_child()
     assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
-def _thread_starts(monkeypatch) -> list:
-    """The threads that ``_chunks`` starts from here on."""
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-    monkeypatch.setattr(eh, "threading", types.SimpleNamespace(Thread=Counted))
-    return started
-
-
-def test_monte_carlo_and_enumeration_start_no_thread_for_a_small_run(monkeypatch):
-    # K3 norms are 3 x 3: a norm call drops the GIL from 500 // 3 + 1 = 167 rows on, so a
-    # run needs 2 x 167 rows for a second worker. The enumeration builds 4 K3 patterns, and
-    # a Monte Carlo draw chunk of 8192 samples holds at most 8 distinct ones.
+def test_monte_carlo_and_enumeration_start_no_thread_for_a_small_run(monkeypatch, forks):
+    # K3 norms are 3 x 3: a worker pays for its fork from 60000 // 3 ** 2 + 1 = 6667 rows
+    # on, so a run needs 2 x 6667 rows for a second worker. The enumeration builds 4 K3
+    # patterns, and a Monte Carlo draw chunk of 8192 samples holds at most 8 distinct ones.
+    assert eh._FORK_WORK == 60000
     monkeypatch.setattr(eh, "_workers", lambda: 2)
-    started = _thread_starts(monkeypatch)
     _, model = _k3_model()
     eh.brute_force_distribution(model)
     eh.monte_carlo_distribution(model, 20000, seed=0)
-    assert started == []
-    eh._chunks(2 * 167 - 1, 1, 3, lambda *r: r)
-    assert started == []
-    assert eh._chunks(2 * 167, 1, 3, lambda *r: r) == [(0, 167), (167, 334)]
-    assert len(started) == 1
+    assert forks == []
+    eh._chunks(2 * 6667 - 1, 1, 3, lambda *r: r)
+    assert forks == []
+    assert eh._chunks(2 * 6667, 1, 3, lambda *r: r) == [(0, 6667), (6667, 2 * 6667)]
+    assert len(forks) == 1
+    assert_no_child()
 
 
-def _monte_carlo_k8(monkeypatch, samples):
-    """K8 at p = 1/2 over 28 lines at 2 workers, in draw chunks of at most 300 samples:
-    the threads that draw, those that norm, and the thread starts of each."""
+def _monte_carlo_k8(monkeypatch, forks, process_log, samples):
+    """K8 at p = 1/2 over 28 lines at 2 workers, in draw chunks of at most 2000 samples:
+    the processes that draw, with the forks before each draw, and those that norm."""
     monkeypatch.setattr(eh, "_workers", lambda: 2)
-    monkeypatch.setattr(eh, "_ENUM_CHUNK", 300)
-    started, drew, normed = _thread_starts(monkeypatch), [], []
-    uniforms, norm = eh.sample_uniforms, eh.operator_norm
+    monkeypatch.setattr(eh, "_ENUM_CHUNK", 2000)
+    drew, uniforms, norm = [], eh.sample_uniforms, eh.operator_norm
     monkeypatch.setattr(eh, "sample_uniforms", lambda *args: drew.append(
-        (threading.current_thread(), len(started))) or uniforms(*args))
-    monkeypatch.setattr(eh, "operator_norm",
-                        lambda ys: normed.append(threading.current_thread()) or norm(ys))
+        (os.getpid(), len(forks))) or uniforms(*args))
+    monkeypatch.setattr(eh, "operator_norm", lambda ys: process_log() or norm(ys))
     k8 = gc.complete_topology(8)
     model = bnd.ContingencyModel(k8, np.full(28, 0.5), np.ones(28, dtype=complex))
-    return eh.monte_carlo_distribution(model, samples, seed=3), drew, normed, started
+    stats = eh.monte_carlo_distribution(model, samples, seed=3)
+    return stats, drew, [pid for pid, _ in process_log.read()]
 
 
-def test_monte_carlo_draws_every_chunk_in_the_calling_thread(monkeypatch):
-    _, drew, _, started = _monte_carlo_k8(monkeypatch, 1200)
-    assert len(drew) == 4 and len(started) == 4  # each draw chunk's norms start a thread
-    assert all(thread is threading.current_thread() for thread, _ in drew)
-    assert [starts for _, starts in drew] == [0, 1, 2, 3]  # drawn before its norms
+def test_monte_carlo_draws_every_chunk_in_the_calling_thread(monkeypatch, forks, process_log):
+    _, drew, _ = _monte_carlo_k8(monkeypatch, forks, process_log, 8000)
+    assert len(drew) == 4 and len(forks) == 4  # each draw chunk's norms fork a worker
+    assert all(pid == os.getpid() for pid, _ in drew)
+    assert [forked for _, forked in drew] == [0, 1, 2, 3]  # drawn before its norms
+    assert_no_child()
 
 
-def test_monte_carlo_norms_many_distinct_patterns_in_two_threads(monkeypatch):
-    # 300 samples of 28 fair lines are nearly all distinct: over 2 x (500 // 8 + 1) = 126.
-    stats, drew, normed, started = _monte_carlo_k8(monkeypatch, 300)
-    assert len(np.unique(stats.norms)) > 126
-    assert len(drew) == 1 and len(started) == 1
-    assert set(normed) == {threading.current_thread(), started[0]}
+def test_monte_carlo_norms_many_distinct_patterns_in_two_threads(monkeypatch, forks,
+                                                                 process_log):
+    # 2000 samples of 28 fair lines are nearly all distinct: over 2 x (60000 // 8 ** 2 + 1).
+    _, drew, normed = _monte_carlo_k8(monkeypatch, forks, process_log, 2000)
+    assert len(drew) == 1 and len(forks) == 1
+    assert set(normed) == {os.getpid(), forks[0]}
+    assert len(np.unique(eh.sample_uniforms(3, 0, 0, 2000, 28) < 0.5, axis=0)) > 2 * 938
+    assert_no_child()
 
 
 def test_monte_carlo_sorted_tails_equal_the_mean_of_the_comparisons():
@@ -792,9 +930,11 @@ def _traced_peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_lcpf_and_monte_carlo_memory_is_not_per_line():
+def test_lcpf_and_monte_carlo_memory_is_not_per_line(monkeypatch):
     # A dense per-line basis takes m*n^2 floats: 1.6 GB for each lifted K100
-    # stack, 51 MB for K60. Three samples' matrices need a few MB.
+    # stack, 51 MB for K60. Three samples' matrices need a few MB. tracemalloc sees
+    # the calling process alone, so every chunk runs there.
+    monkeypatch.setattr(eh, "_workers", lambda: 1)
     limit = 16 * 2 ** 20
     lcpf_cfg = eh.ExperimentConfig(experiment="lcpf_bounds", samples=3, seed=1,
                                    topology=gc.complete_topology(100), delta=0.1)
@@ -809,26 +949,30 @@ def test_lcpf_and_monte_carlo_memory_is_not_per_line():
 def test_fig1_memory_is_chunked(monkeypatch):
     # 400 samples of 60 x 60 complex matrices are 23 MB as one stack; with a
     # 4 MiB chunk budget the stack, the per-sample incidence products and
-    # the records stay under the same 16 MiB limit.
+    # the records stay under the same 16 MiB limit. tracemalloc sees the calling
+    # process alone, so every chunk runs there.
+    monkeypatch.setattr(eh, "_workers", lambda: 1)
     monkeypatch.setattr(eh, "_CHUNK_BYTES", 4 * 2 ** 20)
     cfg = eh.ExperimentConfig(experiment="fig1", n=60, samples=400, seed=1, p_grid=(0.5,))
     assert 400 * 16 * 60 ** 2 > 16 * 2 ** 20
     assert _traced_peak_bytes(lambda: eh.run_fig1(cfg)) < 16 * 2 ** 20
 
 
-def test_fig1_budget_counts_each_workers_incidence_product(monkeypatch):
+def test_fig1_budget_counts_each_workers_incidence_product(monkeypatch, process_log):
     # At n = 60 one sample's incidence product, two complex (1770, 60) arrays, takes
-    # 3.4 MB: 16 MiB hold it and a GIL-free norm call's rows for 3 workers, 4 MiB for 1.
+    # 3.4 MB, and the 60000 // 60 ** 2 + 1 = 17 rows that pay for a fork 2.9 MB:
+    # 24 MiB hold both for 3 workers, 16 MiB for 2 and 4 MiB for 1.
     monkeypatch.setattr(eh, "_workers", lambda: 3)
-    norm, threads = eh.operator_norm, set()
-    monkeypatch.setattr(eh, "operator_norm",
-                        lambda ys: threads.add(threading.current_thread()) or norm(ys))
-    cfg = eh.ExperimentConfig(experiment="fig1", n=60, samples=40, seed=1, p_grid=(0.5,))
-    for budget, workers in [(16 * 2 ** 20, 3), (4 * 2 ** 20, 1)]:
+    norm = eh.operator_norm
+    monkeypatch.setattr(eh, "operator_norm", lambda ys: process_log() or norm(ys))
+    cfg = eh.ExperimentConfig(experiment="fig1", n=60, samples=60, seed=1, p_grid=(0.5,))
+    for budget, workers in [(24 * 2 ** 20, 3), (16 * 2 ** 20, 2), (4 * 2 ** 20, 1)]:
         monkeypatch.setattr(eh, "_CHUNK_BYTES", budget)
-        threads.clear()
+        process_log.clear()
         eh.run_fig1(cfg)
-        assert len(threads) == workers and threading.current_thread() in threads
+        pids = {pid for pid, _ in process_log.read()}
+        assert len(pids) == workers and os.getpid() in pids
+    assert_no_child()
 
 
 def test_manifold_chunk_memory_is_its_rows(monkeypatch):
@@ -858,16 +1002,19 @@ def test_manifold_sphere_chunk_peaks_within_the_budget(monkeypatch):
     assert _traced_peak_bytes(lambda: eh.run_manifold_experiment(cfg)) < eh._CHUNK_BYTES
 
 
-def test_manifold_on_a_300_bus_path_norms_in_two_threads(monkeypatch):
-    # A worker's share of the budget holds the 2 rows of a GIL-free 300 x 300 norm call.
+def test_manifold_on_a_300_bus_path_norms_in_two_threads(monkeypatch, process_log):
+    # A worker's share of the budget holds 2 rows, and one 300 x 300 row pays for a fork.
+    # Only the norm calls are counted: two processes on a threaded BLAS (the test runs at
+    # any BLAS setting; a real run forks only at one BLAS thread) spin each other's
+    # threads, and two 300 x 300 SVDs then took 10 s.
     monkeypatch.setattr(eh, "_workers", lambda: 2)
-    norm, threads = eh.operator_norm, []
-    monkeypatch.setattr(eh, "operator_norm",
-                        lambda ys: threads.append(threading.current_thread()) or norm(ys))
+    monkeypatch.setattr(eh, "operator_norm", lambda ys: process_log() or np.ones(len(ys)))
     cfg = eh.ExperimentConfig(experiment="manifold", samples=4, seed=1,
                               topology=gc.path_topology(300))
     eh.run_manifold_experiment(cfg)
-    assert len(threads) == 2 and len(set(threads)) == 2
+    pids = [pid for pid, _ in process_log.read()]
+    assert len(pids) == 2 and len(set(pids)) == 2 and os.getpid() in pids
+    assert_no_child()
 
 
 def _manifold_per_sample(cfg):
