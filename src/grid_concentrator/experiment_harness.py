@@ -485,7 +485,12 @@ def _fork_worker(deal, w: int) -> tuple[int, int]:
     ``os._exit``, so it never unwinds into the caller's frames, flushes its copy of their
     buffers or runs their ``finally``. Returns the child's pid and the pipe's read end."""
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
     if pid:
         os.close(write)
         return pid, read
@@ -518,9 +523,9 @@ def _chunks(total: int, row_bytes: int, order: int, chunk, most: int | None = No
     worker, which pickles its results and errors back over a pipe and leaves by
     ``os._exit``. Only Linux forks, and only with no other live thread (a child would
     inherit the locks that thread holds, with no thread to release them); elsewhere
-    every range runs in the caller. After an
-    error no worker starts another; the first in range order is raised once every pipe
-    is read and every child reaped, on every path.
+    every range runs in the caller. After an error no worker starts another; the first
+    in range order is raised once every pipe is read and every child reaped, on every
+    path.
     """
     least = _FORK_WORK // order ** 2 + 1
     can_fork = sys.platform == "linux" and threading.active_count() == 1
