@@ -11,15 +11,15 @@ and maps them to line weights by one law transform per chunk.
 
 Every runner works in bounded chunks of samples, each normed by one batched
 call, and returns each chunk's results. :func:`_chunks` maps a runner's chunk function
-over them, in the caller and one forked process per further CPU when the BLAS is
-single-threaded and each worker's rows pay for its fork, and returns the results in
-order. The Monte Carlo, enumeration, ``lcpf_bounds`` and ``manifold`` chunks are
-assembled by one line-order scatter, so their per-sample memory is O(n^2); an
-``lcpf_bounds`` or ``manifold`` chunk is uniforms, law, scatter, norm. Monte Carlo keys
-its chunks in the calling process and norms each distinct switch pattern once. Exact
-``thm2_tail`` eigensolves only patterns that neither Gershgorin's bound nor a trace
-moment certifies below its grid. Only ``fig1`` builds a product per sample from a
-complex m x n incidence (175 MB at n = 200, p = 1); its whole run is one ``_chunks`` call.
+over them, in the caller and one forked process per further CPU where :func:`_workers`
+allows it (one BLAS thread set, one OS thread running) and each worker's rows pay for
+its fork, and returns the results in order. The Monte Carlo, enumeration, ``lcpf_bounds``
+and ``manifold`` chunks are assembled by one line-order scatter, so their per-sample
+memory is O(n^2); an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law, scatter,
+norm. Monte Carlo keys its chunks in the calling process and norms each distinct switch
+pattern once. Exact ``thm2_tail`` eigensolves only patterns that neither Gershgorin's
+bound nor a trace moment certifies below its grid. Only ``fig1`` builds a product per
+sample from a complex m x n incidence (175 MB at n = 200, p = 1), in one ``_chunks`` call.
 
 Experiments
 -----------
@@ -53,8 +53,6 @@ import os
 import pickle
 import re
 import signal
-import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 from io import StringIO
@@ -471,13 +469,17 @@ _FORK_WORK = 60000
 
 
 def _workers() -> int:
-    """Workers the chunks of a run are dealt to: the CPUs this process may run
-    on (its affinity mask where the OS has one) when the first of
-    ``_BLAS_THREAD_VARS`` that is set says one BLAS thread, else 1."""
+    """The one fork gate: the CPUs in the affinity mask when the first of
+    ``_BLAS_THREAD_VARS`` that is set says 1 and the process runs one OS thread
+    (``/proc/self/task`` has one entry; unreadable on every OS but Linux), else 1. A child
+    forked beside another thread, a BLAS pool's too, inherits locks none can release; MKL
+    and OpenMP start their pools only at the first LAPACK call, so the variable counts."""
     blas_threads = next((os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), "")
-    if blas_threads.strip() != "1":
-        return 1
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        alone = blas_threads.strip() == "1" and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        alone = False
+    return len(os.sched_getaffinity(0)) if alone else 1
 
 
 def _fork_worker(deal, w: int) -> tuple[int, int]:
@@ -516,21 +518,18 @@ def _chunks(total: int, row_bytes: int, order: int, chunk, most: int | None = No
 
     A range holds at most ``most`` (default ``_ENUM_CHUNK``) rows of ``row_bytes``
     and a worker's share of ``_CHUNK_BYTES``; its rows are normed as matrices of
-    order ``order``. :func:`_workers` is cut so that the run, and the budget with each
-    worker's ``worker_bytes`` (held beyond its rows), give each enough rows to pay for
-    its fork: a smaller run forks nothing. Ranges, a multiple of the workers with rows
-    spread evenly, are dealt round robin to the caller and one forked child per further
-    worker, which pickles its results and errors back over a pipe and leaves by
-    ``os._exit``. Only Linux forks, and only with no other live thread (a child would
-    inherit the locks that thread holds, with no thread to release them); elsewhere
-    every range runs in the caller. After an error no worker starts another; the first
-    in range order is raised once every pipe is read and every child reaped, on every
-    path.
+    order ``order``. :func:`_workers`, which alone decides whether anything forks, is
+    cut so that the run, and the budget with each worker's ``worker_bytes`` (held beyond
+    its rows), give each enough rows to pay for its fork: a smaller run forks nothing.
+    Ranges, a multiple of the workers with rows spread evenly, are dealt round robin to
+    the caller and one forked child per further worker, which pickles its results and
+    errors back over a pipe and leaves by ``os._exit``. After an error no worker starts
+    another; the first in range order is raised once every pipe is read and every child
+    reaped, on every path.
     """
     least = _FORK_WORK // order ** 2 + 1
-    can_fork = sys.platform == "linux" and threading.active_count() == 1
-    workers = min(_workers() if can_fork else 1, max(1, min(
-        total // least, _CHUNK_BYTES // (worker_bytes + least * row_bytes))))
+    workers = min(total // least, _CHUNK_BYTES // (worker_bytes + least * row_bytes))
+    workers = min(_workers(), workers) if workers > 1 else 1  # the gate lists /proc: ~30 us
     rows = max(1, min(most or _ENUM_CHUNK, _CHUNK_BYTES // workers // row_bytes))
     count = -(-total // rows)
     count = min(total, -(-count // workers) * workers)
@@ -732,8 +731,8 @@ def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
                              seed: int) -> SampleStats:
     """Monte Carlo estimate of the ||Y - EY|| distribution: sample s switches line l on when
     draw l of ``sample_rng(seed, 0, s)`` is below p_l. Chunks are drawn and keyed in the calling
-    thread (that holds the GIL); :func:`_chunks` norms each distinct pattern once, bit for bit
-    the norm a sample gets alone (the same matrix and LAPACK call), for each sample drawing it."""
+    process; :func:`_chunks` norms each distinct pattern once, bit for bit the norm a sample
+    gets alone (the same matrix and LAPACK call), for each sample drawing it."""
     norms, row_bytes, m = np.empty(samples), _row_bytes(model.topology), len(model.probs)
     rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
     # Row keys: the packed bits in a power-of-2 width with a spare bit (for m = 0), one uint

@@ -7,6 +7,8 @@ import math
 import mmap
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -608,11 +610,73 @@ def test_lcpf_and_monte_carlo_independent_of_chunking(monkeypatch):
     ({"OMP_NUM_THREADS": ""}, False),
 ])
 def test_workers_need_a_serial_blas(monkeypatch, env, serial):
+    # The real gate, at whatever BLAS threads the suite runs under: a BLAS pool started
+    # at import is a second OS thread, and then nothing forks.
+    _set_blas_env(monkeypatch, env)
+    assert eh._workers() == (_affinity_cpus() if serial and _one_task() else 1)
+    # The same process seen with one task, so the variable alone decides.
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path=".": [str(os.getpid())]
+                        if path == "/proc/self/task" else listdir(path))
+    assert eh._workers() == (_affinity_cpus() if serial else 1)
+
+
+def _set_blas_env(monkeypatch, env):
     for var in eh._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert eh._workers() == (len(os.sched_getaffinity(0)) if serial else 1)
+
+
+def _affinity_cpus():
+    return len(os.sched_getaffinity(0))
+
+
+def _one_task():
+    """True where this process runs one OS thread: no BLAS pool and no Python thread."""
+    return len(os.listdir("/proc/self/task")) == 1
+
+
+def test_workers_are_one_without_procfs(monkeypatch, forks):
+    # Every OS but Linux: /proc/self/task cannot be listed, so nothing forks.
+    _set_blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+
+    def no_procfs(path="."):
+        raise FileNotFoundError(2, "No such file or directory", path)
+    monkeypatch.setattr(os, "listdir", no_procfs)
+    assert eh._workers() == 1
+    assert eh._chunks(4, 1, 501, lambda start, stop: (start, stop, os.getpid())) == [
+        (0, 4, os.getpid())]
+    assert forks == []
+
+
+_MKL_ALONE = """
+import os
+from grid_concentrator import experiment_harness as eh
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+cfg = eh.ExperimentConfig(experiment="lcpf_bounds", samples=8, seed=1,
+                          topology={"name": "path", "n": 100})
+eh.run_lcpf_experiment(cfg)
+print(eh._workers(), len(os.listdir("/proc/self/task")), len(os.sched_getaffinity(0)),
+      len(forks))
+"""
+
+
+def test_workers_are_one_for_mkl_alone_beside_an_openblas_pool():
+    # MKL_NUM_THREADS=1 set alone says nothing to OpenBLAS, which starts its pool at import
+    # on every CPU of the mask. The gate sees that pool's threads and forks nothing, also
+    # on a 100-bus lcpf_bounds run, whose 200 x 200 lifts would fork from one row on.
+    env = {key: value for key, value in os.environ.items()
+           if key not in {*eh._BLAS_THREAD_VARS, "GOTO_NUM_THREADS"}}
+    env.update(MKL_NUM_THREADS="1", PYTHONPATH=os.path.dirname(os.path.dirname(eh.__file__)))
+    out = subprocess.run([sys.executable, "-c", _MKL_ALONE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    workers, tasks, cpus, forked = map(int, out.split())
+    if tasks > 1:  # a pool runs: on this OpenBLAS, wherever the mask has 2 CPUs or more
+        assert (workers, forked) == (1, 0)
+    else:
+        assert workers == cpus and forked == min(cpus, 4) - 1
 
 
 def _wait_for(ready, timeout=10.0):
@@ -780,28 +844,36 @@ def test_chunks_on_more_workers_than_cpus(monkeypatch, forks, process_log):
 
 def test_chunks_fork_nothing_beside_another_thread(monkeypatch, forks):
     # A child forked beside a live thread would inherit the locks it holds, with none to
-    # release them.
-    monkeypatch.setattr(eh, "_workers", lambda: 2)
+    # release them: with one running, the gate says 1 whatever the BLAS setting.
+    _set_blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+    tasks = len(os.listdir("/proc/self/task"))
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
+        assert eh._workers() == 1
         assert eh._chunks(4, 1, 501, lambda start, stop: (start, stop, os.getpid())) == [
             (0, 4, os.getpid())]
     finally:
         release.set()
         thread.join()
     assert forks == []
-    assert len(eh._chunks(4, 1, 501, lambda *r: r)) == 2 and len(forks) == 1
+    # A joined thread's task can outlive the join by a moment.
+    _wait_for(lambda: len(os.listdir("/proc/self/task")) == tasks)
+    workers = min(_affinity_cpus() if _one_task() else 1, 4)
+    assert len(eh._chunks(4, 1, 501, lambda *r: r)) == workers and len(forks) == workers - 1
     assert_no_child()
 
 
 def test_chunks_fork_only_on_linux(monkeypatch, forks):
-    monkeypatch.setattr(eh, "_workers", lambda: 2)
-    monkeypatch.setattr(eh.sys, "platform", "darwin")
-    assert eh._chunks(4, 1, 501, lambda start, stop: (start, stop, os.getpid())) == [
-        (0, 4, os.getpid())]
-    assert forks == []
+    # Linux lists /proc/self/task, so a single-threaded process at one BLAS thread forks
+    # one child per further CPU; where it cannot be listed nothing forks (see
+    # test_workers_are_one_without_procfs).
+    _set_blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+    workers = min(_affinity_cpus() if _one_task() else 1, 4)
+    pids = eh._chunks(4, 1, 501, lambda start, stop: os.getpid())
+    assert len(pids) == workers and len(set(pids)) == workers and len(forks) == workers - 1
+    assert_no_child()
 
 
 def test_chunks_cut_workers_to_what_the_budget_holds(monkeypatch):
@@ -837,7 +909,7 @@ _FORKED_RUNS = {
 
 
 @pytest.mark.parametrize("experiment", sorted(_FORKED_RUNS))
-def test_chunk_threads_emit_the_same_table(monkeypatch, forks, process_log, experiment):
+def test_chunk_workers_emit_the_same_table(monkeypatch, forks, process_log, experiment):
     # Each sample's stream and matrix depend on its index alone, so neither the cut
     # of a run into chunks nor the process a chunk runs in shows in its table.
     cfg = eh.ExperimentConfig.from_dict({"experiment": experiment, **_FORKED_RUNS[experiment]})
@@ -854,7 +926,7 @@ def test_chunk_threads_emit_the_same_table(monkeypatch, forks, process_log, expe
     assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
-def test_monte_carlo_and_enumeration_start_no_thread_for_a_small_run(monkeypatch, forks):
+def test_monte_carlo_and_enumeration_fork_nothing_for_a_small_run(monkeypatch, forks):
     # K3 norms are 3 x 3: a worker pays for its fork from 60000 // 3 ** 2 + 1 = 6667 rows
     # on, so a run needs 2 x 6667 rows for a second worker. The enumeration builds 4 K3
     # patterns, and a Monte Carlo draw chunk of 8192 samples holds at most 8 distinct ones.
@@ -886,7 +958,7 @@ def _monte_carlo_k8(monkeypatch, forks, process_log, samples):
     return stats, drew, [pid for pid, _ in process_log.read()]
 
 
-def test_monte_carlo_draws_every_chunk_in_the_calling_thread(monkeypatch, forks, process_log):
+def test_monte_carlo_draws_every_chunk_in_the_calling_process(monkeypatch, forks, process_log):
     _, drew, _ = _monte_carlo_k8(monkeypatch, forks, process_log, 8000)
     assert len(drew) == 4 and len(forks) == 4  # each draw chunk's norms fork a worker
     assert all(pid == os.getpid() for pid, _ in drew)
@@ -894,8 +966,8 @@ def test_monte_carlo_draws_every_chunk_in_the_calling_thread(monkeypatch, forks,
     assert_no_child()
 
 
-def test_monte_carlo_norms_many_distinct_patterns_in_two_threads(monkeypatch, forks,
-                                                                 process_log):
+def test_monte_carlo_norms_many_distinct_patterns_in_two_processes(monkeypatch, forks,
+                                                                   process_log):
     # 2000 samples of 28 fair lines are nearly all distinct: over 2 x (60000 // 8 ** 2 + 1).
     _, drew, normed = _monte_carlo_k8(monkeypatch, forks, process_log, 2000)
     assert len(drew) == 1 and len(forks) == 1
@@ -1002,11 +1074,11 @@ def test_manifold_sphere_chunk_peaks_within_the_budget(monkeypatch):
     assert _traced_peak_bytes(lambda: eh.run_manifold_experiment(cfg)) < eh._CHUNK_BYTES
 
 
-def test_manifold_on_a_300_bus_path_norms_in_two_threads(monkeypatch, process_log):
+def test_manifold_on_a_300_bus_path_norms_in_two_processes(monkeypatch, process_log):
     # A worker's share of the budget holds 2 rows, and one 300 x 300 row pays for a fork.
     # Only the norm calls are counted: two processes on a threaded BLAS (the test runs at
-    # any BLAS setting; a real run forks only at one BLAS thread) spin each other's
-    # threads, and two 300 x 300 SVDs then took 10 s.
+    # any BLAS setting; a real run forks only in a single-threaded process at one BLAS
+    # thread) spin each other's threads, and two 300 x 300 SVDs then took 10 s.
     monkeypatch.setattr(eh, "_workers", lambda: 2)
     monkeypatch.setattr(eh, "operator_norm", lambda ys: process_log() or np.ones(len(ys)))
     cfg = eh.ExperimentConfig(experiment="manifold", samples=4, seed=1,

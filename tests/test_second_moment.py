@@ -40,13 +40,14 @@ def _exact_floor(model):
         operator_norm(bnd.variance_laplacian(model))
 
 
-def _lcpf_floor(monkeypatch, drawn=0.1, delta=0.1):
-    """(mean(norm^2) + 3 stderr, nu) of ``lcpf_bounds`` at its defaults (P3, 10 000
-    samples, seed 0), its noise drawn on [-drawn, drawn] and nu taken at ``delta``."""
+def _lcpf_floor(monkeypatch, drawn=0.1, delta=0.1, topology=None, samples=None):
+    """(mean(norm^2) + 3 stderr, nu) of ``lcpf_bounds`` at seed 0, by default on P3 with
+    10 000 samples, its noise drawn on [-drawn, drawn] and nu taken at ``delta``."""
     captured, sampled = [], eh.SampleStats.sampled
     monkeypatch.setattr(eh.SampleStats, "sampled",
                         staticmethod(lambda norms: captured.append(norms) or sampled(norms)))
-    cfg = eh.ExperimentConfig(experiment="lcpf_bounds", delta=drawn)
+    cfg = eh.ExperimentConfig(experiment="lcpf_bounds", delta=drawn, topology=topology,
+                              samples=samples)
     eh.run_lcpf_experiment(cfg)
     squares = captured[0] ** 2
     laplacian = gc.weighted_laplacians(cfg.topology, np.ones(cfg.topology.n_edges))
@@ -67,6 +68,15 @@ def test_monte_carlo_second_moment_floor(monkeypatch):
     upper, nu = _lcpf_floor(monkeypatch)
     assert nu == pytest.approx(0.04, rel=1e-12)
     assert upper == pytest.approx(0.045763 + 3 * 0.000232, abs=2e-6)
+    assert upper >= nu
+
+
+def test_monte_carlo_second_moment_floor_k50(monkeypatch):
+    # K50 at delta 0.1, 100 samples: mean(norm^2) is 2.5213 +- 0.0336, 3.78 times
+    # nu = (4 delta^2 / 3) 50.
+    upper, nu = _lcpf_floor(monkeypatch, topology=gc.complete_topology(50), samples=100)
+    assert nu == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert upper == pytest.approx(2.5213 + 3 * 0.0336, abs=2e-4)
     assert upper >= nu
 
 

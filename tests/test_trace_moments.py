@@ -15,10 +15,19 @@ pairings give 8 (b_l.b_k)^2 + (b_l.b_k)^4, that is 9 for lines sharing one bus a
 parallel lines. Expanding sum_i d_i^2 counts adjacent pairs once and parallel pairs twice,
 which leaves the parallel term. The closed forms are this file's oracle, not library code.
 
-The traces come from the harness itself: its ``operator_norm`` is swapped for tr Z^2 or
-tr Z^4 of each matrix, so the enumeration's probabilities and mirroring, and the Monte
-Carlo streams and pattern keys, are the ones every run uses. A centering, sampling or
-assembly defect breaks an identity whichever way it errs.
+With complex y_l only l = k survives in E ZZ*, so E tr ZZ* = 4 sum_l sigma_l^2 |y_l|^2,
+again tr V (c_l = 2 sigma_l^2 |y_l|^2).
+
+``lcpf_bounds`` norms the lifted Jacobian noise Z = sum_l X_l with
+X_l = (g_l sigma_z - b_l sigma_x) (x) L_l, for independent g_l, b_l uniform on
+[-delta, delta]. The Pauli matrices anticommute, so X_l^2 = (g_l^2 + b_l^2) I_2 (x) 2 L_l
+and tr X_l^2 = 8 (g_l^2 + b_l^2); cross terms have mean 0, so E tr Z^2 = 16 m delta^2 / 3.
+
+The traces come from the harness itself: its ``operator_norm`` is swapped for tr Z^2,
+tr Z^4 or tr ZZ* of each matrix, so the enumeration's probabilities and mirroring, the
+Monte Carlo streams and pattern keys, and the ``lcpf_bounds`` noise law, scatter and lift
+are the ones every run uses. A centering, sampling or assembly defect breaks an identity
+whichever way it errs.
 """
 
 import dataclasses
@@ -44,6 +53,10 @@ _TRACES = {
     2: lambda z: np.einsum("...ij,...ij->...", z, z),
     4: lambda z: np.einsum("...ij,...ij->...", z @ z, z @ z),
 }
+# tests/test_golden.py's mesh with its complex admittances.
+_COMPLEX_MESH = bnd.ContingencyModel(_MESH_TOPOLOGY, [0.5, 0.3, 0.8, 0.6, 0.25],
+                                     [0.6 - 0.8j, 0.5 - 0.5j, 1.0, 0.3 - 0.9j, 0.2 - 0.7j])
+_LCPF_TOPOLOGIES = {"k4": gc.complete_topology(4), "p5": gc.path_topology(5)}
 
 
 def _closed_forms(model):
@@ -120,3 +133,51 @@ def test_trace_moment_identities_fail_centering_at_half(monkeypatch, name):
         mean, stderr = _sampled_trace(monkeypatch, model, power)
         assert abs(mean - want) > 3.0 * stderr
         assert not math.isclose(mean, want, rel_tol=0.05)
+
+
+def _frobenius_squared(z):
+    """tr ZZ* of each matrix of a stack, real or complex."""
+    return np.einsum("...ij,...ij->...", z, z.conj()).real
+
+
+def test_exact_complex_trace_identity(monkeypatch):
+    # E tr ZZ* = 4 sum_l p_l (1 - p_l) |y_l|^2 = tr V = 3.3215 on the mesh.
+    model = _COMPLEX_MESH
+    want = 4.0 * (model.probs * (1.0 - model.probs) * np.abs(model.admittances) ** 2).sum()
+    assert want == pytest.approx(np.trace(bnd.variance_laplacian(model)).real, rel=1e-14)
+    assert want == pytest.approx(3.3215, rel=1e-12)
+    monkeypatch.setattr(eh, "operator_norm", _frobenius_squared)
+    assert eh.brute_force_distribution(model).mean == pytest.approx(want, rel=1e-12)
+    _centered_at_half(monkeypatch)
+    assert eh.brute_force_distribution(model).mean != pytest.approx(want, rel=1e-12)
+
+
+def _lcpf_trace_z(monkeypatch, topology, scale):
+    """z-score of the mean tr Z^2 over ``lcpf_bounds``' lifted stacks (delta 0.3, 4000
+    samples, seed 0, noise drawn on [-scale delta, scale delta]) against 16 m delta^2 / 3.
+    Every chunk's traces come back to the caller, which takes the stats."""
+    captured, sampled = [], eh.SampleStats.sampled
+    monkeypatch.setattr(eh.SampleStats, "sampled",
+                        staticmethod(lambda norms: captured.append(norms) or sampled(norms)))
+    monkeypatch.setattr(eh, "operator_norm", _TRACES[2])
+    delta = 0.3
+    cfg = eh.ExperimentConfig(experiment="lcpf_bounds", samples=4000, seed=0,
+                              topology=topology, delta=scale * delta)
+    eh.run_lcpf_experiment(cfg)
+    (traces,) = captured
+    stderr = traces.std(ddof=1) / math.sqrt(len(traces))
+    assert len(traces) == 4000 and stderr > 0.0
+    return (traces.mean() - 16.0 * topology.n_edges * delta ** 2 / 3.0) / stderr
+
+
+@pytest.mark.parametrize("name", sorted(_LCPF_TOPOLOGIES))
+def test_lcpf_trace_identity(monkeypatch, name):
+    # E tr Z^2 = 16 m delta^2 / 3 within 3 stderr: z = -0.85 on K4 and +0.16 on P5.
+    assert abs(_lcpf_trace_z(monkeypatch, _LCPF_TOPOLOGIES[name], 1.0)) <= 3.0
+
+
+@pytest.mark.parametrize("name", sorted(_LCPF_TOPOLOGIES))
+def test_lcpf_trace_identity_fails_noise_on_095_delta(monkeypatch, name):
+    # Noise on [-0.95 delta, 0.95 delta] holds 0.9025 of the second moment: z = -22 on K4
+    # and -19 on P5.
+    assert abs(_lcpf_trace_z(monkeypatch, _LCPF_TOPOLOGIES[name], 0.95)) > 3.0
