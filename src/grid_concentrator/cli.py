@@ -9,15 +9,27 @@ Usage::
 manifold, bruteforce and overrides the config file's ``experiment`` field.
 Exit codes: 0 success, 1 config error, 2 dominance-check failure when
 ``--assert-bounds`` is passed.
+
+Importing this module into a process that has not loaded NumPy, with none of
+``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS`` set, sets
+all three to 1 before NumPy loads. So a run forks its chunks where the harness
+can and prints the table the goldens and the benchmark pin; a variable the user
+set, or a process that already loaded NumPy, is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .experiment_harness import (
+from . import _BLAS_THREAD_VARS
+
+if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
+from .experiment_harness import (  # noqa: E402
     EXPERIMENT_NAMES,
     ConfigError,
     ExperimentConfig,

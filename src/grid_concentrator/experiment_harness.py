@@ -5,15 +5,16 @@ JSON file), runs a deterministic sampling or enumeration loop, and produces a
 flat table of records ready for CSV/JSON emission. Sample s of a sweep draws
 the stream of :func:`sample_rng`, seeded by ``SeedSequence((master_seed,
 sweep_index, sample_index))``, so any sample replays in isolation and identical
-configs give byte-identical output files at one BLAS thread count. Every
-sampled runner draws those streams a chunk at a time by :func:`sample_uniforms`
-and maps them to line weights by one law transform per chunk.
+configs give byte-identical output files at one BLAS thread count, which the CLI
+pins unless its user set one. Every sampled runner draws those streams a chunk at
+a time by :func:`sample_uniforms` and maps them to line weights by one law
+transform per chunk.
 
 Every runner works in bounded chunks of samples, each normed by one batched
 call, and returns each chunk's results. :func:`_chunks` maps a runner's chunk function
 over them, in the caller and one forked process per further CPU where :func:`_workers`
-allows it (one BLAS thread set, one OS thread running) and each worker's rows pay for
-its fork, and returns the results in order. The Monte Carlo, enumeration, ``lcpf_bounds``
+allows it (one BLAS thread set, as the CLI sets it, and one OS thread running) and
+each worker's rows pay for its fork, and returns the results in order. The Monte Carlo, enumeration, ``lcpf_bounds``
 and ``manifold`` chunks are assembled by one line-order scatter, so their per-sample
 memory is O(n^2); an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law, scatter,
 norm. Monte Carlo keys its chunks in the calling process and norms each distinct switch
@@ -59,6 +60,7 @@ from io import StringIO
 
 import numpy as np
 
+from . import _BLAS_THREAD_VARS
 from . import bounds as bnd
 from . import graph_core as gc
 from .admittance import (
@@ -454,11 +456,6 @@ def sample_uniforms(seed: int, sweep_index: int, start: int, stop: int,
     return out
 
 
-# The variables through which OpenBLAS and MKL take their thread count. Chunk
-# workers pay only when each LAPACK call runs on one BLAS thread: in two processes
-# on 2 CPUs, each BLAS pool's idle threads spin against the other's (a 300 x 300
-# complex SVD in each of two forked processes took 0.61 s, against 0.023 s alone).
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 # A forked worker pays for itself from _FORK_WORK // order ** 2 + 1 rows on. Its round
 # trip (the fork, the pages both processes then copy on write, the pickled results and the
 # reaping) took 4-6 ms in a process that had run fig1, and an enumeration row, the cheapest

@@ -7,8 +7,10 @@ table and library example are checked against the package too."""
 import ast
 import importlib
 import itertools
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,19 +44,38 @@ def test_module_all_resolves(name):
     assert set(getattr(module, "__all__", ())) <= set(namespace)
 
 
-def _package_imports():
-    tree = ast.parse(Path(grid_concentrator.__file__).read_text(encoding="utf-8"))
-    return [(node.module, alias.name) for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names]
-
-
 def test_package_exports_resolve_and_are_public():
-    imports = _package_imports()
-    assert imports
-    for module_name, name in imports:
+    # The package resolves its exports lazily from this table (PEP 562).
+    exports = grid_concentrator._EXPORTS
+    assert exports and grid_concentrator.__all__ == sorted(exports)
+    assert set(grid_concentrator.__all__) <= set(dir(grid_concentrator))
+    for name, module_name in exports.items():
         module = importlib.import_module(f"grid_concentrator.{module_name}")
         assert getattr(grid_concentrator, name) is getattr(module, name)
         assert name in module.__all__, f"{module_name}.{name} is exported but not public"
+
+
+_FRESH_IMPORT = """
+import importlib, sys
+import grid_concentrator
+assert "numpy" not in sys.modules, "import grid_concentrator loaded numpy"
+for name in grid_concentrator.__all__:
+    module = importlib.import_module("grid_concentrator." + grid_concentrator._EXPORTS[name])
+    assert getattr(grid_concentrator, name) is getattr(module, name), name
+try:
+    grid_concentrator.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+
+
+def test_package_import_loads_no_numpy_and_resolves_lazily():
+    # In a fresh process, since this one has loaded numpy: the CLI pins its BLAS
+    # threads only while numpy is not loaded, so importing the package must not load it.
+    subprocess.run([sys.executable, "-c", _FRESH_IMPORT], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(SRC.parent)})
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):
