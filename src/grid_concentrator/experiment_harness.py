@@ -10,17 +10,17 @@ pins unless its user set one. Every sampled runner draws those streams a chunk a
 a time by :func:`sample_uniforms` and maps them to line weights by one law
 transform per chunk.
 
-Every runner works in bounded chunks of samples, each normed by one batched
-call, and returns each chunk's results. :func:`_chunks` maps a runner's chunk function
-over them, in the caller and one forked process per further CPU where :func:`_workers`
-allows it (one BLAS thread set, as the CLI sets it, and one OS thread running) and
-each worker's rows pay for its fork, and returns the results in order. The Monte Carlo, enumeration, ``lcpf_bounds``
-and ``manifold`` chunks are assembled by one line-order scatter, so their per-sample
-memory is O(n^2); an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law, scatter,
-norm. Monte Carlo keys its chunks in the calling process and norms each distinct switch
-pattern once. Exact ``thm2_tail`` eigensolves only patterns that neither Gershgorin's
-bound nor a trace moment certifies below its grid. Only ``fig1`` builds a product per
-sample from a complex m x n incidence (175 MB at n = 200, p = 1), in one ``_chunks`` call.
+Every runner works in bounded chunks of rows, each normed by one batched call, and
+makes one :func:`_chunks` call, which maps its chunk function over them in the caller
+and one forked process per further CPU where :func:`_workers` allows it (one BLAS thread
+set, as the CLI sets it, and one OS thread running) and each worker's rows pay for its
+fork: a run forks at most once per further worker. The Monte Carlo, enumeration,
+``lcpf_bounds`` and ``manifold`` chunks are assembled by one line-order scatter, so their
+per-sample memory is O(n^2); an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law,
+scatter, norm. Monte Carlo draws and keys every sample in the calling process and deals the
+run's distinct switch patterns. Exact ``thm2_tail`` eigensolves only patterns that neither
+Gershgorin's bound nor a trace moment certifies below its grid. Only ``fig1`` builds a
+product per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
 
 Experiments
 -----------
@@ -727,25 +727,25 @@ def brute_force_distribution(model: bnd.ContingencyModel, *, _floor: float = 0.0
 def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
                              seed: int) -> SampleStats:
     """Monte Carlo estimate of the ||Y - EY|| distribution: sample s switches line l on when
-    draw l of ``sample_rng(seed, 0, s)`` is below p_l. Chunks are drawn and keyed in the calling
-    process; :func:`_chunks` norms each distinct pattern once, bit for bit the norm a sample
-    gets alone (the same matrix and LAPACK call), for each sample drawing it."""
-    norms, row_bytes, m = np.empty(samples), _row_bytes(model.topology), len(model.probs)
-    rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // row_bytes))
+    draw l of ``sample_rng(seed, 0, s)`` is below p_l. The calling process draws and keys every
+    sample; then one :func:`_chunks` call norms the run's distinct patterns, each once, bit for
+    bit the norm a sample gets alone (the same matrix and LAPACK call)."""
+    m = len(model.probs)
+    rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // (8 * m or 1)))  # a draw's m uniforms
     # Row keys: the packed bits in a power-of-2 width with a spare bit (for m = 0), one uint
     # a row up to 63 lines (uint8 and uint16 sort by radix), else bytes (void sorts 3x slower).
     width = 1 << (m // 8).bit_length()
-    key = f"u{width}" if width <= 8 else f"S{width}"
+    keys = np.zeros((samples, width), np.uint8)
     for start in range(0, samples, rows):
         stop = min(start + rows, samples)
-        patterns = sample_uniforms(seed, 0, start, stop, m) < model.probs
-        keys = np.zeros((stop - start, width), np.uint8)
-        keys[:, :-(-m // 8)] = np.packbits(patterns, axis=1)  # np.pad took 2.5x as long
-        _, first, inverse = np.unique(keys.view(key)[:, 0], return_index=True, return_inverse=True)
-        parts = _chunks(len(first), row_bytes, model.topology.n_nodes,
-                        lambda a, b: _centered_norms_for_patterns(model, patterns[first[a:b]]))
-        norms[start:stop] = np.concatenate(parts)[inverse]
-    return SampleStats.sampled(norms)
+        keys[start:stop, :-(-m // 8)] = np.packbits(  # np.pad took 2.5x as long
+            sample_uniforms(seed, 0, start, stop, m) < model.probs, axis=1)
+    _, first, inverse = np.unique(keys.view(f"u{width}" if width <= 8 else f"S{width}")[:, 0],
+                                  return_index=True, return_inverse=True)
+    parts = _chunks(len(first), _row_bytes(model.topology), model.topology.n_nodes,
+                    lambda a, b: _centered_norms_for_patterns(
+                        model, np.unpackbits(keys[first[a:b]], axis=1, count=m)))
+    return SampleStats.sampled(np.concatenate(parts)[inverse])
 
 
 def _contingency_stats(cfg: ExperimentConfig, floor: float = 0.0) -> SampleStats:

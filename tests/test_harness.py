@@ -697,7 +697,7 @@ def assert_no_child():
 def test_chunks_spread_a_run_evenly_over_the_workers(monkeypatch, forks, workers):
     monkeypatch.setattr(eh, "_workers", lambda: workers)
     row_bytes = eh._row_bytes(gc.complete_topology(3))
-    if workers == 2:  # switching_mc: 20000 K3 samples in chunks of at most 8192 rows
+    if workers == 2:  # 20000 K3 rows in chunks of at most 8192 rows
         assert eh._chunks(20000, row_bytes, 3, lambda *r: r) == [
             (0, 5000), (5000, 10000), (10000, 15000), (15000, 20000)]
     # A 12-row budget, shared by the workers: 9, 18 or 27 chunks of 100 rows. Order 501:
@@ -929,7 +929,7 @@ def test_chunk_workers_emit_the_same_table(monkeypatch, forks, process_log, expe
 def test_monte_carlo_and_enumeration_fork_nothing_for_a_small_run(monkeypatch, forks):
     # K3 norms are 3 x 3: a worker pays for its fork from 60000 // 3 ** 2 + 1 = 6667 rows
     # on, so a run needs 2 x 6667 rows for a second worker. The enumeration builds 4 K3
-    # patterns, and a Monte Carlo draw chunk of 8192 samples holds at most 8 distinct ones.
+    # patterns, and a Monte Carlo run deals its distinct patterns, of which K3 has 8.
     assert eh._FORK_WORK == 60000
     monkeypatch.setattr(eh, "_workers", lambda: 2)
     _, model = _k3_model()
@@ -944,8 +944,9 @@ def test_monte_carlo_and_enumeration_fork_nothing_for_a_small_run(monkeypatch, f
 
 
 def _monte_carlo_k8(monkeypatch, forks, process_log, samples):
-    """K8 at p = 1/2 over 28 lines at 2 workers, in draw chunks of at most 2000 samples:
-    the processes that draw, with the forks before each draw, and those that norm."""
+    """K8 at p = 1/2 over 28 lines at 2 workers, drawn in chunks of at most 2000 samples and
+    normed by one ``_chunks`` call: the processes that draw, with the forks made before each
+    draw, and the processes that norm."""
     monkeypatch.setattr(eh, "_workers", lambda: 2)
     monkeypatch.setattr(eh, "_ENUM_CHUNK", 2000)
     drew, uniforms, norm = [], eh.sample_uniforms, eh.operator_norm
@@ -960,9 +961,30 @@ def _monte_carlo_k8(monkeypatch, forks, process_log, samples):
 
 def test_monte_carlo_draws_every_chunk_in_the_calling_process(monkeypatch, forks, process_log):
     _, drew, _ = _monte_carlo_k8(monkeypatch, forks, process_log, 8000)
-    assert len(drew) == 4 and len(forks) == 4  # each draw chunk's norms fork a worker
+    assert len(drew) == 4 and len(forks) == 1  # the run's one deal forks one worker
     assert all(pid == os.getpid() for pid, _ in drew)
-    assert [forked for _, forked in drew] == [0, 1, 2, 3]  # drawn before its norms
+    assert [forked for _, forked in drew] == [0, 0, 0, 0]  # every draw before the fork
+    assert_no_child()
+
+
+@pytest.mark.parametrize("topology,p,samples", [
+    (gc.path_topology(300), 0.9, 40), (gc.complete_topology(8), 0.5, 20000)],
+    ids=["path300", "k8"])
+def test_monte_carlo_run_forks_once(monkeypatch, forks, process_log, topology, p, samples):
+    # One _chunks call deals a run's distinct patterns, so 2 workers fork once however many
+    # there are: 40 on a 300-bus path, whose every row pays for a fork, or K8's 20000 samples,
+    # nearly all distinct. Norms are stubbed: on a threaded BLAS two processes spin each
+    # other's threads.
+    monkeypatch.setattr(eh, "_workers", lambda: 2)
+    monkeypatch.setattr(eh, "operator_norm", lambda ys: process_log(len(ys)) or np.ones(len(ys)))
+    m = topology.n_edges
+    model = bnd.ContingencyModel(topology, np.full(m, p), np.ones(m, dtype=complex))
+    eh.monte_carlo_distribution(model, samples, seed=3)
+    assert len(forks) == 1
+    normed = process_log.read()
+    assert {pid for pid, _ in normed} == {os.getpid(), forks[0]}
+    distinct = np.unique(eh.sample_uniforms(3, 0, 0, samples, m) < p, axis=0)
+    assert sum(rows for _, (rows,) in normed) == len(distinct) > samples - 10
     assert_no_child()
 
 

@@ -231,28 +231,28 @@ def test_monte_carlo_norms_match_per_sample_norming(monkeypatch, name, chunk):
 @pytest.mark.parametrize("chunk", MC_CHUNKS.values(), ids=MC_CHUNKS)
 @pytest.mark.parametrize("name", MC_MODELS)
 def test_monte_carlo_norms_each_distinct_pattern_once(monkeypatch, process_log, name, chunk):
-    # A draw chunk's norm calls, which all end before the next chunk is drawn, together
-    # take exactly its distinct patterns, each once. Each call is logged with the draw
-    # chunk it belongs to, from the calling process or a forked chunk worker.
+    # A run's norm calls, which all come after its last draw chunk, together take exactly
+    # its distinct patterns, each once. Each call is logged with the number of draw chunks
+    # before it, from the calling process or a forked chunk worker.
     model, samples, seed = _mc_model(name), 120, 11
     drawn, uniforms, norms = [], eh.sample_uniforms, eh._centered_norms_for_patterns
     monkeypatch.setattr(eh, "_ENUM_CHUNK", chunk)
     monkeypatch.setattr(eh, "sample_uniforms", lambda seed, sweep, start, stop, count: drawn.append(
         (start, stop)) or uniforms(seed, sweep, start, stop, count))
     monkeypatch.setattr(eh, "_centered_norms_for_patterns", lambda model, patterns:
-                        process_log(len(drawn) - 1, patterns) or norms(model, patterns))
+                        process_log(len(drawn), patterns) or norms(model, patterns))
     eh.monte_carlo_distribution(model, samples, seed)
     patterns = uniforms(seed, 0, 0, samples, len(model.probs)) < model.probs
     assert len(drawn) > (1 if chunk == 7 else 0)
     assert [start for start, _ in drawn[1:]] == [stop for _, stop in drawn[:-1]]
+    assert drawn[0][0] == 0 and drawn[-1][1] == samples
     calls = [record for _, record in process_log.read()]
-    for index, (start, stop) in enumerate(drawn):
-        normed = [rows for drawn_index, rows in calls if drawn_index == index]
-        rows, distinct = np.concatenate(normed), np.unique(patterns[start:stop], axis=0)
-        assert len(rows) == len(distinct)
-        assert np.array_equal(np.unique(rows, axis=0), distinct)
-        if name == "k3_real":
-            assert len(rows) <= 8
+    assert {drawn_before for drawn_before, _ in calls} == {len(drawn)}
+    rows, distinct = np.concatenate([rows for _, rows in calls]), np.unique(patterns, axis=0)
+    assert len(rows) == len(distinct)
+    assert np.array_equal(np.unique(rows, axis=0), distinct)
+    if name == "k3_real":
+        assert len(rows) <= 8
 
 
 def test_monte_carlo_on_an_edgeless_topology():
