@@ -18,9 +18,10 @@ fork: a run forks at most once per further worker. The Monte Carlo, enumeration,
 ``lcpf_bounds`` and ``manifold`` chunks are assembled by one line-order scatter, so their
 per-sample memory is O(n^2); an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law,
 scatter, norm. Monte Carlo draws and keys every sample in the calling process and deals the
-run's distinct switch patterns. Exact ``thm2_tail`` eigensolves only patterns that neither
-Gershgorin's bound nor a trace moment certifies below its grid. Only ``fig1`` builds a
-product per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
+run's distinct switch patterns; the enumeration's chunks return norms, its caller fills the
+probabilities. Exact ``thm2_tail`` eigensolves only patterns, real or complex, that neither
+Gershgorin's bound nor tr((ZZ*)^4) certifies below its grid. Only ``fig1`` builds a product
+per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
 
 Experiments
 -----------
@@ -649,21 +650,22 @@ def run_fig1(cfg: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def _certified_below(stack: np.ndarray, floor: float) -> np.ndarray:
-    """Per matrix of a real symmetric stack: tr((Z/floor)^8) < 1 - margin (never on inf, NaN)."""
+    """Per Z of a symmetric stack: tr((Z conj(Z)/floor^2)^4) < 1 - margin (never on inf, NaN)."""
     below = np.empty(len(stack), bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(stack), _CERT_ROWS):
             z = np.divide(stack[i:i + _CERT_ROWS], floor, order="C")  # two blocks held at once
+            z = z @ z.conj()  # ZZ*, as Z^T = Z; a real array's conj() and .real are itself
             z = z @ z
-            z = z @ z
-            below[i:i + _CERT_ROWS] = np.einsum("rij,rij->r", z, z) < 1.0 - _CERT_MARGIN
+            below[i:i + _CERT_ROWS] = \
+                np.einsum("rij,rij->r", z, z.conj()).real < 1.0 - _CERT_MARGIN
     return below
 
 
 def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarray,
                                  floor: float = 0.0) -> np.ndarray:
     """||Y - EY|| of each pattern, or NaN where it is certified below ``floor`` > 0: by its
-    Gershgorin bound, or by a trace moment where its stack is real."""
+    Gershgorin bound, or by a trace moment where a probe of the chunk's rows pays for it."""
     y = model.admittances  # real lines: a real symmetric stack, for eigvalsh
     coeff = (patterns - model.probs) * (y if np.any(y.imag) else y.real)  # (s, m)
     if floor <= 0:
@@ -678,8 +680,7 @@ def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarr
     if not may_reach.all():
         coeff = coeff[may_reach]
     stack = gc.weighted_laplacians(model.topology, coeff)
-    if np.iscomplexobj(stack) or \
-            _certified_below(stack[::_CERT_PROBE], floor).mean() < _CERT_SHARE:
+    if _certified_below(stack[::_CERT_PROBE], floor).mean() < _CERT_SHARE:
         norms[may_reach] = operator_norm(stack)
         return norms
     keep = ~_certified_below(stack, floor)
@@ -690,15 +691,13 @@ def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarr
 
 
 def brute_force_distribution(model: bnd.ContingencyModel, *, _floor: float = 0.0) -> SampleStats:
-    """Exact distribution of ||Y - EY|| over all 2^m switch patterns.
+    """Exact distribution of ||Y - EY|| over all 2^m switch patterns (m <= 20 lines).
 
-    Enumerates every on/off pattern with its Bernoulli probability, computes
-    the centered norm exactly, and returns exact mean and tail values.
-    Limited to m <= 20 lines. Real admittances give real symmetric matrices,
-    for the eigensolver; if every p_l = 1/2, pattern 2^m - 1 - k has the negated
-    matrix and the probability 2^-m of pattern k, so only the first half is built,
-    its norms and probabilities mirrored onto the rest (round-off changes only).
-    A tail run's private ``_floor`` t0 > 0 leaves NaN where real tr((Z/t0)^8) certifies ||Z|| < t0.
+    Real admittances give real symmetric matrices, for the eigensolver. If every p_l = 1/2,
+    pattern 2^m - 1 - k has the negated matrix of pattern k, so only the first half is built,
+    its norms mirrored. The probabilities are filled a line at a time, each pattern's the
+    product of its lines' factors from line 0 on. A tail run's private ``_floor`` t0 > 0
+    leaves NaN where tr((ZZ*/t0^2)^4) certifies ||Z|| < t0.
     """
     m = model.topology.n_edges
     if m > BRUTE_FORCE_MAX_LINES:
@@ -706,17 +705,18 @@ def brute_force_distribution(model: bnd.ContingencyModel, *, _floor: float = 0.0
                          f"{BRUTE_FORCE_MAX_LINES} lines, got {m}")
     total = 1 << m
     built = total >> 1 if m and np.all(model.probs == 0.5) else total
-    norms, probs = np.empty(total), np.empty(total)
+    norms, probs = np.empty(total), np.ones(total)
 
     def chunk(start, stop):
         idx = np.arange(start, stop, dtype=np.uint64)[:, None]
         patterns = ((idx >> np.arange(m, dtype=np.uint64)) & 1).astype(float)
-        return _centered_norms_for_patterns(model, patterns, _floor), np.prod(
-            np.where(patterns == 1.0, model.probs, 1.0 - model.probs), axis=1)
-    parts = _chunks(built, _row_bytes(model.topology), model.topology.n_nodes, chunk)
-    for k, values in enumerate((norms, probs)):
-        np.concatenate([part[k] for part in parts], out=values[:built])
-        values[built:] = values[:total - built][::-1]  # complements, when p = 1/2
+        return _centered_norms_for_patterns(model, patterns, _floor)
+    np.concatenate(_chunks(built, _row_bytes(model.topology), model.topology.n_nodes, chunk),
+                   out=norms[:built])
+    norms[built:] = norms[:total - built][::-1]  # complements, when p = 1/2
+    for line, p in enumerate(model.probs.tolist()):  # patterns with bit `line` set take p
+        np.multiply(probs[:1 << line], p, out=probs[1 << line:2 << line])
+        probs[:1 << line] *= 1.0 - p
     total_prob = probs.sum()
     if abs(total_prob - 1.0) > 1e-12:
         raise ArithmeticError(f"pattern probabilities sum to {total_prob!r}, not 1")

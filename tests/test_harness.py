@@ -24,6 +24,7 @@ from grid_concentrator import graph_core as gc
 from grid_concentrator.admittance import assemble_admittance, complex_from_json
 from grid_concentrator.manifold import distance_bound, projection_distance
 from grid_concentrator.spectra import operator_norm
+from test_golden import _MESH, _MESH_PROBS
 
 
 def _k3_model(p=0.5):
@@ -253,6 +254,16 @@ def test_brute_force_probabilities_sum_to_one():
     stats = eh.brute_force_distribution(model)
     assert stats.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     assert len(stats.norms) == 2 ** t.n_edges
+    # Each pattern's probability is its lines' factors multiplied from line 0 on, bit for bit.
+    mesh = eh.ExperimentConfig(experiment="bruteforce", topology=_MESH, probs=_MESH_PROBS).model
+    path13 = gc.path_topology(13)  # 12 lines, no p of 1/2
+    for model in (model, mesh, bnd.ContingencyModel(path13, np.linspace(0.05, 0.93, 12),
+                                                   np.ones(12, dtype=complex))):
+        m = model.topology.n_edges
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+        product = np.prod(np.where(bits == 1, model.probs, 1.0 - model.probs), axis=1)
+        probs = eh.brute_force_distribution(model).probabilities
+        assert probs.tobytes() == product.tobytes()
 
 
 def test_brute_force_line_cap():
@@ -350,17 +361,25 @@ def test_brute_force_independent_of_chunking_across_half(monkeypatch, most):
 # ---------------------------------------------------------------------------
 
 _K8_18 = {"n": 8, "edges": [[i, j] for i in range(8) for j in range(i + 1, 8)][:18]}
+# Unit admittances of 15 phases, capacitive and inductive: Z is complex symmetric, not a
+# complex multiple of a real Z, and its ZZ* differs from Z^2.
+_MIXED_PHASES = [[0.6, -0.8], [0.8, 0.6], [0.0, -1.0], [1.0, 0.0], [0.28, -0.96],
+                 [0.96, 0.28], [0.6, 0.8], [0.352, -0.936], [0.936, 0.352], [0.8, -0.6],
+                 [0.0, 1.0], [0.28, 0.96], [0.96, -0.28], [0.352, 0.936], [0.936, -0.352]]
 # (topology, probs, admittances) per thm2_tail config; k8_18 is the bench's switching_exact,
-# star16_p09 norms 99.8% of its patterns at its default grid, and the complex mesh all.
+# and k8_18_complex the same lines at one phase. At its default grid star16_p09 norms 99.8%
+# of its patterns, the complex mesh 30 of its 32 (its probe takes 2 rows and certifies
+# neither) and k6_mixed 2.4% of its 2^14.
 _EXACT_TAIL_CONFIGS = {
     "k3": ({"name": "complete", "n": 3}, 0.5, 1.0),
     "p4": ({"name": "path", "n": 4}, 0.5, 1.0),
     "k6_p09": ({"name": "complete", "n": 6}, 0.9, 1.0),
+    "k6_mixed": ({"name": "complete", "n": 6}, 0.5, _MIXED_PHASES),
     "star16_p09": ({"name": "star", "n": 16}, 0.9, 1.0),
-    "mesh_complex": ({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2], [0, 1]]},
-                     [0.5, 0.3, 0.8, 0.6, 0.25],
+    "mesh_complex": (_MESH, _MESH_PROBS,
                      [[0.6, -0.8], [0.5, -0.5], [1.0, 0.0], [0.3, -0.9], [0.2, -0.7]]),
     "k8_18": (_K8_18, 0.5, 1.0),
+    "k8_18_complex": (_K8_18, 0.5, [0.6, -0.8]),
 }
 
 
@@ -413,11 +432,29 @@ def _near_rank_one_unsound():
 
 
 def test_exact_tail_certificate_is_sound():
-    cfg, full = _exact_tail_config("k8_18")
-    distinct = np.unique(full.norms)
-    for floor in [cfg.t_grid[0], *distinct[len(distinct) // 2::len(distinct) // 8]]:
-        assert _certified_at_or_above(cfg.model, float(floor), full) == 0
+    for name in ("k8_18", "k6_mixed"):
+        cfg, full = _exact_tail_config(name)
+        distinct = np.unique(full.norms)
+        for floor in [cfg.t_grid[0], *distinct[len(distinct) // 2::len(distinct) // 8]]:
+            assert _certified_at_or_above(cfg.model, float(floor), full) == 0
     assert _near_rank_one_unsound() == 0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_exact_tail_certificate_matches_singular_values(dtype):
+    # tr((ZZ*/t^2)^4) = sum_i (s_i/t)^8 over Z's singular values s_i. Each symmetric Z is
+    # scaled to sum_i s_i^8 = 1, so the floor 0.9^(-1/8) puts the sum at 0.9, which must
+    # certify, and 1.1^(-1/8) at 1.1, which must not. 300 matrices span two blocks of rows.
+    rng = np.random.default_rng(33)
+    for n in (2, 5, 9):
+        a = rng.standard_normal((300, n, n))
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal((300, n, n))
+        z = a + np.swapaxes(a, 1, 2)
+        s = np.linalg.svd(z, compute_uv=False)
+        z /= ((s ** 8).sum(axis=1) ** 0.125)[:, None, None]
+        assert eh._certified_below(z, 0.9 ** -0.125).all()
+        assert not eh._certified_below(z, 1.1 ** -0.125).any()
 
 
 def test_exact_tail_soundness_check_has_teeth(monkeypatch):
@@ -467,6 +504,18 @@ def test_exact_tail_gershgorin_certifies_a_path_without_a_scatter(monkeypatch, p
         tails = [rec["tail_empirical"] for rec in eh.run_tail_experiment(cfg).records]
         assert normed() == 0 and tails == [0.0] * 20
     assert full.tails(configs[0].t_grid) == [0.0] * 20
+
+
+def test_exact_tail_certifies_complex_stacks(monkeypatch, process_log):
+    # Complex stacks take the trace moment too. k6_mixed builds 2^14 patterns (p = 1/2), and
+    # Gershgorin's bound (5) certifies none of them below the default grid's 2.90. One phase
+    # on every line makes ZZ* the real lines' Z^2: k8_18_complex certifies as k8_18 does.
+    normed = _rows_normed(monkeypatch, process_log)
+    eh.run_tail_experiment(_exact_tail_config("k6_mixed")[0])
+    assert 0 < normed() <= 0.1 * (1 << 14)
+    process_log.clear()
+    eh.run_tail_experiment(_exact_tail_config("k8_18_complex")[0])
+    assert 0 < normed() <= 0.13 * (1 << 17)
 
 
 @pytest.mark.parametrize("grid", [(), (0.0, 1.0, 2.0)])
