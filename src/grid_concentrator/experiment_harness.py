@@ -20,8 +20,9 @@ per-sample memory is O(n^2); an ``lcpf_bounds`` or ``manifold`` chunk is uniform
 scatter, norm. Monte Carlo draws and keys every sample in the calling process and deals the
 run's distinct switch patterns; the enumeration's chunks return norms, its caller fills the
 probabilities. Exact ``thm2_tail`` eigensolves only patterns, real or complex, that neither
-Gershgorin's bound nor tr((ZZ*)^4) certifies below its grid. Only ``fig1`` builds a product
-per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
+Gershgorin's bound nor tr((ZZ*)^4) certifies below its grid, and tries the latter only where
+each |Z_ii|, a lower bound on ||Z||, is below the grid. Only ``fig1`` builds a product per
+sample from a complex m x n incidence (175 MB at n = 200, p = 1).
 
 Experiments
 -----------
@@ -103,8 +104,8 @@ _CHUNK_BYTES = 1 << 24
 # Rows per fig1 chunk: the law transforms' temporaries grow with them (200 rows: +5 MB RSS).
 _FIG1_CHUNK = 50
 # Exact tail certificate: rows per block of its products (on K8's first 18 lines, whole chunks
-# raised peak RSS by 4 MB), margin, and the odd stride and share of a sample that must pass.
-_CERT_ROWS, _CERT_MARGIN, _CERT_PROBE, _CERT_SHARE = 256, 1e-6, 17, 0.25
+# raised peak RSS by 4 MB) and margin.
+_CERT_ROWS, _CERT_MARGIN = 256, 1e-6
 
 
 class ConfigError(ValueError):
@@ -665,28 +666,25 @@ def _certified_below(stack: np.ndarray, floor: float) -> np.ndarray:
 def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarray,
                                  floor: float = 0.0) -> np.ndarray:
     """||Y - EY|| of each pattern, or NaN where it is certified below ``floor`` > 0: by its
-    Gershgorin bound, or by a trace moment where a probe of the chunk's rows pays for it."""
+    Gershgorin bound, or else by a trace moment, tried only where no |Z_ii| reaches ``floor``
+    (|Z_ii| <= ||Z||). Only the patterns it fails are scattered again and normed."""
     y = model.admittances  # real lines: a real symmetric stack, for eigvalsh
     coeff = (patterns - model.probs) * (y if np.any(y.imag) else y.real)  # (s, m)
     if floor <= 0:
         return operator_norm(gc.weighted_laplacians(model.topology, coeff))
     # Gershgorin: ||Z|| is at most Z's largest absolute row sum, 2 max_i sum_{l at i} |c_l|.
     # Node-major, so the max runs across rows (along each row's n sums it took 5x as long).
-    sums = np.abs(gc.incidence_matrix(model.topology)).T @ np.abs(coeff).T
+    ends = np.abs(gc.incidence_matrix(model.topology)).T
+    sums = ends @ np.abs(coeff).T
     may_reach = 2.0 * sums.max(axis=0, initial=0.0) >= floor * (1.0 - _CERT_MARGIN)
     norms = np.full(len(patterns), np.nan)
     if not may_reach.any():
         return norms
-    if not may_reach.all():
-        coeff = coeff[may_reach]
-    stack = gc.weighted_laplacians(model.topology, coeff)
-    if _certified_below(stack[::_CERT_PROBE], floor).mean() < _CERT_SHARE:
-        norms[may_reach] = operator_norm(stack)
-        return norms
-    keep = ~_certified_below(stack, floor)
-    del stack  # the survivors are scattered again: gathering from the strided view costs more
-    may_reach[may_reach] = keep
-    norms[may_reach] = operator_norm(gc.weighted_laplacians(model.topology, coeff[keep]))
+    # |Z_ii| = |sum_{l at i} c_l| <= ||Z||: a diagonal at the floor rules the certificate out.
+    moment = may_reach & (np.abs(ends @ coeff.T).max(axis=0) < floor)
+    moment[moment] = _certified_below(gc.weighted_laplacians(model.topology, coeff[moment]), floor)
+    may_reach &= ~moment
+    norms[may_reach] = operator_norm(gc.weighted_laplacians(model.topology, coeff[may_reach]))
     return norms
 
 

@@ -367,9 +367,8 @@ _MIXED_PHASES = [[0.6, -0.8], [0.8, 0.6], [0.0, -1.0], [1.0, 0.0], [0.28, -0.96]
                  [0.96, 0.28], [0.6, 0.8], [0.352, -0.936], [0.936, 0.352], [0.8, -0.6],
                  [0.0, 1.0], [0.28, 0.96], [0.96, -0.28], [0.352, 0.936], [0.936, -0.352]]
 # (topology, probs, admittances) per thm2_tail config; k8_18 is the bench's switching_exact,
-# and k8_18_complex the same lines at one phase. At its default grid star16_p09 norms 99.8%
-# of its patterns, the complex mesh 30 of its 32 (its probe takes 2 rows and certifies
-# neither) and k6_mixed 2.4% of its 2^14.
+# and k8_18_complex the same lines at one phase. At its default grid star16_p09 norms 98.9%
+# of its patterns, the complex mesh 7 of its 32 and k6_mixed 2.4% of its 2^14.
 _EXACT_TAIL_CONFIGS = {
     "k3": ({"name": "complete", "n": 3}, 0.5, 1.0),
     "p4": ({"name": "path", "n": 4}, 0.5, 1.0),
@@ -518,6 +517,31 @@ def test_exact_tail_certifies_complex_stacks(monkeypatch, process_log):
     assert 0 < normed() <= 0.13 * (1 << 17)
 
 
+def test_exact_tail_certifies_a_small_chunk(monkeypatch, process_log):
+    # The complex mesh is one chunk of 32 patterns. Gershgorin's bound leaves 30 of them, and
+    # 23 of those certify at the default grid: each pattern is tried, so at most 7 are normed.
+    normed = _rows_normed(monkeypatch, process_log)
+    eh.run_tail_experiment(_exact_tail_config("mesh_complex")[0])
+    assert 0 < normed() <= 7
+
+
+def test_exact_tail_tries_the_trace_moment_only_below_the_floor(monkeypatch, process_log):
+    # |Z_ii| <= ||Z||: a pattern with a diagonal entry at t0 cannot certify, so it is not
+    # tried. On star16_p09 (t0 = 3.0667) the hub's |Z_ii| is |1.6 - k| with k of its 16 lines
+    # open, so exactly the patterns with at most 4 open are tried: sum_{k<=4} C(16, k).
+    certified_below = eh._certified_below
+
+    def logged(stack, floor):
+        diagonal = np.abs(np.diagonal(stack, axis1=-2, axis2=-1))
+        process_log(len(stack), bool((diagonal < floor).all()))
+        return certified_below(stack, floor)
+    monkeypatch.setattr(eh, "_certified_below", logged)
+    eh.run_tail_experiment(_exact_tail_config("star16_p09")[0])
+    calls = [record for _, record in process_log.read()]
+    assert all(below for _, below in calls)
+    assert sum(rows for rows, _ in calls) == sum(math.comb(16, k) for k in range(5)) == 2517
+
+
 @pytest.mark.parametrize("grid", [(), (0.0, 1.0, 2.0)])
 def test_exact_tail_grid_empty_or_from_zero_takes_the_full_path(monkeypatch, grid):
     monkeypatch.setattr(eh, "_certified_below", lambda *args: pytest.fail("certified"))
@@ -549,6 +573,11 @@ def test_exact_tail_overflow_never_certifies(monkeypatch):
         warnings.simplefilter("error")
         records = eh.run_tail_experiment(dataclasses.replace(cfg, t_grid=grid)).records
         assert not np.isnan(eh.brute_force_distribution(cfg.model, _floor=1e-300).norms).any()
+        # Every pattern has a diagonal entry above 1e-300, so the runs try none: the
+        # certificate also takes all 8 patterns' stacks directly.
+        patterns = (np.arange(8)[:, None] >> np.arange(3)) & 1
+        verdicts.append(certified_below(gc.weighted_laplacians(cfg.model.topology,
+                                                               patterns - 0.5), 1e-300))
     assert verdicts and not any(v.any() for v in verdicts)
     assert [rec["tail_empirical"] for rec in records] == full.tails(grid)
 
