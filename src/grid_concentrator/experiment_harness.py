@@ -19,10 +19,10 @@ fork: a run forks at most once per further worker. The Monte Carlo, enumeration,
 per-sample memory is O(n^2); an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law,
 scatter, norm. Monte Carlo draws and keys every sample in the calling process and deals the
 run's distinct switch patterns; the enumeration's chunks return norms, its caller fills the
-probabilities. Exact ``thm2_tail`` eigensolves only patterns, real or complex, that neither
-Gershgorin's bound nor tr((ZZ*)^4) certifies below its grid, and tries the latter only where
-each |Z_ii|, a lower bound on ||Z||, is below the grid. Only ``fig1`` builds a product per
-sample from a complex m x n incidence (175 MB at n = 200, p = 1).
+probabilities. Exact ``thm2_tail`` reads each pattern's bin on its grid, not its norm: Gershgorin's
+bound, or tr((ZZ*)^4) where each |Z_ii| <= ||Z|| is below the grid, certifies a pattern below it,
+repeated squaring of ZZ* bins the rest, and only bounds that straddle a grid point are eigensolved.
+Only ``fig1`` builds a product per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
 
 Experiments
 -----------
@@ -103,9 +103,10 @@ _ENUM_CHUNK = 8192
 _CHUNK_BYTES = 1 << 24
 # Rows per fig1 chunk: the law transforms' temporaries grow with them (200 rows: +5 MB RSS).
 _FIG1_CHUNK = 50
-# Exact tail certificate: rows per block of its products (on K8's first 18 lines, whole chunks
-# raised peak RSS by 4 MB) and margin.
-_CERT_ROWS, _CERT_MARGIN = 256, 1e-6
+# Exact tails: rows per block of the certificate's products (whole chunks of K8's first 18 lines
+# raised peak RSS by 4 MB), every bound's margin, and bytes of Z per block of the bin chain (16 ms
+# there against 20 for 256 rows, 20 against 34 on K6 at p 0.9, and 155 both on star-16 at p 0.9).
+_CERT_ROWS, _CERT_MARGIN, _CHAIN_BYTES = 256, 1e-6, 1 << 19
 
 
 class ConfigError(ValueError):
@@ -337,9 +338,9 @@ EXPERIMENT_NAMES = tuple(SCHEMA)
 class SampleStats:
     """Operator-norm statistics from sampling or exhaustive enumeration.
 
-    ``probabilities`` is None for equally weighted Monte Carlo samples and
-    carries the exact pattern probabilities for enumeration (``exact``).
-    ``stderr`` is the standard error of the mean (0 when exact).
+    ``probabilities`` is None for equally weighted Monte Carlo samples and carries the exact
+    pattern probabilities for enumeration (``exact``), whose ``norms`` an exact tail run floors
+    to its grid, with ``mean`` NaN. ``stderr`` is the mean's standard error (0 when exact).
     """
 
     norms: np.ndarray
@@ -663,15 +664,50 @@ def _certified_below(stack: np.ndarray, floor: float) -> np.ndarray:
     return below
 
 
+def _grid_counts(grid: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Per row, the grid points at or below ``lower`` (1 - margin), or -1 where one lies in
+    (that, ``upper`` (1 + margin)] or either bound is inf or NaN."""
+    low = np.searchsorted(grid, lower * (1.0 - _CERT_MARGIN), "right")
+    high = np.searchsorted(grid, upper * (1.0 + _CERT_MARGIN), "right")
+    return np.where((low == high) & np.isfinite(lower) & np.isfinite(upper), low, -1)
+
+
+def _grid_bins(stack: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per Z of a symmetric stack, the grid points at or below ||Z||, or -1 where one lies between
+    its bounds after 6 squarings of W = ZZ*/t0^2, each divided by its trace: A = W^(2^k), k >= 2,
+    gives tr(A^2)/tr(A) <= ||W||^(2^k) <= tr(A^2)^(1/2) (A is PSD), with ||W|| = (||Z||/t0)^2."""
+    counts, t0 = np.full(len(stack), -1), grid[0]
+    block = max(1, _CHAIN_BYTES // (stack.itemsize * stack.shape[-1] ** 2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(0, len(stack), block):
+            z = np.divide(stack[i:i + block], t0, order="C")
+            rows, scale = np.arange(i, i + len(z)), 0.0  # A = e^scale w
+            for k in range(7):
+                w = w @ w if k else z @ z.conj()
+                trace = np.einsum("rii->r", w).real
+                w /= trace[:, None, None]
+                scale = 2.0 * scale + np.log(trace)
+                if k >= 2:
+                    square = np.log(np.einsum("rij,rij->r", w, w.conj()).real)  # log tr(w^2)
+                    counts[rows] = _grid_counts(grid, t0 * np.exp((scale + square) / 2 ** (k + 1)),
+                                                t0 * np.exp((scale + square / 2) / 2 ** (k + 1)))
+                    if not (left := counts[rows] < 0).any():
+                        break
+                    w, rows, scale = w[left], rows[left], scale[left]
+    return counts
+
+
 def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarray,
-                                 floor: float = 0.0) -> np.ndarray:
-    """||Y - EY|| of each pattern, or NaN where it is certified below ``floor`` > 0: by its
-    Gershgorin bound, or else by a trace moment, tried only where no |Z_ii| reaches ``floor``
-    (|Z_ii| <= ||Z||). Only the patterns it fails are scattered again and normed."""
+                                 grid: np.ndarray | None = None) -> np.ndarray:
+    """||Y - EY|| of each pattern; given a ``grid`` from t0 > 0, its bin instead: NaN below t0,
+    else the largest grid point at or below the norm. Patterns are certified below t0 by their
+    Gershgorin bound, or else by a trace moment, tried only where no |Z_ii| reaches t0 (|Z_ii| <=
+    ||Z||). The rest are scattered again for :func:`_grid_bins`; only what it leaves is normed."""
     y = model.admittances  # real lines: a real symmetric stack, for eigvalsh
     coeff = (patterns - model.probs) * (y if np.any(y.imag) else y.real)  # (s, m)
-    if floor <= 0:
+    if grid is None or not len(grid) or grid[0] <= 0:
         return operator_norm(gc.weighted_laplacians(model.topology, coeff))
+    floor = float(grid[0])
     # Gershgorin: ||Z|| is at most Z's largest absolute row sum, 2 max_i sum_{l at i} |c_l|.
     # Node-major, so the max runs across rows (along each row's n sums it took 5x as long).
     ends = np.abs(gc.incidence_matrix(model.topology)).T
@@ -684,18 +720,22 @@ def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarr
     moment = may_reach & (np.abs(ends @ coeff.T).max(axis=0) < floor)
     moment[moment] = _certified_below(gc.weighted_laplacians(model.topology, coeff[moment]), floor)
     may_reach &= ~moment
-    norms[may_reach] = operator_norm(gc.weighted_laplacians(model.topology, coeff[may_reach]))
+    stack = gc.weighted_laplacians(model.topology, coeff[may_reach])
+    counts = _grid_bins(stack, grid)
+    if (undecided := counts < 0).any():
+        counts[undecided] = np.searchsorted(grid, operator_norm(stack[undecided]), "right")
+    norms[may_reach] = np.r_[np.nan, grid][counts]
     return norms
 
 
-def brute_force_distribution(model: bnd.ContingencyModel, *, _floor: float = 0.0) -> SampleStats:
+def brute_force_distribution(model: bnd.ContingencyModel, *, _grid=None) -> SampleStats:
     """Exact distribution of ||Y - EY|| over all 2^m switch patterns (m <= 20 lines).
 
     Real admittances give real symmetric matrices, for the eigensolver. If every p_l = 1/2,
     pattern 2^m - 1 - k has the negated matrix of pattern k, so only the first half is built,
     its norms mirrored. The probabilities are filled a line at a time, each pattern's the
-    product of its lines' factors from line 0 on. A tail run's private ``_floor`` t0 > 0
-    leaves NaN where tr((ZZ*/t0^2)^4) certifies ||Z|| < t0.
+    product of its lines' factors from line 0 on. A tail run's private ``_grid`` from t0 > 0 gives
+    each pattern's bin (NaN below t0) for its norm, and NaN for ``mean``, as any grid does.
     """
     m = model.topology.n_edges
     if m > BRUTE_FORCE_MAX_LINES:
@@ -708,7 +748,7 @@ def brute_force_distribution(model: bnd.ContingencyModel, *, _floor: float = 0.0
     def chunk(start, stop):
         idx = np.arange(start, stop, dtype=np.uint64)[:, None]
         patterns = ((idx >> np.arange(m, dtype=np.uint64)) & 1).astype(float)
-        return _centered_norms_for_patterns(model, patterns, _floor)
+        return _centered_norms_for_patterns(model, patterns, _grid)
     np.concatenate(_chunks(built, _row_bytes(model.topology), model.topology.n_nodes, chunk),
                    out=norms[:built])
     norms[built:] = norms[:total - built][::-1]  # complements, when p = 1/2
@@ -718,8 +758,8 @@ def brute_force_distribution(model: bnd.ContingencyModel, *, _floor: float = 0.0
     total_prob = probs.sum()
     if abs(total_prob - 1.0) > 1e-12:
         raise ArithmeticError(f"pattern probabilities sum to {total_prob!r}, not 1")
-    return SampleStats(norms=norms, probabilities=probs,
-                       mean=float(probs @ norms), stderr=0.0)
+    return SampleStats(norms=norms, probabilities=probs, stderr=0.0,
+                       mean=float(probs @ norms) if _grid is None else math.nan)
 
 
 def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
@@ -746,10 +786,10 @@ def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
     return SampleStats.sampled(np.concatenate(parts)[inverse])
 
 
-def _contingency_stats(cfg: ExperimentConfig, floor: float = 0.0) -> SampleStats:
+def _contingency_stats(cfg: ExperimentConfig, grid: np.ndarray | None = None) -> SampleStats:
     if cfg.backend == "montecarlo":
         return monte_carlo_distribution(cfg.model, cfg.samples, cfg.seed)
-    return brute_force_distribution(cfg.model, _floor=floor)
+    return brute_force_distribution(cfg.model, _grid=grid)
 
 
 TAIL_FIELDS = ["t", "tail_empirical", "tail_bound", "tail_bound_clamped",
@@ -761,11 +801,11 @@ def run_tail_experiment(cfg: ExperimentConfig) -> RunResult:
 
     With the exact backend, dominance is required outright at every valid
     grid point; with Monte Carlo, up to a 99% binomial confidence allowance.
-    The exact backend eigensolves only patterns that can reach the grid's first point.
+    The exact backend bins its patterns on the grid, eigensolving only bounds that straddle it.
     """
     profile = bnd.contingency_factors(cfg.model)
     threshold = bnd.thm2_tail_threshold(profile)
-    stats = _contingency_stats(cfg, float(cfg.t_grid[0]) if len(cfg.t_grid) else 0.0)
+    stats = _contingency_stats(cfg, cfg.t_grid)
     records = []
     for t, emp in zip(cfg.t_grid.tolist(), stats.tails(cfg.t_grid)):
         bound = bnd.thm2_tail_bound(t, profile)

@@ -341,7 +341,7 @@ def test_brute_force_independent_of_chunking_across_half(monkeypatch, most):
     eh.brute_force_distribution(bnd.ContingencyModel(_K4, _MIXED_P, _MIXED_Y))
     assert len(ranges) % 2 == 1 and sum(stop - start for start, stop in ranges) == 64
     assert any(start < 32 < stop for start, stop in ranges)
-    # The exact tail path: each chunk decides for itself whether to certify, and the real
+    # The exact tail path: each chunk certifies and bins its own patterns, and the real
     # stacks' tails from their 57th of 64 norms on are the full enumeration's all the same.
     for probs in (np.full(6, 0.5), _MIXED_P):
         real = bnd.ContingencyModel(_K4, probs, _REAL_Y)
@@ -351,7 +351,7 @@ def test_brute_force_independent_of_chunking_across_half(monkeypatch, most):
         grid = np.linspace(floor, floor + 2.0, 9)
         monkeypatch.setattr(eh, "_chunks", lambda total, row_bytes, order, chunk: chunks(
             total, row_bytes, order, lambda *span: ranges.append(span) or chunk(*span)))
-        tailed = eh.brute_force_distribution(real, _floor=floor)
+        tailed = eh.brute_force_distribution(real, _grid=grid)
         assert np.isnan(tailed.norms).any()
         assert tailed.tails(grid) == full.tails(grid)
 
@@ -409,25 +409,40 @@ def test_exact_tail_equals_full_enumeration(name, grid):
     assert [rec["tail_empirical"] for rec in records] == full.tails(t_grid)
 
 
-def _certified_at_or_above(model, floor, full):
-    """Patterns certified below ``floor`` whose norm in ``full``, the model's full enumeration,
-    reaches it. Every pattern that is normed gets its full-enumeration norm bit for bit."""
-    tailed = eh.brute_force_distribution(model, _floor=floor)
-    certified = np.isnan(tailed.norms)
-    np.testing.assert_array_equal(tailed.norms[~certified], full.norms[~certified])
-    return int(np.count_nonzero(full.norms[certified] >= floor))
+def _floored(norms, grid):
+    """Each norm's bin on ``grid``: NaN below its first point, else the largest grid point at
+    or below the norm."""
+    return np.r_[np.nan, grid][np.searchsorted(grid, norms, "right")]
 
 
-# P3 with one line far below the other: tr((Z/t)^8) is within round-off of 1 at t = ||Z||.
+def _wrong_bins(model, grid, full):
+    """Patterns whose bin in a tail run on ``grid`` is not the bin of their norm in ``full``,
+    the model's full enumeration: a pattern certified below the grid, or binned by the chain,
+    whose norm lies elsewhere."""
+    grid = np.asarray(grid, dtype=float)
+    binned, want = eh.brute_force_distribution(model, _grid=grid).norms, _floored(full.norms, grid)
+    return int(np.count_nonzero((binned != want) & ~(np.isnan(binned) & np.isnan(want))))
+
+
+def _placed_grids(norms):
+    """Grids on the given enumerated norms, one ulp below them and one ulp above them."""
+    return {"on": norms, "below": np.nextafter(norms, 0.0), "above": np.nextafter(norms, np.inf)}
+
+
+# P3 with one line far below the other: tr((Z/t)^8) is within round-off of 1 at t = ||Z||, and
+# so are both bounds of the bin chain.
 _NEAR_RANK_ONE = [bnd.ContingencyModel(gc.path_topology(3), [0.5, 0.5],
                                        [0.4625 + k / 80 + 1 / 70, (k + 1) * 2.3e-4])
                   for k in range(40)]
 
 
 def _near_rank_one_unsound():
-    """Certified patterns at or above the floor, each near-rank-one model from each norm."""
-    return sum(_certified_at_or_above(model, float(t), full) for model in _NEAR_RANK_ONE
-               for full in [eh.brute_force_distribution(model)] for t in np.unique(full.norms))
+    """Wrong bins over the near-rank-one models, on grids placed at, below and above their
+    norms, from each norm on: each norm is once the grid's first point."""
+    return sum(_wrong_bins(model, grid[start:], full) for model in _NEAR_RANK_ONE
+               for full in [eh.brute_force_distribution(model)]
+               for grid in _placed_grids(np.unique(full.norms)).values()
+               for start in range(len(grid)))
 
 
 def test_exact_tail_certificate_is_sound():
@@ -435,8 +450,23 @@ def test_exact_tail_certificate_is_sound():
         cfg, full = _exact_tail_config(name)
         distinct = np.unique(full.norms)
         for floor in [cfg.t_grid[0], *distinct[len(distinct) // 2::len(distinct) // 8]]:
-            assert _certified_at_or_above(cfg.model, float(floor), full) == 0
+            assert _wrong_bins(cfg.model, [floor], full) == 0
     assert _near_rank_one_unsound() == 0
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_TAIL_CONFIGS))
+def test_exact_tail_bins_are_sound(name):
+    # Grids of about 8 enumerated norms from the median distinct norm up, placed on them and
+    # one ulp to either side, and a grid with a repeated point. Up to 2^15 patterns, also grids
+    # from 1e-300 and the subnormal 1e-320: Z/t0 overflows, so the chain bins nothing and every
+    # pattern is eigensolved.
+    cfg, full = _exact_tail_config(name)
+    distinct = np.unique(full.norms)
+    norms = distinct[len(distinct) // 2::max(1, len(distinct) // 16)]
+    grids = [*_placed_grids(norms).values(), [0.5, 0.5, 1.0]]
+    if len(full.norms) <= 1 << 15:
+        grids += [np.r_[1e-300, norms], np.r_[1e-320, norms]]
+    assert [_wrong_bins(cfg.model, grid, full) for grid in grids] == [0] * len(grids)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -457,34 +487,49 @@ def test_exact_tail_certificate_matches_singular_values(dtype):
 
 
 def test_exact_tail_soundness_check_has_teeth(monkeypatch):
-    monkeypatch.setattr(eh, "_CERT_MARGIN", 0.0)  # round-off at ||Z|| = t certifies
+    monkeypatch.setattr(eh, "_CERT_MARGIN", 0.0)  # round-off at ||Z|| = t decides
     assert _near_rank_one_unsound() > 0
     monkeypatch.undo()
-    certified_below = eh._certified_below
+    certified_below, grid_counts = eh._certified_below, eh._grid_counts
     monkeypatch.setattr(eh, "_certified_below",
                         lambda stack, floor: certified_below(stack, 1.05 * floor))
     cfg, full = _exact_tail_config("k8_18")
-    assert _certified_at_or_above(cfg.model, float(cfg.t_grid[0]), full) > 0
+    assert _wrong_bins(cfg.model, cfg.t_grid, full) > 0
+    monkeypatch.undo()
+    for scaled in (lambda grid, lower, upper: grid_counts(grid, lower, 0.95 * upper),
+                   lambda grid, lower, upper: grid_counts(grid, 1.05 * lower, upper)):
+        monkeypatch.setattr(eh, "_grid_counts", scaled)
+        assert _near_rank_one_unsound() > 0
 
 
-def _rows_normed(monkeypatch, process_log):
-    """The rows of every operator_norm call from here on, in any process."""
-    norm = eh.operator_norm
-    monkeypatch.setattr(eh, "operator_norm", lambda a: process_log(len(a)) or norm(a))
-    return lambda: sum(rows for _, (rows,) in process_log.read())
+def _rows_logged(monkeypatch, process_log):
+    """The rows of every operator_norm and every _grid_bins call from here on, in any
+    process, by function: {"norm": rows eigensolved, "chain": rows given the bin chain}."""
+    norm, grid_bins = eh.operator_norm, eh._grid_bins
+    monkeypatch.setattr(eh, "operator_norm", lambda a: process_log("norm", len(a)) or norm(a))
+    monkeypatch.setattr(eh, "_grid_bins", lambda stack, grid: process_log(
+        "chain", len(stack)) or grid_bins(stack, grid))
+
+    def rows():
+        total = {"norm": 0, "chain": 0}
+        for _, (name, count) in process_log.read():
+            total[name] += count
+        return total
+    return rows
 
 
 def test_exact_tail_eigensolves_only_what_can_reach_the_grid(monkeypatch, process_log):
-    # switching_exact builds 2^17 patterns (p = 1/2); 90.5% have norms below the grid.
+    # switching_exact builds 2^17 patterns (p = 1/2); 90.5% have norms below the grid. The
+    # 16 977 that stage one leaves all take the bin chain, which decides every one.
     cfg, _ = _exact_tail_config("k8_18")
-    normed = _rows_normed(monkeypatch, process_log)
+    rows = _rows_logged(monkeypatch, process_log)
     eh.run_tail_experiment(cfg)
-    assert 0 < normed() <= 0.13 * (1 << 17)
+    assert rows() == {"norm": 0, "chain": 16977}
     for experiment in ("thm2_expectation", "bruteforce"):
         process_log.clear()
         eh.run_experiment(eh.ExperimentConfig(experiment=experiment, topology=_K8_18,
                                               probs=0.5, admittances=1.0))
-        assert normed() == 1 << 17
+        assert rows() == {"norm": 1 << 17, "chain": 0}
 
 
 def test_exact_tail_gershgorin_certifies_a_path_without_a_scatter(monkeypatch, process_log):
@@ -497,32 +542,34 @@ def test_exact_tail_gershgorin_certifies_a_path_without_a_scatter(monkeypatch, p
     full = eh.brute_force_distribution(configs[0].model)
     assert full.norms.max() < 2.0
     monkeypatch.setattr(gc, "weighted_laplacians", lambda *args: pytest.fail("scattered"))
-    normed = _rows_normed(monkeypatch, process_log)
+    rows = _rows_logged(monkeypatch, process_log)
     for cfg in configs:
         assert cfg.t_grid[0] > 2.08
         tails = [rec["tail_empirical"] for rec in eh.run_tail_experiment(cfg).records]
-        assert normed() == 0 and tails == [0.0] * 20
+        assert rows() == {"norm": 0, "chain": 0} and tails == [0.0] * 20
     assert full.tails(configs[0].t_grid) == [0.0] * 20
 
 
 def test_exact_tail_certifies_complex_stacks(monkeypatch, process_log):
-    # Complex stacks take the trace moment too. k6_mixed builds 2^14 patterns (p = 1/2), and
-    # Gershgorin's bound (5) certifies none of them below the default grid's 2.90. One phase
-    # on every line makes ZZ* the real lines' Z^2: k8_18_complex certifies as k8_18 does.
-    normed = _rows_normed(monkeypatch, process_log)
+    # Complex stacks take the trace moment and the bin chain too. k6_mixed builds 2^14
+    # patterns (p = 1/2), and Gershgorin's bound (5) certifies none of them below the default
+    # grid's 2.90; the trace moment leaves 387. One phase on every line makes ZZ* the real
+    # lines' Z^2: k8_18_complex leaves what k8_18 leaves. The chain bins all of them.
+    rows = _rows_logged(monkeypatch, process_log)
     eh.run_tail_experiment(_exact_tail_config("k6_mixed")[0])
-    assert 0 < normed() <= 0.1 * (1 << 14)
+    assert rows() == {"norm": 0, "chain": 387}
     process_log.clear()
     eh.run_tail_experiment(_exact_tail_config("k8_18_complex")[0])
-    assert 0 < normed() <= 0.13 * (1 << 17)
+    assert rows() == {"norm": 0, "chain": 16977}
 
 
 def test_exact_tail_certifies_a_small_chunk(monkeypatch, process_log):
     # The complex mesh is one chunk of 32 patterns. Gershgorin's bound leaves 30 of them, and
-    # 23 of those certify at the default grid: each pattern is tried, so at most 7 are normed.
-    normed = _rows_normed(monkeypatch, process_log)
+    # 23 of those certify at the default grid: each pattern is tried, so 7 reach the chain,
+    # which bins them all.
+    rows = _rows_logged(monkeypatch, process_log)
     eh.run_tail_experiment(_exact_tail_config("mesh_complex")[0])
-    assert 0 < normed() <= 7
+    assert rows() == {"norm": 0, "chain": 7}
 
 
 def test_exact_tail_tries_the_trace_moment_only_below_the_floor(monkeypatch, process_log):
@@ -545,6 +592,7 @@ def test_exact_tail_tries_the_trace_moment_only_below_the_floor(monkeypatch, pro
 @pytest.mark.parametrize("grid", [(), (0.0, 1.0, 2.0)])
 def test_exact_tail_grid_empty_or_from_zero_takes_the_full_path(monkeypatch, grid):
     monkeypatch.setattr(eh, "_certified_below", lambda *args: pytest.fail("certified"))
+    monkeypatch.setattr(eh, "_grid_bins", lambda *args: pytest.fail("binned"))
     cfg, full = _exact_tail_config("k3")
     records = eh.run_tail_experiment(dataclasses.replace(cfg, t_grid=np.array(grid))).records
     assert [rec["tail_empirical"] for rec in records] == full.tails(grid)
@@ -562,24 +610,37 @@ def test_exact_tail_degenerate_model(grid):
 
 
 def test_exact_tail_overflow_never_certifies(monkeypatch):
-    # Scaled by 1e300 the products overflow to inf and then NaN: nothing may certify, and
-    # numpy must not warn (pyproject.toml turns the package's RuntimeWarnings into errors).
-    verdicts, certified_below = [], eh._certified_below
+    # Scaled by 1e300 the products overflow to inf and then NaN: nothing may certify or be
+    # binned by the chain, and numpy must not warn (pyproject.toml turns the package's
+    # RuntimeWarnings into errors).
+    verdicts, binned, certified_below, grid_bins = [], [], eh._certified_below, eh._grid_bins
     monkeypatch.setattr(eh, "_certified_below", lambda stack, floor: verdicts.append(
         certified_below(stack, floor)) or verdicts[-1])
+    monkeypatch.setattr(eh, "_grid_bins", lambda stack, grid: binned.append(
+        grid_bins(stack, grid) >= 0) or np.full(len(stack), -1))
     cfg, full = _exact_tail_config("k3")
     grid = np.array([1e-300, 1.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         records = eh.run_tail_experiment(dataclasses.replace(cfg, t_grid=grid)).records
-        assert not np.isnan(eh.brute_force_distribution(cfg.model, _floor=1e-300).norms).any()
+        assert not np.isnan(eh.brute_force_distribution(cfg.model, _grid=grid).norms).any()
         # Every pattern has a diagonal entry above 1e-300, so the runs try none: the
         # certificate also takes all 8 patterns' stacks directly.
         patterns = (np.arange(8)[:, None] >> np.arange(3)) & 1
         verdicts.append(certified_below(gc.weighted_laplacians(cfg.model.topology,
                                                                patterns - 0.5), 1e-300))
     assert verdicts and not any(v.any() for v in verdicts)
+    assert [len(b) for b in binned] == [4, 4] and not any(b.any() for b in binned)
     assert [rec["tail_empirical"] for rec in records] == full.tails(grid)
+
+
+def test_exact_tail_distribution_has_no_mean(monkeypatch):
+    # Given a grid, the norms are bins or exact, by the grid's first point; the mean is NaN
+    # either way, never a mean of bins.
+    cfg, full = _exact_tail_config("k3")
+    for grid in (cfg.t_grid, [1e-300, 1.0], [1e-320], [0.0, 1.0], []):
+        assert math.isnan(eh.brute_force_distribution(cfg.model, _grid=np.array(grid)).mean)
+    assert full.mean > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -991,8 +1052,10 @@ def test_chunk_workers_emit_the_same_table(monkeypatch, forks, process_log, expe
     # Each sample's stream and matrix depend on its index alone, so neither the cut
     # of a run into chunks nor the process a chunk runs in shows in its table.
     cfg = eh.ExperimentConfig.from_dict({"experiment": experiment, **_FORKED_RUNS[experiment]})
-    norm, tables = eh.operator_norm, []
+    norm, grid_bins, tables = eh.operator_norm, eh._grid_bins, []
     monkeypatch.setattr(eh, "operator_norm", lambda ys: process_log() or norm(ys))
+    # thm2_tail bins its patterns by the chain and eigensolves none of them.
+    monkeypatch.setattr(eh, "_grid_bins", lambda *args: process_log() or grid_bins(*args))
     for workers in (1, 2, 3):
         forks.clear()
         process_log.clear()

@@ -79,9 +79,9 @@ def _centered_at_half(monkeypatch):
     """The harness with its matrices centered at 1/2, its patterns still drawn at p."""
     norms = eh._centered_norms_for_patterns
 
-    def at_half(model, patterns, floor=0.0):
+    def at_half(model, patterns, grid=None):
         half = dataclasses.replace(model, probs=np.full_like(model.probs, 0.5))
-        return norms(half, patterns, floor)
+        return norms(half, patterns, grid)
     monkeypatch.setattr(eh, "_centered_norms_for_patterns", at_half)
 
 
