@@ -731,11 +731,12 @@ def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarr
 def brute_force_distribution(model: bnd.ContingencyModel, *, _grid=None) -> SampleStats:
     """Exact distribution of ||Y - EY|| over all 2^m switch patterns (m <= 20 lines).
 
-    Real admittances give real symmetric matrices, for the eigensolver. If every p_l = 1/2,
-    pattern 2^m - 1 - k has the negated matrix of pattern k, so only the first half is built,
-    its norms mirrored. The probabilities are filled a line at a time, each pattern's the
-    product of its lines' factors from line 0 on. A tail run's private ``_grid`` from t0 > 0 gives
-    each pattern's bin (NaN below t0) for its norm, and NaN for ``mean``, as any grid does.
+    Pattern k closes line l where bit l of k is set, its bytes little-endian as in a Monte Carlo
+    key. Real admittances give real symmetric matrices, for the eigensolver. If every p_l = 1/2,
+    pattern 2^m - 1 - k has the negated matrix of pattern k, so only the first half is built, its
+    norms mirrored. The probabilities are filled a line at a time, each pattern's the product of
+    its lines' factors from line 0 on. A tail run's private ``_grid`` from t0 > 0 gives each
+    pattern's bin (NaN below t0) for its norm, and NaN for ``mean``, as any grid does.
     """
     m = model.topology.n_edges
     if m > BRUTE_FORCE_MAX_LINES:
@@ -744,13 +745,10 @@ def brute_force_distribution(model: bnd.ContingencyModel, *, _grid=None) -> Samp
     total = 1 << m
     built = total >> 1 if m and np.all(model.probs == 0.5) else total
     norms, probs = np.empty(total), np.ones(total)
-
-    def chunk(start, stop):
-        idx = np.arange(start, stop, dtype=np.uint64)[:, None]
-        patterns = ((idx >> np.arange(m, dtype=np.uint64)) & 1).astype(float)
-        return _centered_norms_for_patterns(model, patterns, _grid)
-    np.concatenate(_chunks(built, _row_bytes(model.topology), model.topology.n_nodes, chunk),
-                   out=norms[:built])
+    np.concatenate(_chunks(built, _row_bytes(model.topology), model.topology.n_nodes,
+                           lambda a, b: _centered_norms_for_patterns(model, np.unpackbits(
+                               np.arange(a, b, dtype="<u8")[:, None].view(np.uint8), axis=1,
+                               count=m, bitorder="little"), _grid)), out=norms[:built])
     norms[built:] = norms[:total - built][::-1]  # complements, when p = 1/2
     for line, p in enumerate(model.probs.tolist()):  # patterns with bit `line` set take p
         np.multiply(probs[:1 << line], p, out=probs[1 << line:2 << line])
@@ -766,8 +764,9 @@ def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
                              seed: int) -> SampleStats:
     """Monte Carlo estimate of the ||Y - EY|| distribution: sample s switches line l on when
     draw l of ``sample_rng(seed, 0, s)`` is below p_l. The calling process draws and keys every
-    sample; then one :func:`_chunks` call norms the run's distinct patterns, each once, bit for
-    bit the norm a sample gets alone (the same matrix and LAPACK call)."""
+    sample; a key, read as a little-endian integer, is its pattern's index k in
+    :func:`brute_force_distribution`. One :func:`_chunks` call norms the distinct patterns, each
+    once, bit for bit the norm a sample gets alone (the same matrix and LAPACK call)."""
     m = len(model.probs)
     rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // (8 * m or 1)))  # a draw's m uniforms
     # Row keys: the packed bits in a power-of-2 width with a spare bit (for m = 0), one uint
@@ -777,12 +776,12 @@ def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
     for start in range(0, samples, rows):
         stop = min(start + rows, samples)
         keys[start:stop, :-(-m // 8)] = np.packbits(  # np.pad took 2.5x as long
-            sample_uniforms(seed, 0, start, stop, m) < model.probs, axis=1)
+            sample_uniforms(seed, 0, start, stop, m) < model.probs, axis=1, bitorder="little")
     _, first, inverse = np.unique(keys.view(f"u{width}" if width <= 8 else f"S{width}")[:, 0],
                                   return_index=True, return_inverse=True)
     parts = _chunks(len(first), _row_bytes(model.topology), model.topology.n_nodes,
-                    lambda a, b: _centered_norms_for_patterns(
-                        model, np.unpackbits(keys[first[a:b]], axis=1, count=m)))
+                    lambda a, b: _centered_norms_for_patterns(model, np.unpackbits(
+                        keys[first[a:b]], axis=1, count=m, bitorder="little")))
     return SampleStats.sampled(np.concatenate(parts)[inverse])
 
 

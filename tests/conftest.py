@@ -1,4 +1,5 @@
-"""Fixtures that see into the chunk workers the harness forks.
+"""Fixtures that see into the chunk workers the harness forks, and the random
+contingency models that the bound and acceptance tests share.
 
 A forked worker's writes to a list or a set of the test never reach the test
 process, so the tests observe processes instead: the pids a fork returns,
@@ -8,7 +9,25 @@ process, so the tests observe processes instead: the pids a fork returns,
 import os
 import pickle
 
+import numpy as np
 import pytest
+
+from grid_concentrator import bounds as bnd
+from grid_concentrator import graph_core as gc
+
+
+def _random_connected_model(rng, n_max=8):
+    """A random tree on 3 to ``n_max`` buses plus each other pair's line with chance 0.3,
+    each line with p in [0.1, 0.9] and an admittance of modulus in [0.2, 1] at any phase."""
+    n = int(rng.integers(3, n_max + 1))
+    tree = gc.sample_random_tree(n, rng)
+    extra = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                  if (i, j) not in tree.edges and rng.random() < 0.3)
+    t = gc.Topology(n, tree.edges + extra)
+    probs = rng.uniform(0.1, 0.9, t.n_edges)
+    mags = rng.uniform(0.2, 1.0, t.n_edges)
+    phases = rng.uniform(0, 2 * np.pi, t.n_edges)
+    return bnd.ContingencyModel(t, probs, mags * np.exp(1j * phases))
 
 
 class ProcessLog:

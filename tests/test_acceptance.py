@@ -18,6 +18,7 @@ from grid_concentrator import lcpf
 from grid_concentrator import manifold as mf
 from grid_concentrator.admittance import assemble_admittance, lift_blocks
 from grid_concentrator.spectra import intrinsic_dimension, operator_norm
+from conftest import _random_connected_model
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -29,18 +30,6 @@ def _report(num: int, ok: bool, detail: str):
 def _line_basis(topology):
     a = gc.incidence_matrix(topology)
     return np.stack([np.outer(row, row) for row in a])
-
-
-def _random_connected_model(rng, n_max=8):
-    n = int(rng.integers(3, n_max + 1))
-    tree = gc.sample_random_tree(n, rng)
-    extra = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                  if (i, j) not in tree.edges and rng.random() < 0.3)
-    t = gc.Topology(n, tree.edges + extra)
-    probs = rng.uniform(0.1, 0.9, t.n_edges)
-    mags = rng.uniform(0.2, 1.0, t.n_edges)
-    phases = rng.uniform(0, 2 * np.pi, t.n_edges)
-    return bnd.ContingencyModel(t, probs, mags * np.exp(1j * phases))
 
 
 def test_criterion_01_fig1_dominance_and_growth():

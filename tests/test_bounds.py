@@ -9,23 +9,12 @@ from grid_concentrator import graph_core as gc
 from grid_concentrator.admittance import assemble_admittance
 from grid_concentrator.experiment_harness import sample_rng
 from grid_concentrator.spectra import intrinsic_dimension, operator_norm
+from conftest import _random_connected_model
 
 
 def _k3_model(p=0.5):
     t = gc.complete_topology(3)
     return bnd.ContingencyModel(t, np.full(3, p), np.ones(3, dtype=complex))
-
-
-def _random_connected_model(rng, n_max=8):
-    n = int(rng.integers(3, n_max + 1))
-    t = gc.sample_random_tree(n, rng)
-    extra = [(int(i), int(j)) for i in range(n) for j in range(i + 1, n)
-             if (i, j) not in t.edges and rng.random() < 0.3]
-    t = gc.Topology(n, t.edges + tuple(extra))
-    probs = rng.uniform(0.1, 0.9, t.n_edges)
-    mags = rng.uniform(0.2, 1.0, t.n_edges)
-    phases = rng.uniform(0, 2 * np.pi, t.n_edges)
-    return bnd.ContingencyModel(t, probs, mags * np.exp(1j * phases))
 
 
 def test_contingency_model_validation():

@@ -30,7 +30,7 @@ AWAITING_CALLERS = {
     "flat_start_jacobian": "item 5",
     "invert_tree_lcpf": "item 5",
     "intrinsic_dimension": "item 4",
-    "sample_random_tree": "item 7",
+    "sample_random_tree": "item 19",
     "sample_er_topology": "item 1 (a benchmark trace target)",
     "sample_rng": "item 8 (the replay contract of sample_uniforms; a benchmark trace target)",
 }

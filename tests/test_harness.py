@@ -356,6 +356,28 @@ def test_brute_force_independent_of_chunking_across_half(monkeypatch, most):
         assert tailed.tails(grid) == full.tails(grid)
 
 
+@pytest.mark.parametrize("topology, p, most", [
+    (gc.path_topology(1), 0.5, None), (gc.path_topology(2), 0.5, None),
+    (gc.path_topology(21), 0.5, None), (_K4, 0.3, 5)], ids=["m0", "m1", "m20", "across_half"])
+def test_brute_force_pattern_k_closes_line_l_where_bit_l_is_set(monkeypatch, topology, p, most):
+    # The switch-pattern encoding both contingency backends share: the enumeration's row k
+    # closes line l where bit l of k is set. At p = 1/2 only the patterns below the half
+    # are built; K4 at p = 0.3 builds all 64 in chunks of at most 5, one across the half.
+    m, spans = topology.n_edges, []
+
+    def bits_checked(model, patterns, grid=None):
+        start = spans[-1][1] if spans else 0
+        spans.append((start, start + len(patterns)))
+        assert np.array_equal(patterns, np.arange(*spans[-1])[:, None] >> np.arange(m) & 1)
+        return np.zeros(len(patterns))
+    monkeypatch.setattr(eh, "_workers", lambda: 1)  # every chunk in this process, in order
+    monkeypatch.setattr(eh, "_ENUM_CHUNK", most or eh._ENUM_CHUNK)
+    monkeypatch.setattr(eh, "_centered_norms_for_patterns", bits_checked)
+    eh.brute_force_distribution(bnd.ContingencyModel(topology, np.full(m, p), np.ones(m)))
+    assert spans[-1][1] == (1 << m - 1 if m and p == 0.5 else 1 << m)
+    assert not most or any(start < 1 << m - 1 < stop for start, stop in spans)
+
+
 # ---------------------------------------------------------------------------
 # exact tails: patterns certified below the grid's first point are not eigensolved
 # ---------------------------------------------------------------------------

@@ -194,9 +194,10 @@ def test_short_stream_lcpf_matches_per_sample_generators(monkeypatch):
 
 # Monte Carlo contingency models: real K3 lines of three sizes (8 patterns, 4 distinct
 # norms), complex K4 lines (the SVD path), K8's 28 lines (nearly every row distinct), and
-# K8 with rare lines on, whose keys hold zero and space (0x20) bytes inside and last. Keys
-# are one uint8 a row up to 7 lines, uint16 up to 15 (K5), uint32 up to 31 (K8), uint64 up
-# to 63 (K9) and bytes beyond (K12, 66 lines, with zero bytes inside and last).
+# K8 with rare lines on, whose keys hold zero bytes inside and last and space (0x20) bytes
+# inside (line 8j + 5 alone in byte j). Keys are one uint8 a row up to 7 lines, uint16 up
+# to 15 (K5), uint32 up to 31 (K8), uint64 up to 63 (K9) and bytes beyond (K12, 66 lines,
+# with zero bytes inside and last).
 MC_MODELS = {
     "k3_real": {"admittances": [1.0, 0.5, 0.25]},
     "k4_complex": {"topology": {"name": "complete", "n": 4}, "probs": 0.4,
@@ -226,6 +227,22 @@ def test_monte_carlo_norms_match_per_sample_norming(monkeypatch, name, chunk):
     assert len(np.unique(want)) > 1
     monkeypatch.setattr(eh, "_ENUM_CHUNK", chunk)
     assert np.array_equal(eh.monte_carlo_distribution(model, samples, seed).norms, want)
+
+
+@pytest.mark.parametrize("name", [name for name in MC_MODELS if len(_mc_model(name).probs) < 64])
+def test_monte_carlo_key_is_the_pattern_index(monkeypatch, name):
+    # The switch-pattern encoding both contingency backends share: a sample's key, read as
+    # a little-endian integer, is the sum of 2^l over the lines l its draws close, the
+    # index k of its pattern in the enumeration. Below 64 lines a key is one uint that
+    # np.unique sorts.
+    model, samples, seed = _mc_model(name), 120, 11
+    unique, keys = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda a, **kw: keys.append(a.copy()) or unique(a, **kw))
+    eh.monte_carlo_distribution(model, samples, seed)
+    closed = eh.sample_uniforms(seed, 0, 0, samples, len(model.probs)) < model.probs
+    key_bytes = keys[0].view(np.uint8).reshape(samples, -1)
+    assert [int.from_bytes(key[:8].tobytes(), "little") for key in key_bytes] == \
+        [sum(1 << int(line) for line in np.flatnonzero(row)) for row in closed]
 
 
 @pytest.mark.parametrize("chunk", MC_CHUNKS.values(), ids=MC_CHUNKS)
