@@ -19,7 +19,8 @@ fork: a run forks at most once per further worker. The Monte Carlo, enumeration,
 per-sample memory is O(n^2); an ``lcpf_bounds`` or ``manifold`` chunk is uniforms, law,
 scatter, norm. Monte Carlo draws and keys every sample in the calling process and deals the
 run's distinct switch patterns; the enumeration's chunks return norms, its caller fills the
-probabilities. Exact ``thm2_tail`` reads each pattern's bin on its grid, not its norm: Gershgorin's
+probabilities. Both decode patterns in :func:`_centered_norms_for_patterns`; a tail is one masked
+count per t. Exact ``thm2_tail`` reads each pattern's bin on its grid, not its norm: Gershgorin's
 bound, or tr((ZZ*)^4) where each |Z_ii| <= ||Z|| is below the grid, certifies a pattern below it,
 repeated squaring of ZZ* bins the rest, and only bounds that straddle a grid point are eigensolved.
 Only ``fig1`` builds a product per sample from a complex m x n incidence (175 MB at n = 200, p = 1).
@@ -361,11 +362,10 @@ class SampleStats:
         return cls(norms=norms, probabilities=None, mean=float(np.mean(norms)), stderr=stderr)
 
     def tails(self, grid) -> list:
-        """Pr(norm >= t) under the sample/pattern weights, for each t of ``grid``. Samples
-        are sorted once; each count of norms >= t over N is ``np.mean(norms >= t)``."""
+        """Pr(norm >= t) under the sample/pattern weights, for each t of ``grid``, by one masked
+        comparison per t: a NaN norm (a bin below an exact tail run's grid) is below every t."""
         if self.probabilities is None:
-            ahead = len(self.norms) - np.searchsorted(np.sort(self.norms), grid, "left")
-            return (ahead / len(self.norms)).tolist()
+            return [float(np.count_nonzero(self.norms >= t)) / len(self.norms) for t in grid]
         return [float(self.probabilities[self.norms >= t].sum()) for t in grid]
 
 
@@ -699,12 +699,14 @@ def _grid_bins(stack: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarray,
                                  grid: np.ndarray | None = None) -> np.ndarray:
-    """||Y - EY|| of each pattern; given a ``grid`` from t0 > 0, its bin instead: NaN below t0,
-    else the largest grid point at or below the norm. Patterns are certified below t0 by their
-    Gershgorin bound, or else by a trace moment, tried only where no |Z_ii| reaches t0 (|Z_ii| <=
-    ||Z||). The rest are scattered again for :func:`_grid_bins`; only what it leaves is normed."""
+    """||Y - EY|| of each switch pattern, a row of little-endian bytes whose bit l closes line l,
+    so pattern k of the enumeration is the bytes of k. Given a ``grid`` from t0 > 0, its bin
+    instead: NaN below t0, else the largest grid point at or below the norm. Gershgorin's bound,
+    or a trace moment where no |Z_ii| <= ||Z|| reaches t0, certifies patterns below t0; the rest
+    are scattered again for :func:`_grid_bins`, and only what it leaves is normed."""
     y = model.admittances  # real lines: a real symmetric stack, for eigvalsh
-    coeff = (patterns - model.probs) * (y if np.any(y.imag) else y.real)  # (s, m)
+    bits = np.unpackbits(patterns, axis=1, count=len(model.probs), bitorder="little")
+    coeff = (bits - model.probs) * (y if np.any(y.imag) else y.real)  # (s, m)
     if grid is None or not len(grid) or grid[0] <= 0:
         return operator_norm(gc.weighted_laplacians(model.topology, coeff))
     floor = float(grid[0])
@@ -731,8 +733,7 @@ def _centered_norms_for_patterns(model: bnd.ContingencyModel, patterns: np.ndarr
 def brute_force_distribution(model: bnd.ContingencyModel, *, _grid=None) -> SampleStats:
     """Exact distribution of ||Y - EY|| over all 2^m switch patterns (m <= 20 lines).
 
-    Pattern k closes line l where bit l of k is set, its bytes little-endian as in a Monte Carlo
-    key. Real admittances give real symmetric matrices, for the eigensolver. If every p_l = 1/2,
+    Real admittances give real symmetric matrices, for the eigensolver. If every p_l = 1/2,
     pattern 2^m - 1 - k has the negated matrix of pattern k, so only the first half is built, its
     norms mirrored. The probabilities are filled a line at a time, each pattern's the product of
     its lines' factors from line 0 on. A tail run's private ``_grid`` from t0 > 0 gives each
@@ -746,9 +747,9 @@ def brute_force_distribution(model: bnd.ContingencyModel, *, _grid=None) -> Samp
     built = total >> 1 if m and np.all(model.probs == 0.5) else total
     norms, probs = np.empty(total), np.ones(total)
     np.concatenate(_chunks(built, _row_bytes(model.topology), model.topology.n_nodes,
-                           lambda a, b: _centered_norms_for_patterns(model, np.unpackbits(
-                               np.arange(a, b, dtype="<u8")[:, None].view(np.uint8), axis=1,
-                               count=m, bitorder="little"), _grid)), out=norms[:built])
+                           lambda a, b: _centered_norms_for_patterns(model, np.arange(
+                               a, b, dtype="<u8")[:, None].view(np.uint8), _grid)),
+                   out=norms[:built])
     norms[built:] = norms[:total - built][::-1]  # complements, when p = 1/2
     for line, p in enumerate(model.probs.tolist()):  # patterns with bit `line` set take p
         np.multiply(probs[:1 << line], p, out=probs[1 << line:2 << line])
@@ -764,8 +765,7 @@ def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
                              seed: int) -> SampleStats:
     """Monte Carlo estimate of the ||Y - EY|| distribution: sample s switches line l on when
     draw l of ``sample_rng(seed, 0, s)`` is below p_l. The calling process draws and keys every
-    sample; a key, read as a little-endian integer, is its pattern's index k in
-    :func:`brute_force_distribution`. One :func:`_chunks` call norms the distinct patterns, each
+    sample by its pattern's bytes. One :func:`_chunks` call norms the distinct patterns, each
     once, bit for bit the norm a sample gets alone (the same matrix and LAPACK call)."""
     m = len(model.probs)
     rows = max(1, min(_ENUM_CHUNK, _CHUNK_BYTES // (8 * m or 1)))  # a draw's m uniforms
@@ -780,8 +780,7 @@ def monte_carlo_distribution(model: bnd.ContingencyModel, samples: int,
     _, first, inverse = np.unique(keys.view(f"u{width}" if width <= 8 else f"S{width}")[:, 0],
                                   return_index=True, return_inverse=True)
     parts = _chunks(len(first), _row_bytes(model.topology), model.topology.n_nodes,
-                    lambda a, b: _centered_norms_for_patterns(model, np.unpackbits(
-                        keys[first[a:b]], axis=1, count=m, bitorder="little")))
+                    lambda a, b: _centered_norms_for_patterns(model, keys[first[a:b]]))
     return SampleStats.sampled(np.concatenate(parts)[inverse])
 
 

@@ -360,15 +360,17 @@ def test_brute_force_independent_of_chunking_across_half(monkeypatch, most):
     (gc.path_topology(1), 0.5, None), (gc.path_topology(2), 0.5, None),
     (gc.path_topology(21), 0.5, None), (_K4, 0.3, 5)], ids=["m0", "m1", "m20", "across_half"])
 def test_brute_force_pattern_k_closes_line_l_where_bit_l_is_set(monkeypatch, topology, p, most):
-    # The switch-pattern encoding both contingency backends share: the enumeration's row k
-    # closes line l where bit l of k is set. At p = 1/2 only the patterns below the half
-    # are built; K4 at p = 0.3 builds all 64 in chunks of at most 5, one across the half.
+    # The switch-pattern encoding both contingency backends share: the enumeration hands
+    # pattern k to the decoder as the little-endian bytes of k, whose bit l closes line l.
+    # At p = 1/2 only the patterns below the half are built; K4 at p = 0.3 builds all 64
+    # in chunks of at most 5, one across the half.
     m, spans = topology.n_edges, []
 
     def bits_checked(model, patterns, grid=None):
         start = spans[-1][1] if spans else 0
         spans.append((start, start + len(patterns)))
-        assert np.array_equal(patterns, np.arange(*spans[-1])[:, None] >> np.arange(m) & 1)
+        assert [row.tobytes() for row in patterns] == \
+            [k.to_bytes(8, "little") for k in range(*spans[-1])]
         return np.zeros(len(patterns))
     monkeypatch.setattr(eh, "_workers", lambda: 1)  # every chunk in this process, in order
     monkeypatch.setattr(eh, "_ENUM_CHUNK", most or eh._ENUM_CHUNK)
@@ -1176,6 +1178,20 @@ def test_monte_carlo_sorted_tails_equal_the_mean_of_the_comparisons():
         assert stats.tails(grid)[0] == 1.0 and stats.tails([top])[0] > 0.0
         assert stats.tails([np.nextafter(top, np.inf)]) == [0.0]
         assert stats.tails([]) == []
+
+
+_NAN_NORMS = np.array([np.nan, 1.0, np.nan, 2.0])
+
+
+@pytest.mark.parametrize("stats, want", [
+    (eh.SampleStats.sampled(_NAN_NORMS), [0.5, 0.5, 0.5, 0.25, 0.25, 0.0, 0.0]),
+    (eh.SampleStats(_NAN_NORMS, np.array([0.125, 0.25, 0.5, 0.125]), math.nan, 0.0),
+     [0.375, 0.375, 0.375, 0.125, 0.125, 0.0, 0.0])], ids=["sampled", "exact"])
+def test_tails_count_a_nan_norm_below_every_grid_point(stats, want):
+    # A NaN norm is a bin below an exact tail run's grid, so it reaches no t under either
+    # weighting (a sort would put it last, at or above every t). Tails are Python floats.
+    tails = stats.tails([-np.inf, 0.0, 1.0, 1.5, 2.0, 3.0, np.inf])
+    assert tails == want and all(type(tail) is float for tail in tails)
 
 
 def _traced_peak_bytes(fn):

@@ -80,6 +80,16 @@ def test_monte_carlo_second_moment_floor_k50(monkeypatch):
     assert upper >= nu
 
 
+def test_monte_carlo_second_moment_floor_300_bus_path(monkeypatch):
+    # A 300-bus path at delta 0.1, 40 samples: mean(norm^2) is 0.145214 +- 0.001795, 2.72
+    # times nu = (4 delta^2 / 3) (2 + 2 cos(pi / 300)). The tolerance holds at one BLAS
+    # thread and at the default count, whose LAPACK roundings differ at this size.
+    upper, nu = _lcpf_floor(monkeypatch, topology=gc.path_topology(300), samples=40)
+    assert nu == pytest.approx(0.04 / 3.0 * (2.0 + 2.0 * math.cos(math.pi / 300)), rel=1e-12)
+    assert upper == pytest.approx(0.145214 + 3 * 0.001795, abs=2e-6)
+    assert upper >= nu
+
+
 def test_second_moment_floors_have_teeth(monkeypatch):
     # Noise on [-delta/2, delta/2] holds a quarter of the second moment.
     upper, nu = _lcpf_floor(monkeypatch, drawn=0.05)

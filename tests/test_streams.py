@@ -119,7 +119,8 @@ def test_runners_draw_no_per_sample_generator(monkeypatch):
                               topology={"name": "complete", "n": 4}, probs=0.4,
                               admittances=[0.6, -0.8])
     draws = np.array([eh.sample_rng(4, 0, s).random(6) for s in range(20)])
-    want_norms = eh._centered_norms_for_patterns(cfg.model, (draws < cfg.model.probs) * 1.0)
+    want_norms = eh._centered_norms_for_patterns(
+        cfg.model, np.packbits(draws < cfg.model.probs, axis=1, bitorder="little"))
     lcpf = eh.ExperimentConfig(experiment="lcpf_bounds", samples=20, seed=4,
                                topology={"name": "complete", "n": 4})
     want_lcpf = eh.run_lcpf_experiment(lcpf).records
@@ -222,7 +223,8 @@ def test_monte_carlo_norms_match_per_sample_norming(monkeypatch, name, chunk):
     # A chunk norms each distinct pattern once; every sample must still get, bit for
     # bit, the norm of its own pattern normed alone.
     model, samples, seed = _mc_model(name), 120, 11
-    patterns = eh.sample_uniforms(seed, 0, 0, samples, len(model.probs)) < model.probs
+    patterns = np.packbits(eh.sample_uniforms(seed, 0, 0, samples, len(model.probs)) < model.probs,
+                           axis=1, bitorder="little")
     want = np.array([eh._centered_norms_for_patterns(model, row[None])[0] for row in patterns])
     assert len(np.unique(want)) > 1
     monkeypatch.setattr(eh, "_ENUM_CHUNK", chunk)
@@ -265,7 +267,9 @@ def test_monte_carlo_norms_each_distinct_pattern_once(monkeypatch, process_log, 
     assert drawn[0][0] == 0 and drawn[-1][1] == samples
     calls = [record for _, record in process_log.read()]
     assert {drawn_before for drawn_before, _ in calls} == {len(drawn)}
-    rows, distinct = np.concatenate([rows for _, rows in calls]), np.unique(patterns, axis=0)
+    rows = np.unpackbits(np.concatenate([rows for _, rows in calls]), axis=1,
+                         count=len(model.probs), bitorder="little")
+    distinct = np.unique(patterns, axis=0)
     assert len(rows) == len(distinct)
     assert np.array_equal(np.unique(rows, axis=0), distinct)
     if name == "k3_real":
